@@ -10,6 +10,7 @@ result (float conversion exists for diagnostics only).
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -282,7 +283,8 @@ class FieldElement:
     # -- helpers -------------------------------------------------------------
 
     def _check_context(self, other: "FieldElement") -> None:
-        if self.context != other.context:
+        # contexts are interned by make_context, so identity settles almost every call
+        if self.context is not other.context and self.context != other.context:
             raise ValidationError("elements from different field contexts")
 
     def _coerce(self, other) -> "FieldElement":
@@ -312,10 +314,7 @@ class FieldElement:
 
     def _int_vector(self) -> tuple[int, ...]:
         """Coefficients scaled by their denominator lcm (sign preserved)."""
-        den = 1
-        for v in self.coeffs:
-            d = v.denominator
-            den = den // _gcd(den, d) * d
+        den = math.lcm(*(v.denominator for v in self.coeffs))
         return tuple(int(v * den) for v in self.coeffs)
 
     # -- arithmetic ------------------------------------------------------------
@@ -346,6 +345,8 @@ class FieldElement:
         return FieldElement(self.context, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return FieldElement(self.context, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -420,10 +421,7 @@ class FieldElement:
     def rational_bounds(self, max_width: Fraction | None = None) -> tuple[Fraction, Fraction]:
         """Exact rational bracket [lo, hi] around the element's value."""
         vec = self._int_vector()
-        den = 1
-        for v in self.coeffs:
-            d = v.denominator
-            den = den // _gcd(den, d) * d
+        den = math.lcm(*(v.denominator for v in self.coeffs))
         lo, hi = self.context.bounds_of_int_vector(vec)
         lo, hi = lo / den, hi / den
         while max_width is not None and hi - lo > max_width:
@@ -504,12 +502,6 @@ class FieldElement:
     @staticmethod
     def from_json_list(context: FieldContext, data: Sequence[str]) -> "FieldElement":
         return context.element(data)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- dense polynomial helpers over Fraction (private) ---------------------------

@@ -1,9 +1,9 @@
 """Height functions on lattice point sets and facets of their convex lifts.
 
 A height function lifts points of T into R^(k+1); the simplicial upper and
-lower facets of the lifted hull carry determinant-derived inequalities in
-(x, y).  The perturbation routine replaces rational heights on a chosen
-subset by heights with irrational offsets along powers of a root of 2,
+lower facets of the lifted hull carry inequalities in (x, y) built from
+integer cofactors of the vertex matrix.  The perturbation routine gives a
+chosen subset irrational height offsets along powers of a root of 2,
 keeping a given facet cover valid, which it re-verifies exactly.
 """
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._linalg import determinant, kernel_basis, solve
+from ._linalg import determinant, integer_adjugate, kernel_basis, solve
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
-from .field import FieldContext, FieldElement, as_fraction, make_context
+from .field import FieldContext, FieldElement, make_context
 
 Point = tuple[int, ...]
 
@@ -137,24 +137,19 @@ def staircase_height(k: int) -> HeightFunction:
     return HeightFunction.from_pairs(pairs)
 
 
-def _leading_determinant(vertices: Sequence[Point], ctx: FieldContext) -> FieldElement:
-    one = ctx.one
-    matrix = [[one] * len(vertices)]
-    dim = len(vertices[0])
-    for i in range(dim):
-        matrix.append([ctx.from_rational(v[i]) for v in vertices])
-    return determinant(matrix, ctx)
-
-
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
                                   heights: HeightFunction,
                                   orientation: str = "upper") -> FacetSimplex:
     """Inequality of the hyperplane through the lifted vertices.
 
     Expands the (k+2)x(k+2) determinant with the generic column (1, x, y)
-    along that column; vertices are reordered (one swap) so that the sign
-    of the leading determinant matches the requested orientation, making
-    the row read y <= ... for upper and y >= ... for lower.
+    along that column.  With A = [1 ... 1; v_0 ... v_k] the integer vertex
+    matrix, its cofactors are y_coeff = det(A) and, for row r of A,
+    -sum_c adj(A)[c][r] * h(v_c): the heights enter linearly, so the only
+    field work is integer scaling and addition.  Vertices are reordered
+    (one swap, negating every cofactor) so that the sign of det(A) matches
+    the requested orientation, making the row read y <= ... for upper and
+    y >= ... for lower.
     """
     if orientation not in ("upper", "lower"):
         raise ValidationError(f"unknown orientation {orientation!r}")
@@ -164,31 +159,22 @@ def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
         raise DegenerateSimplexError(
             f"need exactly {k + 1} vertices in dimension {k}, got {len(verts)}")
     ctx = heights.context
-    lead = _leading_determinant(verts, ctx)
+    matrix = [[1] * (k + 1)] + [[v[i] for v in verts] for i in range(k)]
+    # forward elimination alone settles degeneracy before the Gauss-Jordan adjugate
+    lead = determinant(matrix, ctx)
     if lead.is_zero():
         raise DegenerateSimplexError(f"affinely dependent vertex set {verts}")
-    want = 1 if orientation == "upper" else -1
-    if lead.sign() != want:
+    _, adj = integer_adjugate(matrix)
+    hs = [heights(v) for v in verts]
+    flip = lead.sign() != (1 if orientation == "upper" else -1)
+    if flip:
         verts[0], verts[1] = verts[1], verts[0]
         lead = -lead
-    # cofactors of the last column of rows (1...1 | v | h(v)) + (1, x, y)
-    size = k + 2
-    base_cols = []
-    for v in verts:
-        base_cols.append([ctx.one] + [ctx.from_rational(x) for x in v] + [heights(v)])
-    cofactors = []
-    for drop in range(size):
-        minor = [[base_cols[c][r] for c in range(k + 1)]
-                 for r in range(size) if r != drop]
-        cof = determinant(minor, ctx)
-        # the generic column sits at 0-indexed position size-1
-        if (drop + size - 1) % 2 == 1:
-            cof = -cof
-        cofactors.append(cof)
-    rhs = -cofactors[0]
-    coeffs = tuple(cofactors[1:k + 1])
-    y_coeff = cofactors[k + 1]
-    facet = FacetSimplex(tuple(verts), orientation, coeffs, y_coeff, rhs)
+    scale = 1 if flip else -1
+    cofactors = [sum((h * (scale * row[r]) for row, h in zip(adj, hs) if row[r]), ctx.zero)
+                 for r in range(k + 1)]
+    facet = FacetSimplex(tuple(verts), orientation, tuple(cofactors[1:]), lead,
+                         -cofactors[0])
     for v in verts:
         if not facet.evaluate(v, heights(v)).is_zero():
             raise AssertionError("facet inequality not tight at its own vertex")

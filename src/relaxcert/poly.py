@@ -11,6 +11,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -522,21 +523,11 @@ def _integer_rows(system: LinearSystem):
     n = system.context.degree
     out = []
     for row in system.rows:
-        den = 1
-        for e in row.coeffs + (row.rhs,):
-            for v in e.coeffs:
-                d = v.denominator
-                den = den // _gcd_int(den, d) * d
+        den = math.lcm(*(v.denominator for e in row.coeffs + (row.rhs,) for v in e.coeffs))
         a = [[int(e.coeffs[i] * den) for e in row.coeffs] for i in range(n)]
         b = [int(row.rhs.coeffs[i] * den) for i in range(n)]
         out.append((a, b))
     return out
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _slow_enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
@@ -581,7 +572,6 @@ def _enumerate_parallel(system: LinearSystem, int_rows, box: Box, jobs: int
     return result
 
 
-_FAST_MAGNITUDE_LIMIT = 1 << 30
 _FAST_CHUNK = 1 << 18
 
 

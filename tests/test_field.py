@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from relaxcert.errors import ValidationError
-from relaxcert.field import FieldElement, arith, make_context, sign
+from relaxcert.field import FieldContext, FieldElement, arith, make_context, sign
 
 
 def sqrt2_ctx():
@@ -105,6 +105,37 @@ def test_mixed_contexts_rejected():
     # equality across contexts is False, not an error
     assert a != b
     assert make_context(2, 2).from_rational(1) == a
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_integer_scaling_matches_generic_product(degree):
+    ctx = make_context(degree, 2)
+    rng = random.Random(degree)
+    for _ in range(20):
+        a = ctx.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(degree)])
+        for n in (0, 1, -1, 7, -12, 1 << 70):
+            generic = a * ctx.from_rational(n)
+            for product in (a * n, n * a):
+                assert product == generic
+                assert product.context is ctx
+                assert all(type(v) is Fraction for v in product.coeffs)
+                assert product.to_json_list() == generic.to_json_list()
+
+
+def test_equal_contexts_need_not_be_identical():
+    interned = make_context(2, 2)
+    direct = FieldContext(2, 2)
+    assert direct is not interned and direct == interned
+    a = interned.element((1, 2))
+    b = direct.element((3, -1))
+    assert a * b == interned.element((-1, 5))
+    assert (b * a).coeffs == (a * b).coeffs
+    assert (a + b).coeffs == (4, 1)
+    with pytest.raises(ValidationError):
+        a * make_context(3, 2).element((1, 2))
+    with pytest.raises(ValidationError):
+        b - FieldContext(2, 3).one
 
 
 def test_pow_matches_repeated_mul():

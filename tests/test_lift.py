@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ValidationError)
@@ -105,6 +107,65 @@ def test_facet_tight_at_own_vertices_random():
             assert facet.y_coeff.sign() == want
             for p in pts:
                 assert facet.evaluate(p, h(p)).is_zero()
+
+
+def laplace_determinant(matrix, ctx):
+    """Cofactor expansion along the first row, in field arithmetic only."""
+    if not matrix:
+        return ctx.one
+    total = ctx.zero
+    for c, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        term = entry * laplace_determinant([row[:c] + row[c + 1:] for row in matrix[1:]], ctx)
+        total = total - term if c % 2 else total + term
+    return total
+
+
+def oracle_facet(verts, heights, orientation):
+    """Facet row by Laplace expansion of det[1 ... 1 1; v_0 ... v_k x; h_0 ... h_k y]."""
+    ctx = heights.context
+    verts = list(verts)
+    k = len(verts[0])
+
+    def rows(vs):
+        return ([[ctx.one] * (k + 1)]
+                + [[ctx.from_rational(v[i]) for v in vs] for i in range(k)]
+                + [[heights(v) for v in vs]])
+
+    lead = laplace_determinant(rows(verts)[:-1], ctx)
+    if lead.is_zero():
+        return None
+    if lead.sign() != (1 if orientation == "upper" else -1):
+        verts[0], verts[1] = verts[1], verts[0]
+    full = rows(verts)
+    cof = []
+    for drop in range(k + 2):
+        minor = laplace_determinant([row for r, row in enumerate(full) if r != drop], ctx)
+        cof.append(-minor if (drop + k + 1) % 2 else minor)
+    return {"vertices": [list(v) for v in verts], "orientation": orientation,
+            "coeffs": [c.to_json_list() for c in cof[1:k + 1]],
+            "y_coeff": cof[k + 1].to_json_list(), "rhs": (-cof[0]).to_json_list()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(2, 4), degree=st.sampled_from([1, 2, 5]),
+       orientation=st.sampled_from(["upper", "lower"]))
+def test_facet_inequality_matches_laplace_oracle(data, k, degree, orientation):
+    ctx = make_context(degree, 2)
+    point = st.tuples(*[st.integers(-2, 2)] * k)
+    verts = data.draw(st.lists(point, min_size=k + 1, max_size=k + 1), label="vertices")
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    heights = HeightFunction.from_pairs(
+        (v, ctx.element(data.draw(st.lists(value, min_size=degree, max_size=degree))))
+        for v in dict.fromkeys(verts))
+    expected = oracle_facet(verts, heights, orientation)
+    if expected is None:
+        with pytest.raises(DegenerateSimplexError):
+            facet_inequality_from_simplex(verts, heights, orientation)
+    else:
+        facet = facet_inequality_from_simplex(verts, heights, orientation)
+        assert facet.to_json_dict() == expected
 
 
 # ---------------------------------------------------------------------------
