@@ -11,7 +11,7 @@ from .cover import (Chain, CoverFamily, build_full_cover, chains_to_permutations
                     exact_min_cover, permutation_facet_family, symmetric_chain_cover)
 from .errors import (CertificationError, DegenerateSimplexError, PreconditionError,
                      ResourceLimitError, ValidationError)
-from .field import FieldContext, FieldElement, arith, make_context, sign
+from .field import FieldContext, FieldElement, make_context
 from .lift import (AffineFunction, FacetSimplex, HeightFunction, affine_interpolant,
                    check_upper_facet, facet_inequality_from_simplex, perturb_heights,
                    staircase_height)

@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--box", required=True,
                         help="box spec lo:hi[,lo:hi...]; one range broadcasts")
     verify.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP)
-    verify.add_argument("--jobs", type=int, default=1, help="enumeration workers")
+    verify.add_argument("--jobs", type=int, default=1,
+                        help="enumeration worker processes (at least 1, at most the CPU count)")
     verify.set_defaults(func=_cmd_verify)
 
     certify = sub.add_parser("certify-mixed",

@@ -71,12 +71,11 @@ class FieldContext:
 
     Caches a dyadic isolating interval [clo/2^s, (clo+1)/2^s] for c.  The
     interval is only ever narrowed, under a lock, so concurrent sign
-    queries are safe.  x**n - r is irreducible for the default radicand 2
-    (Eisenstein at 2) and trivially for degree 1; other radicands are
-    accepted but flagged as unchecked via `irreducible_certified`.
+    queries are safe.  Build contexts with make_context, which refuses a
+    reducible x**n - r.
     """
 
-    __slots__ = ("degree", "radicand", "irreducible_certified", "_rational_root",
+    __slots__ = ("degree", "radicand", "_rational_root",
                  "_lock", "_state", "_zero", "_one")
 
     def __init__(self, degree: int, radicand: RationalLike):
@@ -87,7 +86,6 @@ class FieldContext:
             raise ValidationError(f"radicand must be positive, got {radicand}")
         self.degree = degree
         self.radicand = radicand
-        self.irreducible_certified = degree == 1 or radicand == 2
         self._rational_root: Fraction | None
         if degree == 1:
             self._rational_root = radicand
@@ -133,8 +131,7 @@ class FieldContext:
             bits = self._state[0]
             if bits >= _MAX_BITS:
                 raise ArithmeticError(
-                    "cannot separate element from zero; "
-                    "the minimal polynomial may be reducible (unchecked radicand)")
+                    f"cannot separate element from zero within {_MAX_BITS} bits")
             self._state = self._compute_state(bits + _STEP_BITS)
 
     @property
@@ -146,6 +143,11 @@ class FieldContext:
         bits, lo_pows, hi_pows = state
         return (Fraction(lo_pows[1] if self.degree > 1 else 1, 1 << (bits * (self.degree - 1))),
                 Fraction(hi_pows[1] if self.degree > 1 else 1, 1 << (bits * (self.degree - 1))))
+
+    def power_brackets(self, bits: int) -> tuple[int, ...]:
+        """Integers L[i] = floor(2**bits * c**i) for 0 <= i < degree; L[0] is exact."""
+        n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
+        return tuple(_int_nth_root(((p ** i) << (bits * n)) // q ** i, n) for i in range(n))
 
     # -- exact sign machinery ----------------------------------------------
 
@@ -267,6 +269,13 @@ def make_context(degree: int, radicand: RationalLike = 2) -> FieldContext:
     radicand = as_fraction(radicand)
     if radicand <= 0:
         raise ValidationError(f"radicand must be positive, got {radicand}")
+    # Capelli: for r > 0, x**n - r is irreducible over Q iff r is no p-th power
+    # in Q for a prime p | n, that is, no m-th power for any divisor m > 1 of n
+    for m in range(2, degree + 1):
+        if degree % m == 0 and _rational_nth_root(radicand, m) is not None:
+            raise ValidationError(
+                f"x^{degree} - {radicand} is reducible over Q "
+                f"({radicand} = s^{m} with s rational)")
     return _cached_context(degree, radicand)
 
 
@@ -380,7 +389,7 @@ class FieldElement:
         inv = _poly_modular_inverse(list(self.coeffs), modulus)
         if inv is None:
             raise ZeroDivisionError(
-                "element is a zero divisor; the context's minimal polynomial is reducible")
+                f"element has no inverse modulo x^{n} - {self.context.radicand}")
         inv = inv + [Fraction(0)] * (n - len(inv))
         return FieldElement(self.context, tuple(inv[:n]))
 
@@ -545,26 +554,3 @@ def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]):
         return None
     inv_gcd = 1 / r0[0]
     return [v * inv_gcd for v in s0]
-
-
-# -- named operation wrappers -----------------------------------------------------
-
-def arith(op: str, a: FieldElement, b: FieldElement | None = None) -> FieldElement:
-    """Dispatch an exact field operation by name."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValidationError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValidationError(f"unknown operation {op!r}")
-
-
-def sign(a: FieldElement) -> int:
-    return a.sign()

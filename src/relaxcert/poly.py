@@ -4,14 +4,17 @@ Systems are finite lists of rows ``coeffs . x <= rhs`` with exact field
 coefficients.  Provides exact membership, Fourier-Motzkin elimination,
 coordinate bounds, lattice-point enumeration in boxes, affine pullbacks,
 recession systems, and coordinate-subspace restriction.  Nothing here is
-ever evaluated in floating point; the vectorized enumeration path uses
-exact integer arithmetic.
+ever evaluated in floating point.  One enumerator serves every field: it
+brackets each row's value between integers built from floor(2^32 c^i),
+vectorized in int64 (Python integers when int64 could overflow), and
+hands the rare points the bracket cannot decide to the field's exact sign.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -381,25 +384,26 @@ class LinearSystem:
 
     def enumerate_lattice_points(self, box: Box, cap: int = DEFAULT_POINT_CAP,
                                  jobs: int = 1) -> list[tuple[int, ...]]:
-        """All integer points of the box satisfying the system, in lex order."""
+        """All integer points of the box satisfying the system, in lex order.
+
+        jobs > 1 splits the first coordinate's range across that many worker
+        processes, at most one per CPU.
+        """
         if box.dimension != self.num_vars:
             raise ValidationError(
                 f"box dimension {box.dimension} does not match {self.num_vars} variables")
+        if jobs < 1:
+            raise ValidationError(f"jobs must be at least 1, got {jobs}")
         volume = box.volume
         if volume > cap:
             raise ResourceLimitError(
                 f"box holds {volume} lattice points, above the cap of {cap}",
                 required=volume)
-        if self.num_vars == 0:
-            ok = all(row.rhs.sign() >= 0 for row in self.rows)
-            return [()] if ok else []
         int_rows = _integer_rows(self)
-        fast = _fast_enumerate(self, int_rows, box)
-        if fast is not None:
-            return fast
-        if jobs > 1 and box.bounds[0][1] > box.bounds[0][0]:
-            return _enumerate_parallel(self, int_rows, box, jobs)
-        return _slow_enumerate(self.context, int_rows, box)
+        jobs = min(jobs, os.cpu_count() or 1)
+        if jobs > 1 and box.dimension and box.bounds[0][1] > box.bounds[0][0]:
+            return _enumerate_parallel(self.context, int_rows, box, jobs)
+        return _enumerate(self.context, int_rows, box)
 
     # -- serialization --------------------------------------------------------------
 
@@ -511,14 +515,14 @@ def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
 
 
 # -----------------------------------------------------------------------------
-# enumeration back ends
+# lattice enumeration
 # -----------------------------------------------------------------------------
 
 def _integer_rows(system: LinearSystem):
     """Clear denominators: per row, integer coefficient matrix by basis power.
 
-    Returns (degree, [(A, b)]) where A is a degree x num_vars integer array
-    and b an integer vector of length degree, encoding sum_i (b[i] - A[i].x) c^i.
+    Returns [(A, b)] where A is a degree x num_vars integer matrix and b an
+    integer vector of length degree, encoding sum_i (b[i] - A[i].x) c^i.
     """
     n = system.context.degree
     out = []
@@ -530,116 +534,94 @@ def _integer_rows(system: LinearSystem):
     return out
 
 
-def _slow_enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
-    n = context.degree
-    ranges = [range(lo, hi + 1) for lo, hi in box.bounds]
-    result = []
+_BRACKET_BITS = 32
+_CHUNK = 1 << 18
+
+
+def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
+    """Points of the box on which every integer row is nonnegative, in lex order.
+
+    A row's value at x is V = sum_i w_i c^i with integer w_i = b_i - A_i.x.
+    With L_i = floor(2^B c^i) from the field (L_0 = 2^B exactly), 2^B V
+    lies within err = sum_{i>=1} |w_i| of centre = sum_i L_i w_i.  So the
+    row fails where centre < -err, holds where centre > err, and only
+    points with 0 < err and |centre| <= err go to the exact
+    sign_of_int_vector.  The trailing coordinates form a grid of at most
+    _CHUNK points evaluated at once; the leading ones are iterated.  The
+    arithmetic is int64 when a magnitude bound over the box stays below
+    2^62, and Python integers (dtype object) otherwise.
+    """
+    n, d = context.degree, box.dimension
+    scale = context.power_brackets(_BRACKET_BITS)
+    # at least 1, so that the bound also covers every coefficient array
+    reach = [max(abs(lo), abs(hi), 1) for lo, hi in box.bounds]
+    headroom = max(reach, default=0)
+    plans = []
+    for a, b in int_rows:
+        la = [sum(s * a[i][j] for i, s in enumerate(scale)) for j in range(d)]
+        lb = sum(s * v for s, v in zip(scale, b))
+        errors = [(a[i], b[i]) for i in range(1, n) if b[i] or any(a[i])]
+        size = [abs(b[i]) + sum(abs(v) * m for v, m in zip(a[i], reach)) for i in range(n)]
+        headroom = max(headroom, sum((s + 1) * z for s, z in zip(scale, size)))
+        plans.append((a, b, la, lb, errors))
+    dtype = np.int64 if headroom < (1 << 62) else object
+
+    sizes = [hi - lo + 1 for lo, hi in box.bounds]
+    split, volume = d, 1
+    while split > 0 and volume * sizes[split - 1] <= _CHUNK:
+        split -= 1
+        volume *= sizes[split]
+    grid = np.indices(sizes[split:], dtype=np.int64).reshape(d - split, volume)
+    grid += np.array([lo for lo, _ in box.bounds[split:]], dtype=np.int64)[:, None]
+    grid = grid.astype(dtype, copy=False)
+
+    def affine(coeffs, const, prefix):
+        """const - coeffs . (prefix, grid) as a fresh array over the grid."""
+        out = np.full(volume, const - sum(c * x for c, x in zip(coeffs, prefix)), dtype=dtype)
+        for c, values in zip(coeffs[split:], grid):
+            if c:
+                out -= c * values
+        return out
+
     sign_of = context.sign_of_int_vector
-    for point in itertools.product(*ranges):
-        ok = True
-        for a, b in int_rows:
-            vec = tuple(b[i] - sum(a[i][j] * point[j] for j in range(len(point)) if a[i][j])
-                        for i in range(n))
-            if sign_of(vec) < 0:
-                ok = False
+    result: list[tuple[int, ...]] = []
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split])):
+        ok = np.ones(volume, dtype=bool)
+        for a, b, la, lb, errors in plans:
+            centre = affine(la, lb, prefix)
+            err = 0
+            for a_i, b_i in errors:
+                err += np.abs(affine(a_i, b_i, prefix))
+            ok &= centre >= -err
+            if errors:
+                for idx in np.flatnonzero(ok & (centre <= err) & (err > 0)):
+                    x = prefix + tuple(int(v) for v in grid[:, idx])
+                    if sign_of([b[i] - sum(c * v for c, v in zip(a[i], x))
+                                for i in range(n)]) < 0:
+                        ok[idx] = False
+            if not ok.any():
                 break
-        if ok:
-            result.append(point)
+        result.extend(prefix + tuple(p) for p in grid[:, ok].T.tolist())
     return result
 
 
-def _enum_chunk(args):
-    system_json, sub_bounds = args
-    system = LinearSystem.from_json_dict(system_json)
-    return _slow_enumerate(system.context, _integer_rows(system), Box(tuple(sub_bounds)))
+def _enumerate_chunk(args):
+    field, int_rows, bounds = args
+    return _enumerate(FieldContext.from_json_dict(field), int_rows, Box(bounds))
 
 
-def _enumerate_parallel(system: LinearSystem, int_rows, box: Box, jobs: int
+def _enumerate_parallel(context: FieldContext, int_rows, box: Box, jobs: int
                         ) -> list[tuple[int, ...]]:
+    """_enumerate with the first coordinate's range split across worker processes."""
     lo0, hi0 = box.bounds[0]
     span = hi0 - lo0 + 1
     jobs = min(jobs, span)
     edges = [lo0 + (span * i) // jobs for i in range(jobs)] + [hi0 + 1]
-    tasks = []
-    sys_json = system.to_json_dict()
-    for i in range(jobs):
-        sub = ((edges[i], edges[i + 1] - 1),) + box.bounds[1:]
-        tasks.append((sys_json, sub))
+    field = context.to_json_dict()
+    tasks = [(field, int_rows, ((edges[i], edges[i + 1] - 1),) + box.bounds[1:])
+             for i in range(jobs)]
     result: list[tuple[int, ...]] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_enum_chunk, tasks):
+        for part in pool.map(_enumerate_chunk, tasks):
             result.extend(part)
-    return result
-
-
-_FAST_CHUNK = 1 << 18
-
-
-def _fast_enumerate(system: LinearSystem, int_rows, box: Box):
-    """Vectorized exact enumeration for fields of degree <= 2.
-
-    Uses int64 arithmetic only; the sign of v0 + v1*sqrt(r) is decided by
-    integer comparisons (v0^2 versus r*v1^2), which stays exact as long as
-    magnitudes are bounded, checked up front.  Returns None when the
-    system is outside the fast path's domain.
-    """
-    ctx = system.context
-    n = ctx.degree
-    if n > 2:
-        return None
-    if n == 2 and (ctx._rational_root is not None or ctx.radicand.denominator != 1):
-        return None
-    r_int = int(ctx.radicand) if n == 2 else 0
-    max_abs = max(max(abs(lo), abs(hi)) for lo, hi in box.bounds)
-    bound = 0
-    for a, b in int_rows:
-        for i in range(n):
-            mag = abs(b[i]) + sum(abs(v) for v in a[i]) * max_abs
-            bound = max(bound, mag)
-    if bound == 0:
-        bound = 1
-    if bound >= (1 << 62) or (n == 2 and r_int * bound * bound >= (1 << 62)):
-        return None
-
-    d = system.num_vars
-    a0 = np.array([a[0] for a, _ in int_rows], dtype=np.int64)
-    b0 = np.array([b[0] for _, b in int_rows], dtype=np.int64)
-    if n == 2:
-        a1 = np.array([a[1] for a, _ in int_rows], dtype=np.int64)
-        b1 = np.array([b[1] for _, b in int_rows], dtype=np.int64)
-
-    # split into a prefix iterated in Python and a vectorized tail grid
-    sizes = [hi - lo + 1 for lo, hi in box.bounds]
-    split = d
-    tail_volume = 1
-    while split > 0 and tail_volume * sizes[split - 1] <= _FAST_CHUNK:
-        split -= 1
-        tail_volume *= sizes[split]
-    tail_sizes = sizes[split:]
-    tail_los = np.array([box.bounds[i][0] for i in range(split, d)], dtype=np.int64)
-    if tail_sizes:
-        grid = np.indices(tail_sizes, dtype=np.int64).reshape(d - split, -1)
-        grid += tail_los[:, None]
-    else:
-        grid = np.zeros((0, 1), dtype=np.int64)
-
-    result: list[tuple[int, ...]] = []
-    prefix_ranges = [range(lo, hi + 1) for lo, hi in box.bounds[:split]]
-    for prefix in itertools.product(*prefix_ranges):
-        pref = np.array(prefix, dtype=np.int64)
-        ok = np.ones(grid.shape[1], dtype=bool)
-        for row_idx in range(len(int_rows)):
-            v0 = b0[row_idx] - a0[row_idx, :split] @ pref - a0[row_idx, split:] @ grid
-            if n == 2:
-                v1 = b1[row_idx] - a1[row_idx, :split] @ pref - a1[row_idx, split:] @ grid
-                neg = (v0 <= 0) & (v1 <= 0) & ((v0 < 0) | (v1 < 0))
-                neg |= (v0 > 0) & (v1 < 0) & (v0 * v0 < r_int * v1 * v1)
-                neg |= (v0 < 0) & (v1 > 0) & (v0 * v0 > r_int * v1 * v1)
-            else:
-                neg = v0 < 0
-            ok &= ~neg
-            if not ok.any():
-                break
-        for idx in np.nonzero(ok)[0]:
-            result.append(prefix + tuple(int(x) for x in grid[:, idx]))
     return result

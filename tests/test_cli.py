@@ -113,3 +113,12 @@ def test_resource_error_exit_two(tmp_path, capsys):
               "--box=-1:2", "--cap", "1000"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_jobs_below_one_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    rc = run(["verify", "--system", str(out), "--points", str(out),
+              "--box=-2:3", "--jobs", "0"])
+    assert rc == 2
+    assert "jobs" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from relaxcert.errors import ValidationError
-from relaxcert.field import FieldContext, FieldElement, arith, make_context, sign
+from relaxcert.field import FieldContext, FieldElement, make_context
 
 
 def sqrt2_ctx():
@@ -26,7 +26,6 @@ def test_make_context_sqrt2_interval_brackets_root():
     assert 0 < lo < hi
     assert lo ** 2 < 2 < hi ** 2
     assert hi - lo <= 1
-    assert ctx.irreducible_certified
 
 
 def test_make_context_degree_one_is_rationals():
@@ -55,9 +54,13 @@ def test_make_context_rejects_bad_parameters():
         make_context(2, Fraction(-1, 3))
 
 
-def test_non_default_radicand_flagged_unchecked():
-    assert not make_context(3, 5).irreducible_certified
-    assert make_context(1, 7).irreducible_certified
+def test_make_context_decides_irreducibility():
+    # Capelli: x^n - r is irreducible iff r is no p-th power for a prime p | n
+    assert make_context(3, 5).degree == 3
+    assert make_context(1, 7).degree == 1
+    for degree, radicand in ((4, 4), (2, 4), (6, 8)):
+        with pytest.raises(ValidationError):
+            make_context(degree, radicand)
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +82,6 @@ def test_cube_root_power_reduction():
     c = ctx.root_power(1)
     c2 = ctx.root_power(2)
     assert c * c2 == ctx.from_rational(2)
-
-
-def test_arith_dispatch():
-    a, b = elem(1, 1), elem(2, -1)
-    assert arith("add", a, b) == elem(3, 0)
-    assert arith("sub", a, b) == elem(-1, 2)
-    assert arith("mul", a, b) == elem(0, 1)  # (1+s)(2-s) = 2+s-2 = s
-    assert arith("neg", a) == elem(-1, -1)
-    assert arith("div", a, a) == elem(1)
-    with pytest.raises(ValidationError):
-        arith("pow", a, b)
 
 
 def test_division_by_zero():
@@ -151,18 +143,18 @@ def test_pow_matches_repeated_mul():
 
 def test_sign_examples():
     # 1 - sqrt2/2 > 0 since sqrt2 < 2
-    assert sign(elem(1, Fraction(-1, 2))) == 1
-    assert sign(elem(0, 0)) == 0
+    assert elem(1, Fraction(-1, 2)).sign() == 1
+    assert elem(0, 0).sign() == 0
     # 3 - 2 sqrt2 - 1/10 = 29/10 - 2 sqrt2 > 0 since (2 sqrt2)^2 = 8 < 8.41
-    assert sign(elem(Fraction(29, 10), -2)) == 1
-    assert sign(elem(1, -1)) == -1  # 1 < sqrt2
+    assert elem(Fraction(29, 10), -2).sign() == 1
+    assert elem(1, -1).sign() == -1  # 1 < sqrt2
 
 
 def test_sign_close_to_zero():
     # 577/408 is a continued-fraction convergent of sqrt2; the difference is
     # about 2.1e-6 but its sign is still determined exactly
-    assert sign(elem(Fraction(577, 408), -1)) == 1
-    assert sign(elem(Fraction(-577, 408), 1)) == -1
+    assert elem(Fraction(577, 408), -1).sign() == 1
+    assert elem(Fraction(-577, 408), 1).sign() == -1
 
 
 def test_sign_degree_five():

@@ -1,9 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relaxcert.construct import (composed_simplex_relaxation,
+from relaxcert import poly
+from relaxcert.construct import (composed_simplex_relaxation, pipeline_run,
                                  projected_simplex_relaxation, simplex5_relaxation)
 from relaxcert.errors import ResourceLimitError, ValidationError
 from relaxcert.field import make_context
@@ -241,12 +246,110 @@ def test_enumerate_lex_order_and_degree_five():
     assert (1, 0) in points and (1, 1) not in points
 
 
-def test_enumerate_parallel_matches_serial():
-    P = simplex5_relaxation()
+def test_enumerate_parallel_matches_serial(monkeypatch):
+    # two real workers even on a one-CPU host
+    monkeypatch.setattr(poly.os, "cpu_count", lambda: 2)
+    # degree 2 (dim-5 block) and degree 5 (k = 3 pipeline window)
+    for system, box in ((simplex5_relaxation().system, Box.uniform(-2, 3, 5)),
+                        (pipeline_run(3).bundle.system, Box.uniform(-1, 2, 7))):
+        serial = system.enumerate_lattice_points(box)
+        assert system.enumerate_lattice_points(box, jobs=2) == serial
+
+
+def test_enumerate_jobs_clamped_and_validated(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(poly, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(poly.os, "cpu_count", lambda: 3)
+    system = simplex5_relaxation().system
     box = Box.uniform(-2, 3, 5)
-    serial = P.system.enumerate_lattice_points(box)
-    parallel = P.system.enumerate_lattice_points(box, jobs=2)
-    assert serial == parallel
+    serial = system.enumerate_lattice_points(box)
+    assert system.enumerate_lattice_points(box, jobs=10 ** 6) == serial
+    assert seen == [3]
+    # the split never makes more parts than the first coordinate has values
+    assert system.enumerate_lattice_points(Box(((0, 1),) + ((-2, 3),) * 4), jobs=3) \
+        == [p for p in serial if p[0] in (0, 1)]
+    assert seen == [3, 2]
+    for jobs in (0, -1):
+        with pytest.raises(ValidationError):
+            system.enumerate_lattice_points(box, jobs=jobs)
+
+
+def _convergent(ctx, min_den):
+    """A continued-fraction convergent p/q of c with q >= min_den."""
+    lo, _ = ctx.root_power(1).rational_bounds(max_width=Fraction(1, 1 << 128))
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    x = lo
+    while k1 < min_den:
+        a = x.__floor__()
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        x = 1 / (x - a)
+    return h1, k1
+
+
+@st.composite
+def _oracle_cases(draw):
+    ctx = make_context(draw(st.sampled_from((1, 2, 3, 5))),
+                       draw(st.sampled_from((2, 3, Fraction(3, 2), 5))))
+    num_vars = draw(st.integers(0, 3))
+    bound = 1 << 40 if draw(st.booleans()) and ctx.degree > 1 else 4
+    number = st.fractions(min_value=-bound, max_value=bound, max_denominator=3)
+    element = st.lists(number, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    rows = draw(st.lists(st.tuples(st.lists(element, min_size=num_vars, max_size=num_vars),
+                                   element), max_size=4))
+    if ctx.degree > 1 and num_vars and draw(st.booleans()):
+        # (q c - p) x_j <= 0 with |q c - p| < 1/q: its 32-bit bracket cannot decide
+        p, q = _convergent(ctx, 1 << 18)
+        j = draw(st.integers(0, num_vars - 1))
+        coeffs = [ctx.zero] * num_vars
+        coeffs[j] = ctx.element((-p, q)) * draw(st.sampled_from((1, -1)))
+        rows.append((coeffs, ctx.zero))
+    ranges = [sorted(draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+              for _ in range(num_vars)]
+    return LinearSystem.from_rows(ctx, rows, num_vars), Box(tuple(map(tuple, ranges)))
+
+
+_P, _Q = _convergent(CTX2, 1 << 18)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_oracle_cases(), chunk=st.sampled_from((1, 3, poly._CHUNK)))
+# no rows at all
+@example(case=(LinearSystem(make_context(5, 2), 2, ()), Box(((-1, 1), (0, 2)))),
+         chunk=poly._CHUNK)
+# one variable wider than _CHUNK: the prefix is every coordinate, the tail grid empty
+@example(case=(LinearSystem.from_rows(CTX1, [((1,), 3)], 1), Box(((-4, 6),))), chunk=4)
+# coefficients beyond the int64 headroom, also on a box that reaches only 0
+@example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((1 << 61, 3)), 1), 5),
+                                             ((-1, CTX2.element((0, -(1 << 59)))), 2)], 2),
+               Box.uniform(-3, 3, 2)), chunk=poly._CHUNK)
+@example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((0, 1 << 40)),), 0)], 1),
+               Box(((0, 0),))), chunk=poly._CHUNK)
+# (q sqrt2 - p) x <= 0 with |q sqrt2 - p| < 1/q: only the exact sign decides it
+@example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((-_P, _Q)),), 0)], 1),
+               Box(((-2, 2),))), chunk=poly._CHUNK)
+def test_enumerate_matches_membership_oracle(case, chunk):
+    """Enumeration equals a per-point FieldElement.sign filter over the box."""
+    system, box = case
+    expected = [p for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds))
+                if system.contains(p).inside]
+    with mock.patch.object(poly, "_CHUNK", chunk):
+        assert system.enumerate_lattice_points(box) == expected
 
 
 # ---------------------------------------------------------------------------
