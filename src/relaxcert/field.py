@@ -2,10 +2,11 @@
 
 Elements are stored as rational coefficient vectors over the power basis
 1, c, ..., c**(n-1).  All arithmetic is exact (arbitrary-precision
-rationals); the sign of an element is decided by narrowing a dyadic
-isolating interval for c until the interval evaluation of the element
-excludes zero.  No floating-point arithmetic is used on any certified
-result (float conversion exists for diagnostics only).
+rationals).  Signs come from the integers L[i] = floor(2**B * c**i), the
+same brackets the lattice enumerator uses: they bound 2**B times an
+element between two integers, and B is raised until that bracket excludes
+zero.  No floating-point arithmetic is used on any certified result (float
+conversion exists for diagnostics only).
 """
 
 from __future__ import annotations
@@ -67,108 +68,92 @@ def _rational_nth_root(value: Fraction, n: int) -> Fraction | None:
 
 
 class FieldContext:
-    """The field Q(c) with c the real n-th root of a positive rational.
+    """The field Q(c) with c the real n-th root of a positive rational r.
 
-    Caches a dyadic isolating interval [clo/2^s, (clo+1)/2^s] for c.  The
-    interval is only ever narrowed, under a lock, so concurrent sign
-    queries are safe.  Build contexts with make_context, which refuses a
-    reducible x**n - r.
+    Refuses a reducible x**n - r.  Caches a precision B with the power
+    brackets L = power_brackets(B), which bound 2**B times any element
+    between two integers.  B is only ever raised, under a lock, so
+    concurrent sign queries are safe.  make_context interns contexts.
     """
 
-    __slots__ = ("degree", "radicand", "_rational_root",
-                 "_lock", "_state", "_zero", "_one")
+    __slots__ = ("degree", "radicand", "_lock", "_brackets", "_zero", "_one")
 
     def __init__(self, degree: int, radicand: RationalLike):
-        if not isinstance(degree, int) or degree < 1:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
             raise ValidationError(f"degree must be a positive integer, got {degree!r}")
         radicand = as_fraction(radicand)
         if radicand <= 0:
             raise ValidationError(f"radicand must be positive, got {radicand}")
+        # Capelli: for r > 0, x**n - r is irreducible over Q iff r is no p-th power
+        # in Q for a prime p | n, that is, no m-th power for any divisor m > 1 of n
+        for m in range(2, degree + 1):
+            if degree % m == 0 and _rational_nth_root(radicand, m) is not None:
+                raise ValidationError(
+                    f"x^{degree} - {radicand} is reducible over Q "
+                    f"({radicand} = s^{m} with s rational)")
         self.degree = degree
         self.radicand = radicand
-        self._rational_root: Fraction | None
-        if degree == 1:
-            self._rational_root = radicand
-        else:
-            self._rational_root = _rational_nth_root(radicand, degree)
         self._lock = threading.Lock()
-        self._state = self._compute_state(_INITIAL_BITS)
+        self._brackets = (_INITIAL_BITS, self.power_brackets(_INITIAL_BITS))
         self._zero = FieldElement(self, (Fraction(0),) * degree)
         self._one = FieldElement(self, (Fraction(1),) + (Fraction(0),) * (degree - 1))
 
-    # -- isolating interval ------------------------------------------------
-
-    def _compute_state(self, bits: int):
-        """State tuple (bits, lo_pows, hi_pows) with scaled integer power bounds.
-
-        lo_pows[i] = clo**i * 2**(bits*(n-1-i)) so that an element's value
-        times 2**(bits*(n-1)) is bracketed by integer combinations.
-        """
-        n = self.degree
-        if self._rational_root is not None:
-            c = self._rational_root
-            width = min(Fraction(1, 4), c / 2)
-            lo, hi = c - width, c + Fraction(1, 4)
-            return (bits, (lo, hi), None)
-        p, q = self.radicand.numerator, self.radicand.denominator
-        while True:
-            scaled = (p << (bits * n)) // q
-            clo = _int_nth_root(scaled, n)
-            while (clo + 1) ** n * q <= (p << (bits * n)):
-                clo += 1
-            while clo > 0 and clo ** n * q >= (p << (bits * n)):
-                clo -= 1
-            if clo >= 1:
-                break
-            bits += _STEP_BITS
-        chi = clo + 1
-        lo_pows = tuple(clo ** i * (1 << (bits * (n - 1 - i))) for i in range(n))
-        hi_pows = tuple(chi ** i * (1 << (bits * (n - 1 - i))) for i in range(n))
-        return (bits, lo_pows, hi_pows)
-
-    def _narrow(self) -> None:
-        with self._lock:
-            bits = self._state[0]
-            if bits >= _MAX_BITS:
-                raise ArithmeticError(
-                    f"cannot separate element from zero within {_MAX_BITS} bits")
-            self._state = self._compute_state(bits + _STEP_BITS)
-
-    @property
-    def isolating_interval(self) -> tuple[Fraction, Fraction]:
-        """Rational (lo, hi) with 0 < lo < c < hi."""
-        state = self._state
-        if self._rational_root is not None:
-            return state[1]
-        bits, lo_pows, hi_pows = state
-        return (Fraction(lo_pows[1] if self.degree > 1 else 1, 1 << (bits * (self.degree - 1))),
-                Fraction(hi_pows[1] if self.degree > 1 else 1, 1 << (bits * (self.degree - 1))))
+    # -- brackets for c ------------------------------------------------------
 
     def power_brackets(self, bits: int) -> tuple[int, ...]:
         """Integers L[i] = floor(2**bits * c**i) for 0 <= i < degree; L[0] is exact."""
         n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
         return tuple(_int_nth_root(((p ** i) << (bits * n)) // q ** i, n) for i in range(n))
 
+    def _narrow(self) -> None:
+        with self._lock:
+            bits = self._brackets[0]
+            if bits >= _MAX_BITS:
+                raise ArithmeticError(
+                    f"cannot separate element from zero within {_MAX_BITS} bits")
+            bits += _STEP_BITS
+            self._brackets = (bits, self.power_brackets(bits))
+
+    @property
+    def isolating_interval(self) -> tuple[Fraction, Fraction]:
+        """Rational (lo, hi) with 0 < lo < c < hi."""
+        n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
+        bits = self._brackets[0]
+        while True:
+            m = _int_nth_root((p << (bits * n)) // q, n)  # floor(2**bits * c)
+            if m >= 2:
+                break
+            bits += _STEP_BITS
+        # m / 2**bits < c unless c is dyadic, which only degree 1 allows
+        lo = m - (m ** n * q == p << (bits * n))
+        return Fraction(lo, 1 << bits), Fraction(m + 1, 1 << bits)
+
     # -- exact sign machinery ----------------------------------------------
+
+    def _bracket(self, vec: Sequence[int]) -> tuple[int, int, int]:
+        """(B, lo, hi) with lo <= 2**B * sum(vec[i] * c**i) <= hi.
+
+        L[i] <= 2**B * c**i < L[i] + 1 with L[0] = 2**B exactly, so each
+        term of index i >= 1 adds w_i * L[i] to one end and w_i * (L[i] + 1)
+        to the other.  At degree 1 there is no such term and lo == hi.
+        """
+        bits, scale = self._brackets
+        lo = hi = vec[0] << bits
+        for v, s in zip(vec[1:], scale[1:]):
+            if v > 0:
+                lo += v * s
+                hi += v * (s + 1)
+            elif v < 0:
+                lo += v * (s + 1)
+                hi += v * s
+        return bits, lo, hi
 
     def sign_of_int_vector(self, vec: Sequence[int]) -> int:
         """Sign of sum(vec[i] * c**i) for an integer coefficient vector."""
         if not any(vec):
             return 0
-        if self._rational_root is not None:
-            c = self._rational_root
-            val = sum(v * c ** i for i, v in enumerate(vec) if v)
-            return (val > 0) - (val < 0)
         while True:
-            _, lo_pows, hi_pows = self._state
-            lo = hi = 0
-            for v, lp, hp in zip(vec, lo_pows, hi_pows):
-                if v > 0:
-                    lo += v * lp
-                    hi += v * hp
-                elif v < 0:
-                    lo += v * hp
-                    hi += v * lp
+            _, lo, hi = self._bracket(vec)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -177,21 +162,8 @@ class FieldContext:
 
     def bounds_of_int_vector(self, vec: Sequence[int]) -> tuple[Fraction, Fraction]:
         """Rational lower/upper bounds on sum(vec[i] * c**i) at current precision."""
-        if self._rational_root is not None:
-            c = self._rational_root
-            val = sum(v * c ** i for i, v in enumerate(vec) if v)
-            return (val, val)
-        bits, lo_pows, hi_pows = self._state
-        lo = hi = 0
-        for v, lp, hp in zip(vec, lo_pows, hi_pows):
-            if v > 0:
-                lo += v * lp
-                hi += v * hp
-            elif v < 0:
-                lo += v * hp
-                hi += v * lp
-        den = 1 << (bits * (self.degree - 1))
-        return (Fraction(lo, den), Fraction(hi, den))
+        bits, lo, hi = self._bracket(vec)
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
     # -- element constructors ----------------------------------------------
 
@@ -252,31 +224,15 @@ class FieldContext:
         return make_context(int(data["degree"]), as_fraction(data["radicand"]))
 
     def root_float(self) -> float:
-        if self._rational_root is not None:
-            return float(self._rational_root)
         return float(self.radicand) ** (1.0 / self.degree)
 
 
-@lru_cache(maxsize=None)
-def _cached_context(degree: int, radicand: Fraction) -> FieldContext:
-    return FieldContext(degree, radicand)
+_cached_context = lru_cache(maxsize=None, typed=True)(FieldContext)
 
 
 def make_context(degree: int, radicand: RationalLike = 2) -> FieldContext:
     """Context for Q(radicand ** (1/degree)); instances are shared per parameters."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ValidationError(f"degree must be a positive integer, got {degree!r}")
-    radicand = as_fraction(radicand)
-    if radicand <= 0:
-        raise ValidationError(f"radicand must be positive, got {radicand}")
-    # Capelli: for r > 0, x**n - r is irreducible over Q iff r is no p-th power
-    # in Q for a prime p | n, that is, no m-th power for any divisor m > 1 of n
-    for m in range(2, degree + 1):
-        if degree % m == 0 and _rational_nth_root(radicand, m) is not None:
-            raise ValidationError(
-                f"x^{degree} - {radicand} is reducible over Q "
-                f"({radicand} = s^{m} with s rational)")
-    return _cached_context(degree, radicand)
+    return _cached_context(degree, as_fraction(radicand))
 
 
 class FieldElement:
@@ -308,15 +264,10 @@ class FieldElement:
         return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        """True when the element's value is rational (syntactic for irreducible contexts)."""
-        if self.context._rational_root is not None:
-            return True
+        """True when the element's value is rational (the context is irreducible)."""
         return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
-        root = self.context._rational_root
-        if root is not None:
-            return sum((v * root ** i for i, v in enumerate(self.coeffs) if v), Fraction(0))
         if any(self.coeffs[1:]):
             raise ValidationError("element is irrational")
         return self.coeffs[0]

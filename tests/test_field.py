@@ -1,11 +1,15 @@
 import random
+import sys
 import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxcert.errors import ValidationError
-from relaxcert.field import FieldContext, FieldElement, make_context
+from relaxcert.field import _INITIAL_BITS, FieldContext, FieldElement, make_context
 
 
 def sqrt2_ctx():
@@ -61,6 +65,18 @@ def test_make_context_decides_irreducibility():
     for degree, radicand in ((4, 4), (2, 4), (6, 8)):
         with pytest.raises(ValidationError):
             make_context(degree, radicand)
+
+
+def test_field_context_validates_directly():
+    # FieldContext refuses what make_context refuses, reducible fields included
+    for degree, radicand in ((4, 4), (2, 4), (True, 2)):
+        with pytest.raises(ValidationError):
+            FieldContext(degree, radicand)
+    # the interned degree-1 context is not served for degree True
+    assert make_context(1, 2).degree == 1
+    for degree in (0, True, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            make_context(degree, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +275,88 @@ def test_context_json_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_concurrent_sign_queries():
-    ctx = make_context(2, 2)
-    targets = [ctx.element((Fraction(577, 408), Fraction(-1))) for _ in range(8)]
+    # fresh contexts start at _INITIAL_BITS, where neither sign is decided, so
+    # the threads narrow the shared brackets while the others read them
+    sqrt2, fifth = FieldContext(2, 2), FieldContext(5, 2)
+    targets = ([(sqrt2.element((Fraction(577, 408), -1)), 1)] * 8
+               + [(fifth.root_power(1) - Fraction(11487, 10000), -1)] * 8)
+    start = threading.Barrier(len(targets), timeout=60)
     results = []
 
-    def worker(e):
-        results.append(e.sign())
+    def worker(element, expected):
+        start.wait()
+        results.append(element.sign() == expected)
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in targets]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == [1] * 8
+    threads = [threading.Thread(target=worker, args=t) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * len(targets)
+    for ctx in (sqrt2, fifth):
+        lo, hi = ctx.isolating_interval
+        assert hi - lo < Fraction(1, 1 << _INITIAL_BITS)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath at 200 digits
+# ---------------------------------------------------------------------------
+
+_RADICANDS = (2, 3, Fraction(3, 2), 5, Fraction(1, 10 ** 9))
+
+
+def _convergents(x, limit):
+    """Continued-fraction convergents p/q of an mpf x > 0 with q <= limit."""
+    out, (p0, q0), (p1, q1) = [], (1, 0), (0, 1)
+    while True:
+        a = int(mpmath.floor(x))
+        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
+        if q0 > limit:
+            return out
+        out.append((p0, q0))
+        if x == a:
+            return out
+        x = 1 / (x - a)
+
+
+def _mpf(value: Fraction):
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 12, 27])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signs_floors_and_bounds_match_mpmath(degree, data):
+    # 1/10**9 is a cube, so x**n - 1/10**9 is reducible when 3 divides n
+    radicand = Fraction(data.draw(st.sampled_from(
+        [r for r in _RADICANDS if degree % 3 or r != Fraction(1, 10 ** 9)])))
+    # a fresh context starts at _INITIAL_BITS, so near-zero elements narrow it
+    ctx = FieldContext(degree, radicand)
+    with mpmath.workdps(200):
+        c = mpmath.root(_mpf(radicand), degree)
+        if data.draw(st.booleans()):
+            # q c - p for a convergent p/q of c, times a power of c and a sign
+            p, q = data.draw(st.sampled_from(_convergents(c, 10 ** 24)))
+            root = ctx.root_power(1) if degree > 1 else ctx.from_rational(radicand)
+            power = ctx.root_power(data.draw(st.integers(0, degree - 1)))
+            element = (q * root - p) * power * data.draw(st.sampled_from((1, -1)))
+        else:
+            element = ctx.element(data.draw(st.lists(
+                st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                min_size=degree, max_size=degree)))
+        value = sum(_mpf(v) * c ** i for i, v in enumerate(element.coeffs))
+        assert element.sign() == int(mpmath.sign(value))
+        assert element.exact_floor() == int(mpmath.floor(value))
+        width = Fraction(1, 10 ** data.draw(st.integers(0, 40)))
+        lo, hi = element.rational_bounds(max_width=width)
+        tolerance = mpmath.mpf(10) ** -150
+        assert lo <= hi and hi - lo <= width
+        assert _mpf(lo) - tolerance <= value <= _mpf(hi) + tolerance
+    lo, hi = ctx.isolating_interval
+    assert 0 < lo and lo ** degree < radicand < hi ** degree
