@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .field import FieldContext, FieldElement
+if TYPE_CHECKING:  # pragma: no cover  (field imports this module)
+    from .field import FieldContext, FieldElement
 
 
 def _fraction_free(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:

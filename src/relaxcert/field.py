@@ -1,22 +1,27 @@
 """Exact arithmetic and sign determination in Q(c), where c = r**(1/n).
 
-Elements are stored as rational coefficient vectors over the power basis
-1, c, ..., c**(n-1).  All arithmetic is exact (arbitrary-precision
-rationals).  Signs come from the integers L[i] = floor(2**B * c**i), the
-same brackets the lattice enumerator uses: they bound 2**B times an
-element between two integers, and B is raised until that bracket excludes
-zero.  No floating-point arithmetic is used on any certified result (float
-conversion exists for diagnostics only).
+An element is sum(num[i] * c**i) / den over the power basis 1, c, ...,
+c**(n-1), with integer numerators and one denominator den > 0 such that
+gcd(den, *num) == 1 (the form of ANTIC's nf_elem), so two elements are
+equal exactly when their (num, den) are.  Products fold c**n = p/q back in integers; inverses solve
+the element's integer multiplication matrix by fraction-free Gauss-Jordan
+elimination.  Signs come from the integers L[i] = floor(2**B * c**i), the
+same brackets the lattice enumerator uses: they bound 2**B times the
+numerator sum between two integers, and B is raised until that bracket
+excludes zero.  No floating-point arithmetic is used on any certified
+result (float conversion exists for diagnostics only).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from ._linalg import _fraction_free
 from .errors import ValidationError
 
 RationalLike = Union[int, Fraction, str]
@@ -30,10 +35,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"not an exact rational: {value!r}") from exc
     raise ValidationError(f"not an exact rational: {value!r}")
 
 
@@ -95,8 +101,8 @@ class FieldContext:
         self.radicand = radicand
         self._lock = threading.Lock()
         self._brackets = (_INITIAL_BITS, self.power_brackets(_INITIAL_BITS))
-        self._zero = FieldElement(self, (Fraction(0),) * degree)
-        self._one = FieldElement(self, (Fraction(1),) + (Fraction(0),) * (degree - 1))
+        self._zero = FieldElement(self, (0,) * degree, 1)
+        self._one = FieldElement(self, (1,) + (0,) * (degree - 1), 1)
 
     # -- brackets for c ------------------------------------------------------
 
@@ -105,9 +111,11 @@ class FieldContext:
         n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
         return tuple(_int_nth_root(((p ** i) << (bits * n)) // q ** i, n) for i in range(n))
 
-    def _narrow(self) -> None:
+    def _narrow(self, bits: int) -> None:
+        """Raise B past `bits`, the precision a query failed at, unless B has moved on."""
         with self._lock:
-            bits = self._brackets[0]
+            if self._brackets[0] > bits:
+                return
             if bits >= _MAX_BITS:
                 raise ArithmeticError(
                     f"cannot separate element from zero within {_MAX_BITS} bits")
@@ -153,30 +161,29 @@ class FieldContext:
         if not any(vec):
             return 0
         while True:
-            _, lo, hi = self._bracket(vec)
+            bits, lo, hi = self._bracket(vec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            self._narrow()
-
-    def bounds_of_int_vector(self, vec: Sequence[int]) -> tuple[Fraction, Fraction]:
-        """Rational lower/upper bounds on sum(vec[i] * c**i) at current precision."""
-        bits, lo, hi = self._bracket(vec)
-        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+            self._narrow(bits)
 
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs: Iterable[RationalLike]) -> FieldElement:
-        vals = tuple(as_fraction(v) for v in coeffs)
+        vals = [as_fraction(v) for v in coeffs]
         if len(vals) > self.degree:
             raise ValidationError(
                 f"coefficient vector of length {len(vals)} in a degree-{self.degree} field")
-        vals = vals + (Fraction(0),) * (self.degree - len(vals))
-        return FieldElement(self, vals)
+        # over the lcm of the denominators, the numerators share no factor with it
+        den = math.lcm(*(v.denominator for v in vals))
+        num = tuple(v.numerator * (den // v.denominator) for v in vals)
+        return FieldElement(self, num + (0,) * (self.degree - len(vals)), den)
 
     def from_rational(self, value: RationalLike) -> FieldElement:
-        return self.element((as_fraction(value),))
+        value = value if type(value) is int else as_fraction(value)
+        return FieldElement(self, (value.numerator,) + (0,) * (self.degree - 1),
+                            value.denominator)
 
     @property
     def zero(self) -> FieldElement:
@@ -190,9 +197,7 @@ class FieldContext:
         """The basis element c**j for 0 <= j < degree."""
         if not 0 <= j < self.degree:
             raise ValidationError(f"power {j} outside basis range of degree {self.degree}")
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[j] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(int(i == j) for i in range(self.degree)), 1)
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -206,9 +211,6 @@ class FieldContext:
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldContext)
                 and self.degree == other.degree and self.radicand == other.radicand)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash((self.degree, self.radicand))
@@ -236,64 +238,74 @@ def make_context(degree: int, radicand: RationalLike = 2) -> FieldContext:
 
 
 class FieldElement:
-    """An element sum(coeffs[i] * c**i) of a FieldContext, immutable."""
+    """An element sum(num[i] * c**i) / den of a FieldContext, immutable.
 
-    __slots__ = ("context", "coeffs", "_hash")
+    The constructor takes the canonical form as given: den > 0 and
+    gcd(den, *num) == 1.  Build elements through the context.
+    """
 
-    def __init__(self, context: FieldContext, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("context", "num", "den", "_hash")
+
+    def __init__(self, context: FieldContext, num: tuple[int, ...], den: int):
         self.context = context
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
 
     # -- helpers -------------------------------------------------------------
 
-    def _check_context(self, other: "FieldElement") -> None:
-        # contexts are interned by make_context, so identity settles almost every call
-        if self.context is not other.context and self.context != other.context:
-            raise ValidationError("elements from different field contexts")
-
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            self._check_context(other)
+            # contexts are interned by make_context, so identity settles almost every call
+            if self.context is not other.context and self.context != other.context:
+                raise ValidationError("elements from different field contexts")
             return other
         if isinstance(other, (int, Fraction)):
             return self.context.from_rational(other)
         return NotImplemented  # type: ignore[return-value]
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients num[i] / den over the power basis (a derived view)."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
         """True when the element's value is rational (the context is irreducible)."""
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValidationError("element is irrational")
-        return self.coeffs[0]
-
-    def _int_vector(self) -> tuple[int, ...]:
-        """Coefficients scaled by their denominator lcm (sign preserved)."""
-        den = math.lcm(*(v.denominator for v in self.coeffs))
-        return tuple(int(v * den) for v in self.coeffs)
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "FieldElement":
+        """self op other for op in (operator.add, operator.sub)."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.context,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(map(op, self.num, other.num))
+            if da == 1:
+                return FieldElement(self.context, num, 1)
+            return _reduced(self.context, num, da)
+        g = math.gcd(da, db)
+        s, t = db // g, da // g
+        return _reduced(self.context,
+                        tuple(op(a * s, b * t) for a, b in zip(self.num, other.num)), da * s)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.context,
-                            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -302,47 +314,57 @@ class FieldElement:
         return other - self
 
     def __neg__(self):
-        return FieldElement(self.context, tuple(-a for a in self.coeffs))
+        return FieldElement(self.context, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if type(other) is int:
-            return FieldElement(self.context, tuple(a * other for a in self.coeffs))
+            g = math.gcd(other, self.den)
+            m = other // g
+            return FieldElement(self.context, tuple(a * m for a in self.num), self.den // g)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.context.degree
+        ctx = self.context
+        n, den = ctx.degree, self.den * other.den
         if n == 1:
-            return FieldElement(self.context, (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+            return _reduced(ctx, (self.num[0] * other.num[0],), den)
+        prod = [0] * (2 * n - 1)
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in terms:
                     prod[i + j] += a * b
-        # c**n reduces to r: fold the upper half of the convolution back down
-        r = self.context.radicand
-        for i in range(2 * n - 2, n - 1, -1):
-            if prod[i]:
-                prod[i - n] += prod[i] * r
-        return FieldElement(self.context, tuple(prod[:n]))
+        # c**n = p/q: fold the upper half down, scaling the lower half by q unless q == 1
+        p, q = ctx.radicand.numerator, ctx.radicand.denominator
+        low, high = prod[:n], prod[n:] + [0]
+        if q == 1:
+            num = tuple(a + p * b if b else a for a, b in zip(low, high))
+        else:
+            num = tuple(q * a + p * b for a, b in zip(low, high))
+            den *= q
+        return _reduced(ctx, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        n = self.context.degree
-        if n == 1:
-            return FieldElement(self.context, (1 / self.coeffs[0],))
-        # extended Euclid on coefficient polynomials modulo x**n - r
-        modulus = [-self.context.radicand] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-        inv = _poly_modular_inverse(list(self.coeffs), modulus)
-        if inv is None:
-            raise ZeroDivisionError(
-                f"element has no inverse modulo x^{n} - {self.context.radicand}")
-        inv = inv + [Fraction(0)] * (n - len(inv))
-        return FieldElement(self.context, tuple(inv[:n]))
+        ctx, a = self.context, self.num
+        if self.is_rational():
+            value = a[0]
+            return FieldElement(ctx, (self.den if value > 0 else -self.den,) + a[1:],
+                                abs(value))
+        # solve N x = den e_0, N the matrix of multiplication by sum(a_i c**i),
+        # scaled by q so that its column j, q * (a * c**j), is integral
+        n, p, q = ctx.degree, ctx.radicand.numerator, ctx.radicand.denominator
+        m = [[q * a[i - j] if i >= j else p * a[n + i - j] for j in range(n)]
+             + [q * self.den if i == 0 else 0] for i in range(n)]
+        _, pivot = _fraction_free(m, n, jordan=True)
+        if not pivot:
+            raise ZeroDivisionError(f"element has no inverse modulo x^{n} - {ctx.radicand}")
+        # Gauss-Jordan leaves pivot * x_i = m[i][n] in every row
+        sign = 1 if pivot > 0 else -1
+        return _reduced(ctx, tuple(sign * row[n] for row in m), sign * pivot)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -376,43 +398,39 @@ class FieldElement:
     def sign(self) -> int:
         if self.is_zero():
             return 0
-        return self.context.sign_of_int_vector(self._int_vector())
+        return self.context.sign_of_int_vector(self.num)
 
     def rational_bounds(self, max_width: Fraction | None = None) -> tuple[Fraction, Fraction]:
         """Exact rational bracket [lo, hi] around the element's value."""
-        vec = self._int_vector()
-        den = math.lcm(*(v.denominator for v in self.coeffs))
-        lo, hi = self.context.bounds_of_int_vector(vec)
-        lo, hi = lo / den, hi / den
-        while max_width is not None and hi - lo > max_width:
-            self.context._narrow()
-            lo, hi = self.context.bounds_of_int_vector(vec)
-            lo, hi = lo / den, hi / den
-        return lo, hi
+        ctx = self.context
+        while True:
+            bits, lo, hi = ctx._bracket(self.num)
+            scale = self.den << bits
+            if max_width is None or Fraction(hi - lo, scale) <= max_width:
+                return Fraction(lo, scale), Fraction(hi, scale)
+            ctx._narrow(bits)
 
     def exact_floor(self) -> int:
         if self.is_rational():
-            return self.as_fraction().__floor__()
-        lo, hi = self.rational_bounds()
-        while lo.__floor__() != hi.__floor__():
-            self.context._narrow()
-            lo, hi = self.rational_bounds()
-        return lo.__floor__()
+            return self.num[0] // self.den
+        ctx = self.context
+        while True:
+            bits, lo, hi = ctx._bracket(self.num)
+            scale = self.den << bits
+            if lo // scale == hi // scale:
+                return lo // scale
+            ctx._narrow(bits)
 
     def exact_ceil(self) -> int:
         return -(-self).exact_floor()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement) and self.context != other.context:
-            return False
-        if isinstance(other, (int, Fraction, FieldElement)):
-            coerced = self._coerce(other)
-            return self.coeffs == coerced.coeffs
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        if isinstance(other, (int, Fraction)):
+            other = self.context.from_rational(other)
+        elif not isinstance(other, FieldElement):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and (self.context is other.context or self.context == other.context))
 
     def __lt__(self, other) -> bool:
         return (self - self._coerce(other)).sign() < 0
@@ -428,7 +446,7 @@ class FieldElement:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.coeffs, self.context.degree, self.context.radicand))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -464,44 +482,9 @@ class FieldElement:
         return context.element(data)
 
 
-# -- dense polynomial helpers over Fraction (private) ---------------------------
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, bj in enumerate(b):
-                a[i + j] -= coef * bj
-    return q, _poly_trim(a)
-
-
-def _poly_modular_inverse(a: list[Fraction], modulus: list[Fraction]):
-    """Inverse of a modulo the given polynomial, or None if gcd is not a unit."""
-    a = _poly_trim(list(a))
-    r0, r1 = list(modulus), a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s_new = list(s0)
-        s_new += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s_new))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        s_new[i + j] -= qi * sj
-        s0, s1 = s1, _poly_trim(s_new)
-    if len(r0) != 1:
-        return None
-    inv_gcd = 1 / r0[0]
-    return [v * inv_gcd for v in s0]
+def _reduced(context: FieldContext, num: tuple[int, ...], den: int) -> FieldElement:
+    """The canonical element num / den for den > 0: divide out gcd(den, *num)."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = tuple(v // g for v in num), den // g
+    return FieldElement(context, num, den)

@@ -259,16 +259,13 @@ class LinearSystem:
             return VarBounds(None, None, infeasible=True)
         lower = upper = None
         for coeffs, rhs, _ in tracked:
+            # c x <= rhs improves a bound b on x iff rhs - c b < 0 (see propagated_bounds)
             c = coeffs[0]
             s = c.sign()
-            if s > 0:
-                bound = rhs / c
-                if upper is None or bound < upper:
-                    upper = bound
-            elif s < 0:
-                bound = rhs / c
-                if lower is None or bound > lower:
-                    lower = bound
+            if s > 0 and (upper is None or (rhs - c * upper).sign() < 0):
+                upper = rhs / c
+            elif s < 0 and (lower is None or (rhs - c * lower).sign() < 0):
+                lower = rhs / c
         if lower is not None and upper is not None and (upper - lower).sign() < 0:
             return VarBounds(None, None, infeasible=True)
         return VarBounds(lower, upper)
@@ -302,15 +299,14 @@ class LinearSystem:
                         residual = residual - row.coeffs[u] * bound
                     if not ok:
                         continue
-                    candidate = residual / row.coeffs[v]
-                    if signs[v] > 0:
-                        if upper[v] is None or (candidate - upper[v]).sign() < 0:
-                            upper[v] = candidate
-                            changed = True
-                    else:
-                        if lower[v] is None or (candidate - lower[v]).sign() > 0:
-                            lower[v] = candidate
-                            changed = True
+                    # c x_v <= residual bounds x_v by residual / c, above for c > 0 and
+                    # below for c < 0; either way it beats the old bound b iff
+                    # residual - c b < 0, so divide only when it does
+                    c = row.coeffs[v]
+                    bounds = upper if signs[v] > 0 else lower
+                    if bounds[v] is None or (residual - c * bounds[v]).sign() < 0:
+                        bounds[v] = residual / c
+                        changed = True
             if not changed:
                 break
         return [VarBounds(lo, hi) for lo, hi in zip(lower, upper)]
@@ -527,10 +523,11 @@ def _integer_rows(system: LinearSystem):
     n = system.context.degree
     out = []
     for row in system.rows:
-        den = math.lcm(*(v.denominator for e in row.coeffs + (row.rhs,) for v in e.coeffs))
-        a = [[int(e.coeffs[i] * den) for e in row.coeffs] for i in range(n)]
-        b = [int(row.rhs.coeffs[i] * den) for i in range(n)]
-        out.append((a, b))
+        den = math.lcm(row.rhs.den, *(e.den for e in row.coeffs))
+        scaled = [(e.num, den // e.den) for e in row.coeffs + (row.rhs,)]
+        a = [[num[i] * m for num, m in scaled[:-1]] for i in range(n)]
+        num, m = scaled[-1]
+        out.append((a, [v * m for v in num]))
     return out
 
 
@@ -547,7 +544,8 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     row fails where centre < -err, holds where centre > err, and only
     points with 0 < err and |centre| <= err go to the exact
     sign_of_int_vector.  The trailing coordinates form a grid of at most
-    _CHUNK points evaluated at once; the leading ones are iterated.  The
+    _CHUNK points evaluated at once; the leading ones are iterated, and the
+    last of those in tiles when a tile of more than one value fits.  The
     arithmetic is int64 when a magnitude bound over the box stays below
     2^62, and Python integers (dtype object) otherwise.
     """
@@ -571,13 +569,31 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     while split > 0 and volume * sizes[split - 1] <= _CHUNK:
         split -= 1
         volume *= sizes[split]
-    grid = np.indices(sizes[split:], dtype=np.int64).reshape(d - split, volume)
-    grid += np.array([lo for lo, _ in box.bounds[split:]], dtype=np.int64)[:, None]
-    grid = grid.astype(dtype, copy=False)
 
-    def affine(coeffs, const, prefix):
+    def grid_at(bounds):
+        """The points of the given ranges of the coordinates from split on, one per column."""
+        shape = [hi - lo + 1 for lo, hi in bounds]
+        grid = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape))
+        grid += np.array([lo for lo, _ in bounds], dtype=np.int64)[:, None]
+        return grid.astype(dtype, copy=False)
+
+    width = _CHUNK // volume
+    if split and width > 1:
+        # the next coordinate, too wide to join the grid whole, joins it in tiles
+        split -= 1
+        start, stop = box.bounds[split]
+        prefixes = itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split]))
+        blocks = ((prefix, grid_at(((t, min(t + width - 1, stop)),) + box.bounds[split + 1:]))
+                  for prefix in prefixes for t in range(start, stop + 1, width))
+    else:
+        grid = grid_at(box.bounds[split:])
+        blocks = ((prefix, grid) for prefix in
+                  itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split])))
+
+    def affine(coeffs, const, prefix, grid):
         """const - coeffs . (prefix, grid) as a fresh array over the grid."""
-        out = np.full(volume, const - sum(c * x for c, x in zip(coeffs, prefix)), dtype=dtype)
+        out = np.full(grid.shape[1], const - sum(c * x for c, x in zip(coeffs, prefix)),
+                      dtype=dtype)
         for c, values in zip(coeffs[split:], grid):
             if c:
                 out -= c * values
@@ -585,13 +601,13 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
 
     sign_of = context.sign_of_int_vector
     result: list[tuple[int, ...]] = []
-    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split])):
-        ok = np.ones(volume, dtype=bool)
+    for prefix, grid in blocks:
+        ok = np.ones(grid.shape[1], dtype=bool)
         for a, b, la, lb, errors in plans:
-            centre = affine(la, lb, prefix)
+            centre = affine(la, lb, prefix, grid)
             err = 0
             for a_i, b_i in errors:
-                err += np.abs(affine(a_i, b_i, prefix))
+                err += np.abs(affine(a_i, b_i, prefix, grid))
             ok &= centre >= -err
             if errors:
                 for idx in np.flatnonzero(ok & (centre <= err) & (err > 0)):

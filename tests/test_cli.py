@@ -122,3 +122,31 @@ def test_verify_jobs_below_one_exit_two(tmp_path, capsys):
               "--box=-2:3", "--jobs", "0"])
     assert rc == 2
     assert "jobs" in capsys.readouterr().err
+
+
+def test_malformed_eps_exit_two(tmp_path, capsys):
+    for eps in ("abc", "1/0"):
+        rc = run(["build", "dim5", "--eps", eps, "--out", str(tmp_path / "dim5.json")])
+        assert rc == 2
+        assert "not an exact rational" in capsys.readouterr().err
+    assert not (tmp_path / "dim5.json").exists()
+
+
+def test_malformed_radicand_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    mixed = tmp_path / "mixed.json"
+    heights = tmp_path / "heights.json"
+    assert run(["build", "dim5", "--out", str(out), "--mixed-out", str(mixed),
+                "--heights-out", str(heights)]) == 0
+    for radicand in ("two", "2/0"):
+        data = read_json(out)
+        data["system"]["field"]["radicand"] = radicand
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run(["verify", "--system", str(bad), "--points", str(out),
+                    "--box=-2:3"]) == 2
+        data = read_json(mixed)
+        data["field"]["radicand"] = radicand
+        bad.write_text(json.dumps(data))
+        assert run(["certify-mixed", "--system", str(bad), "--heights", str(heights)]) == 2
+        assert "not an exact rational" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxcert.errors import ValidationError
-from relaxcert.field import _INITIAL_BITS, FieldContext, FieldElement, make_context
+from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, FieldContext, FieldElement,
+                             make_context)
 
 
 def sqrt2_ctx():
@@ -302,6 +304,106 @@ def test_concurrent_sign_queries():
     for ctx in (sqrt2, fifth):
         lo, hi = ctx.isolating_interval
         assert hi - lo < Fraction(1, 1 << _INITIAL_BITS)
+
+
+def test_narrow_from_a_stale_precision_raises_it_once():
+    # two queries that failed at the same B both ask to narrow; only the first may
+    ctx = FieldContext(2, 2)
+    bits = ctx._brackets[0]
+    ctx._narrow(bits)
+    ctx._narrow(bits)
+    assert ctx._brackets == (bits + _STEP_BITS, ctx.power_brackets(bits + _STEP_BITS))
+    ctx._narrow(bits + _STEP_BITS)
+    assert ctx._brackets[0] == bits + 2 * _STEP_BITS
+    # a query that failed long ago never lowers B
+    ctx._narrow(bits)
+    assert ctx._brackets[0] == bits + 2 * _STEP_BITS
+
+
+# ---------------------------------------------------------------------------
+# representation oracle: a Fraction-vector reference modulo x^n - r
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b, radicand):
+    """Product of two Fraction coefficient vectors modulo x^n - radicand."""
+    n = len(a)
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return tuple(prod[i] + (prod[i + n] * radicand if i + n < 2 * n - 1 else 0)
+                 for i in range(n))
+
+
+def _canonical(element, degree):
+    num, den = element.num, element.den
+    assert len(num) == degree and all(type(v) is int for v in num + (den,))
+    assert den > 0 and math.gcd(den, *num) == 1
+
+
+_REP_RADICANDS = (2, Fraction(3, 2), Fraction(1, 10 ** 9))
+
+
+@st.composite
+def _field_and_elements(draw, degree):
+    # 1/10**9 is a cube, so x**n - 1/10**9 is reducible when 3 divides n
+    radicand = Fraction(draw(st.sampled_from(
+        [r for r in _REP_RADICANDS if degree % 3 or r != Fraction(1, 10 ** 9)])))
+    ctx = make_context(degree, radicand)
+    value = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=30),
+                      st.integers(-(1 << 40), 1 << 40).map(Fraction))
+    vector = st.lists(value, min_size=degree, max_size=degree)
+    return ctx, [tuple(draw(vector)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 12, 27])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_representation_matches_fraction_reference(degree, data):
+    ctx, vectors = data.draw(_field_and_elements(degree))
+    r = ctx.radicand
+    a, b, c = (ctx.element(v) for v in vectors)
+    va, vb, _ = vectors
+    for x in (a, b, c, -a, a + b, a - b, a * b, a * 7, -3 * a, a * Fraction(5, 6), a - a):
+        _canonical(x, degree)
+    # the operations agree with the reference, coefficient by coefficient
+    assert a.coeffs == va
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(va, vb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(va, vb))
+    assert (a * b).coeffs == _ref_mul(va, vb, r)
+    assert (a * Fraction(5, 6)).coeffs == tuple(x * Fraction(5, 6) for x in va)
+    assert (a * -9).coeffs == tuple(x * -9 for x in va)
+    # ring axioms
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ctx.zero == a and a * ctx.one == a and a - a == ctx.zero
+    # inverse round trip
+    if not a.is_zero():
+        inv = a.inverse()
+        _canonical(inv, degree)
+        assert a * inv == ctx.one and b * inv * a == b
+        assert _ref_mul(va, inv.coeffs, r) == (1,) + (0,) * (degree - 1)
+        if degree <= 5:
+            assert inv.inverse() == a and (b / a) * a == b
+    # equality and hashing are tuple work on the canonical form
+    twice = a * 2 / 2
+    assert twice == a and hash(twice) == hash(a)
+    other = FieldContext(degree, r).element(va)
+    assert other == a and hash(other) == hash(a)
+    assert (a == b) == (va == vb)
+    if a.is_rational():
+        assert a == va[0] and a == a.as_fraction()
+    # order compatibility
+    sa, sb = a.sign(), b.sign()
+    assert (a * b).sign() == sa * sb and (-a).sign() == -sa
+    if a < b:
+        assert a + c < b + c and not b <= a
+        if c.sign() > 0:
+            assert a * c < b * c
+        elif c.sign() < 0:
+            assert a * c > b * c
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,73 @@ def test_coordinate_bounds_through_elimination():
     assert bounds.lower == 0 and bounds.upper == 2
 
 
+def test_coordinate_bounds_keep_the_tightest_rows():
+    # x >= 0, x >= 2, x >= sqrt2, x <= 5, x <= 2 sqrt2, x <= 4: the best rows sit mid-list
+    S = system_from([((-1,), 0), ((-1,), -2), ((-2,), CTX2.element((0, -2))),
+                     ((1,), 5), ((2,), CTX2.element((0, 4))), ((1,), 4)], 1)
+    bounds = S.coordinate_bounds(0)
+    assert bounds.lower == 2 and bounds.upper == CTX2.element((0, 2))
+
+
 def test_propagated_bounds_sound():
     S = system_from([((1, 0), 1), ((-1, 0), 0), ((0, 1), 2), ((0, -1), 1)], 2)
     bounds = S.propagated_bounds()
     assert bounds[0].lower == 0 and bounds[0].upper == 1
     assert bounds[1].lower == -1 and bounds[1].upper == 2
+
+
+def _dividing_propagated_bounds(system, max_rounds=8):
+    """Reference propagation: divide out every candidate bound, then compare."""
+    lower = [None] * system.num_vars
+    upper = [None] * system.num_vars
+    for _ in range(max_rounds):
+        changed = False
+        for row in system.rows:
+            support = [v for v, c in enumerate(row.coeffs) if c.sign()]
+            for v in support:
+                residual = row.rhs
+                for u in support:
+                    if u != v:
+                        bound = lower[u] if row.coeffs[u].sign() > 0 else upper[u]
+                        if bound is None:
+                            break
+                        residual = residual - row.coeffs[u] * bound
+                else:
+                    candidate = residual / row.coeffs[v]
+                    if row.coeffs[v].sign() > 0:
+                        if upper[v] is None or candidate < upper[v]:
+                            upper[v], changed = candidate, True
+                    elif lower[v] is None or candidate > lower[v]:
+                        lower[v], changed = candidate, True
+        if not changed:
+            break
+    return [(lo, hi) for lo, hi in zip(lower, upper)]
+
+
+@st.composite
+def _propagation_cases(draw):
+    ctx = make_context(draw(st.sampled_from((1, 2, 5))),
+                       draw(st.sampled_from((2, Fraction(3, 2)))))
+    num_vars = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+
+    def element():
+        # coefficients of both signs, a third of them zero
+        return ctx.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * (rng.random() < 0.7)
+                            for _ in range(ctx.degree)])
+    rows = [([element() for _ in range(num_vars)], element())
+            for _ in range(draw(st.integers(1, 8)))]
+    return LinearSystem.from_rows(ctx, rows, num_vars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_propagation_cases())
+@example(system=system_from([((1, 1), 3), ((-1, 0), 0), ((0, -1), 0),
+                             ((sqrt2(), -1), 1), ((-1, sqrt2()), 2)], 2))
+def test_propagated_bounds_match_dividing_reference(system):
+    """Deciding each update by one sign gives the bounds of divide-then-compare."""
+    bounds = system.propagated_bounds()
+    assert [(b.lower, b.upper) for b in bounds] == _dividing_propagated_bounds(system)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +390,17 @@ _P, _Q = _convergent(CTX2, 1 << 18)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_oracle_cases(), chunk=st.sampled_from((1, 3, poly._CHUNK)))
+@given(case=_oracle_cases(), chunk=st.sampled_from((1, 2, 3, 5, poly._CHUNK)))
 # no rows at all
 @example(case=(LinearSystem(make_context(5, 2), 2, ()), Box(((-1, 1), (0, 2)))),
          chunk=poly._CHUNK)
-# one variable wider than _CHUNK: the prefix is every coordinate, the tail grid empty
+# coordinates wider than _CHUNK join the grid in tiles, the last one narrower
 @example(case=(LinearSystem.from_rows(CTX1, [((1,), 3)], 1), Box(((-4, 6),))), chunk=4)
+@example(case=(LinearSystem.from_rows(CTX2, [((1, CTX2.element((-_P, _Q))), 0),
+                                             ((CTX2.element((1, 1)), -1), 2)], 2),
+               Box(((-3, 3), (-5, 9)))), chunk=4)
+@example(case=(LinearSystem.from_rows(CTX2, [((1, CTX2.element((0, 1)), -1), 3)], 3),
+               Box(((0, 1), (-6, 6), (0, 1)))), chunk=4)
 # coefficients beyond the int64 headroom, also on a box that reaches only 0
 @example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((1 << 61, 3)), 1), 5),
                                              ((-1, CTX2.element((0, -(1 << 59)))), 2)], 2),
