@@ -1,10 +1,12 @@
-"""Dense exact linear algebra (internal): integer cofactors, fraction-free elimination.
+"""Dense exact linear algebra (internal): one fraction-free elimination core.
 
-Determinants and adjugates are computed by fraction-free integer
-elimination (Bareiss, Math. Comp. 22, 1968): every intermediate entry is a
-minor of the input, so each division by the previous pivot is exact and no
-rational or field arithmetic is needed.  Solving and null spaces over
-FieldElement matrices share one reduced-row-echelon routine.
+Every elimination is fraction-free integer elimination (Bareiss, Math.
+Comp. 22, 1968): every intermediate entry is a minor of the input, so each
+division by the previous pivot is exact and no rational or field
+arithmetic is needed.  Determinants, adjugates, field inverses, affine
+interpolation and null spaces over Q(c) all run through _fraction_free;
+a matrix over the field enters it as the integer matrix of its entries'
+multiplication maps.
 """
 
 from __future__ import annotations
@@ -17,31 +19,42 @@ if TYPE_CHECKING:  # pragma: no cover  (field imports this module)
     from .field import FieldContext, FieldElement
 
 
-def _fraction_free(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int]:
+def _fraction_free(m: list[list[int]], n: int, jordan: bool) -> tuple[int, int, list[int]]:
     """Eliminate the first n columns of the integer rows m in place.
 
+    Columns with no nonzero entry left below the current row are skipped.
     Forward elimination by default; with jordan=True the rows above each
-    pivot are cleared as well (fraction-free Gauss-Jordan).  Returns
-    (sign of the row permutation, last pivot), whose product is the
-    determinant of the leading n x n block; the pivot is 0 when that block
-    is singular, and m is then left part-way reduced.
+    pivot are cleared as well (fraction-free Gauss-Jordan), which leaves
+    the last pivot d in every pivot position, so m / d is the reduced row
+    echelon form.  Returns (sign of the row permutation, last pivot d,
+    pivot columns), with d = 1 when there is no pivot; row r holds the
+    pivot of column cols[r].  For a square block of full rank,
+    sign * d is its determinant.
     """
-    sign, prev = 1, 1
+    sign, prev, cols = 1, 1, []
     for k in range(n):
-        p = next((r for r in range(k, n) if m[r][k]), None)
+        r = len(cols)
+        p = next((i for i in range(r, len(m)) if m[i][k]), None)
         if p is None:
-            return sign, 0
-        if p != k:
-            m[k], m[p] = m[p], m[k]
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
             sign = -sign
-        pivot_row = m[k]
+        pivot_row = m[r]
         pivot = pivot_row[k]
-        for i in range(len(m)) if jordan else range(k + 1, len(m)):
-            if i != k:
+        for i in range(len(m)) if jordan else range(r + 1, len(m)):
+            if i != r:
                 f = m[i][k]
                 m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
         prev = pivot
-    return sign, prev
+        cols.append(k)
+    return sign, prev, cols
+
+
+def _integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    m = [list(row) for row in matrix]
+    sign, pivot, cols = _fraction_free(m, len(m), False)
+    return sign * pivot if len(cols) == len(m) else 0
 
 
 def integer_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -53,16 +66,15 @@ def integer_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[in
     n = len(matrix)
     m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(matrix)]
-    sign, pivot = _fraction_free(m, n, True)
-    if pivot:
+    sign, pivot, cols = _fraction_free(m, n, True)
+    if len(cols) == n:
         return sign * pivot, [[sign * x for x in row[n:]] for row in m]
     adj = [[0] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
             minor = [[x for j, x in enumerate(row) if j != r]
                      for i, row in enumerate(matrix) if i != c]
-            s, p = _fraction_free(minor, n - 1, False)
-            adj[r][c] = (-1) ** (r + c) * s * p
+            adj[r][c] = (-1) ** (r + c) * _integer_determinant(minor)
     return 0, adj
 
 
@@ -80,69 +92,41 @@ def determinant(matrix: Sequence[Sequence[FieldElement | int]],
         den = math.lcm(*(v.denominator for v in values))
         rows.append([v.numerator * (den // v.denominator) for v in values])
         scale *= den
-    sign, pivot = _fraction_free(rows, len(rows), False)
-    return context.from_rational(Fraction(sign * pivot, scale))
-
-
-def _rref(m: list[list[FieldElement]], cols: int) -> list[tuple[int, int]]:
-    """Bring the rows of m in place to reduced row echelon form on the first cols columns.
-
-    Returns the (row, column) pivot positions; pivots are scaled to one.
-    """
-    rows = len(m)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        pivot_row = next((r for r in range(row, rows) if not m[r][col].is_zero()), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [v * inv for v in m[row]]
-        for r in range(rows):
-            if r != row and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-    return pivots
-
-
-def solve(matrix: Sequence[Sequence[FieldElement]],
-          rhs: Sequence[FieldElement],
-          context: FieldContext) -> list[FieldElement] | None:
-    """One exact solution of matrix . x = rhs (free variables set to zero).
-
-    Returns None when the system is inconsistent.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
-    pivots = _rref(aug, cols)
-    if any(not aug[r][cols].is_zero() for r in range(len(pivots), rows)):
-        return None
-    solution = [context.zero] * cols
-    for r, c in pivots:
-        solution[c] = aug[r][cols]
-    return solution
+    return context.from_rational(Fraction(_integer_determinant(rows), scale))
 
 
 def kernel_basis(matrix: Sequence[Sequence[FieldElement]],
                  context: FieldContext) -> list[list[FieldElement]]:
-    """Basis of the null space of matrix over the field."""
+    """Basis of the null space of matrix over the field, one vector per free column.
+
+    The vector of free column f has 1 at f, 0 at the other free columns and
+    minus the reduced row echelon entries of column f at the pivot columns.
+    Each entry becomes its n x n integer multiplication matrix (times q and
+    the lcm of its row's denominators), so that one fraction-free
+    Gauss-Jordan pass over the rationals does the field's reduction: a
+    column of the field matrix is a pivot exactly when all n of its
+    rational columns are, and the rational column of c**0 below a free
+    column holds the coefficients of that column's field entries.
+    """
     cols = len(matrix[0]) if matrix else 0
-    m = [list(r) for r in matrix]
-    pivots = _rref(m, cols)
-    pivot_cols = {c for _, c in pivots}
+    n = context.degree
+    big: list[list[int]] = []
+    for row in matrix:
+        den = math.lcm(*(e.den for e in row))
+        blocks = [context.multiplication_matrix([v * (den // e.den) for v in e.num])
+                  for e in row]
+        big.extend([x for block in blocks for x in block[i]] for i in range(n))
+    _, d, pivots = _fraction_free(big, cols * n, True)
+    row_of = {col: r for r, col in enumerate(pivots)}
+    pivot_cols = sorted({col // n for col in pivots})
     basis = []
     for f in range(cols):
         if f in pivot_cols:
             continue
         vec = [context.zero] * cols
         vec[f] = context.one
-        for r, p in pivots:
-            vec[p] = -m[r][f]
+        for p in pivot_cols:
+            vec[p] = context.element([Fraction(-big[row_of[p * n + t]][f * n], d)
+                                      for t in range(n)])
         basis.append(vec)
     return basis

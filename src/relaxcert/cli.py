@@ -20,8 +20,8 @@ from pathlib import Path
 from .construct import (DEFAULT_EPS, RelaxationBundle, composed_simplex_relaxation,
                         pipeline_run, relaxation_bound_table, simplex5_relaxation,
                         stretched_simplex_relaxation)
-from .cover import build_full_cover, dominating_family, symmetric_chain_cover, \
-    chains_to_permutations
+from .cover import (chains_to_permutations, dominating_facet_family, dominating_family,
+                    permutation_facet_family, symmetric_chain_cover)
 from .errors import CertificationError, ResourceLimitError, ValidationError
 from .field import as_fraction
 from .lift import HeightFunction
@@ -136,18 +136,14 @@ def _cmd_certify_mixed(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    if args.method == "greedy":
-        upper, lower = build_full_cover(args.k)
-        perm_count = math.comb(args.k - 1, (args.k - 1) // 2)
-        dom_count = upper.size - perm_count
-    else:
-        perms = chains_to_permutations(symmetric_chain_cover(args.k - 1), args.k - 1)
-        family = dominating_family(args.k - 1, "randomized", seed=args.seed,
-                                   require_empty=False)
-        from .cover import dominating_facet_family, permutation_facet_family
-        perm_family = permutation_facet_family(args.k, perms)
-        dom_family = dominating_facet_family(args.k, family)
-        perm_count, dom_count = perm_family.size, dom_family.size
+    if args.k < 2:
+        raise ValidationError("cover construction needs k >= 2")
+    perms = chains_to_permutations(symmetric_chain_cover(args.k - 1), args.k - 1)
+    method = "randomized" if args.method == "random" else "greedy"
+    family = dominating_family(args.k - 1, method, seed=args.seed, require_empty=False)
+    # each family validates every facet it reports
+    perm_count = permutation_facet_family(args.k, perms).size
+    dom_count = dominating_facet_family(args.k, family).size
     bound = 2.0 ** (args.k + 3) * math.log(args.k) / (args.k + 1)
     rows = [{"k": args.k, "f_pi": perm_count, "f_b": dom_count,
              "upper_total": perm_count + dom_count, "bound": f"{bound:.3f}"}]

@@ -393,9 +393,9 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     """
     if k < 2:
         raise ValidationError("pipeline needs k >= 2")
-    if certify and k > 5:
+    if certify and k > 6:
         raise ValidationError(
-            "full certification is supported for k <= 5; pass certify=False "
+            "full certification is supported for k <= 6; pass certify=False "
             "to build an uncertified system")
     split = cube_simplex_split(k)
     cube = sorted(set(split.base.points) | set(split.moved.points))

@@ -3,13 +3,15 @@
 An element is sum(num[i] * c**i) / den over the power basis 1, c, ...,
 c**(n-1), with integer numerators and one denominator den > 0 such that
 gcd(den, *num) == 1 (the form of ANTIC's nf_elem), so two elements are
-equal exactly when their (num, den) are.  Products fold c**n = p/q back in integers; inverses solve
-the element's integer multiplication matrix by fraction-free Gauss-Jordan
-elimination.  Signs come from the integers L[i] = floor(2**B * c**i), the
-same brackets the lattice enumerator uses: they bound 2**B times the
-numerator sum between two integers, and B is raised until that bracket
-excludes zero.  No floating-point arithmetic is used on any certified
-result (float conversion exists for diagnostics only).
+equal exactly when their (num, den) are.  Products fold c**n = p/q back in
+integers; inverses solve the element's integer multiplication matrix, the
+same matrix _linalg.kernel_basis expands field entries into, by the
+fraction-free Gauss-Jordan elimination of _linalg.  Signs come from the
+integers L[i] = floor(2**B * c**i), the same brackets the lattice
+enumerator uses: they bound 2**B times the numerator sum between two
+integers, and B is raised until that bracket excludes zero.  No
+floating-point arithmetic is used on any certified result (float
+conversion exists for diagnostics only).
 """
 
 from __future__ import annotations
@@ -167,6 +169,15 @@ class FieldContext:
             if hi < 0:
                 return -1
             self._narrow(bits)
+
+    def multiplication_matrix(self, num: Sequence[int]) -> list[list[int]]:
+        """q times the matrix of multiplication by sum(num[i] * c**i), for c**n = p/q.
+
+        Column j holds the coefficients of q * num * c**j, which are integers.
+        """
+        n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
+        return [[q * num[i - j] if i >= j else p * num[n + i - j] for j in range(n)]
+                for i in range(n)]
 
     # -- element constructors ----------------------------------------------
 
@@ -354,13 +365,12 @@ class FieldElement:
             value = a[0]
             return FieldElement(ctx, (self.den if value > 0 else -self.den,) + a[1:],
                                 abs(value))
-        # solve N x = den e_0, N the matrix of multiplication by sum(a_i c**i),
-        # scaled by q so that its column j, q * (a * c**j), is integral
-        n, p, q = ctx.degree, ctx.radicand.numerator, ctx.radicand.denominator
-        m = [[q * a[i - j] if i >= j else p * a[n + i - j] for j in range(n)]
-             + [q * self.den if i == 0 else 0] for i in range(n)]
-        _, pivot = _fraction_free(m, n, jordan=True)
-        if not pivot:
+        # solve N x = q den e_0, N = q times the matrix of multiplication by sum(a_i c**i)
+        n, q = ctx.degree, ctx.radicand.denominator
+        m = [row + [q * self.den if i == 0 else 0]
+             for i, row in enumerate(ctx.multiplication_matrix(a))]
+        _, pivot, cols = _fraction_free(m, n, jordan=True)
+        if len(cols) < n:
             raise ZeroDivisionError(f"element has no inverse modulo x^{n} - {ctx.radicand}")
         # Gauss-Jordan leaves pivot * x_i = m[i][n] in every row
         sign = 1 if pivot > 0 else -1

@@ -9,11 +9,12 @@ keeping a given facet cover valid, which it re-verifies exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._linalg import determinant, integer_adjugate, kernel_basis, solve
+from ._linalg import _fraction_free, determinant, integer_adjugate
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
 from .field import FieldContext, FieldElement, make_context
 
@@ -264,27 +265,29 @@ def perturb_heights(points: Iterable[Sequence[int]],
 
 def affine_interpolant(points: Sequence[Sequence[int]],
                        heights: HeightFunction) -> AffineFunction:
-    """Rational affine function agreeing with the heights on the given points."""
+    """Rational affine function agreeing with the heights on the given points.
+
+    One fraction-free Gauss-Jordan pass over the integer rows [1 p | D h(p)],
+    D the lcm of the heights' denominators; coefficients without a pivot,
+    possible with fewer than dim + 1 points, are zero.
+    """
     pts = [tuple(int(x) for x in p) for p in points]
     if not pts:
         raise ValidationError("no interpolation points")
     dim = len(pts[0])
-    ctx = make_context(1, 2)
-    matrix = [[ctx.one] + [ctx.from_rational(x) for x in p] for p in pts]
-    if len(pts) > 1:
-        # affine independence <=> trivial left kernel of the homogenized matrix
-        transposed = [[matrix[r][c] for r in range(len(pts))] for c in range(dim + 1)]
-        if kernel_basis(transposed, ctx):
-            raise DegenerateSimplexError("interpolation points are affinely dependent")
-    rhs = []
+    values = []
     for p in pts:
         value = heights(p)
         if not value.is_rational():
             raise ValidationError("interpolant requires rational heights")
-        rhs.append(ctx.from_rational(value.as_fraction()))
-    solution = solve(matrix, rhs, ctx)
-    if solution is None:
-        raise DegenerateSimplexError("no affine function matches the heights")
-    offset = solution[0].as_fraction()
-    coeffs = tuple(v.as_fraction() for v in solution[1:])
-    return AffineFunction(coeffs, offset)
+        values.append(value.as_fraction())
+    scale = math.lcm(*(v.denominator for v in values))
+    m = [[1, *p, v.numerator * (scale // v.denominator)] for p, v in zip(pts, values)]
+    _, pivot, cols = _fraction_free(m, dim + 1, jordan=True)
+    # a pivot in every row <=> the points are affinely independent
+    if len(cols) < len(pts):
+        raise DegenerateSimplexError("interpolation points are affinely dependent")
+    solution = [Fraction(0)] * (dim + 1)
+    for row, c in zip(m, cols):
+        solution[c] = Fraction(row[-1], pivot * scale)
+    return AffineFunction(tuple(solution[1:]), solution[0])

@@ -4,10 +4,14 @@ Systems are finite lists of rows ``coeffs . x <= rhs`` with exact field
 coefficients.  Provides exact membership, Fourier-Motzkin elimination,
 coordinate bounds, lattice-point enumeration in boxes, affine pullbacks,
 recession systems, and coordinate-subspace restriction.  Nothing here is
-ever evaluated in floating point.  One enumerator serves every field: it
-brackets each row's value between integers built from floor(2^32 c^i),
-vectorized in int64 (Python integers when int64 could overflow), and
-hands the rare points the bracket cannot decide to the field's exact sign.
+ever evaluated in floating point.  Fourier-Motzkin never divides in the
+field: rows combine with positive field multipliers and are kept as
+primitive integer coefficient vectors; field division is left to the
+bounds, where the quotient is the answer.  One enumerator serves every
+field: it brackets each row's value between integers built from
+floor(2^32 c^i), vectorized in int64 (Python integers when int64 could
+overflow), and hands the rare points the bracket cannot decide to the
+field's exact sign.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -198,19 +203,17 @@ class LinearSystem:
 
     def is_syntactically_infeasible(self) -> bool:
         """True when some row reads 0 . x <= negative."""
-        for row in self.rows:
-            if all(c.is_zero() for c in row.coeffs) and row.rhs.sign() < 0:
-                return True
-        return False
+        return _infeasible((row.coeffs, row.rhs) for row in self.rows)
 
     # -- Fourier-Motzkin ------------------------------------------------------
 
     def eliminate_variable(self, j: int) -> "LinearSystem":
         """Project out variable j by combining its upper and lower bound rows.
 
-        Only syntactic redundancy is removed afterwards: exact duplicates
-        (after positive scaling), rows dominated by an identical coefficient
-        vector with smaller rhs, and vacuous constant rows.  Infeasibility
+        Only syntactic redundancy is removed afterwards: duplicates after
+        positive rational scaling, rows dominated by an identical coefficient
+        vector with smaller rhs, and vacuous constant rows.  Rows that are
+        irrational multiples of each other are both kept.  Infeasibility
         witnesses (0 <= negative) are kept.
         """
         if not 0 <= j < self.num_vars:
@@ -239,7 +242,7 @@ class LinearSystem:
         target = j
         level = 1
         while remaining > 1:
-            if _tracked_infeasible(tracked):
+            if _infeasible(tracked):
                 return VarBounds(None, None, infeasible=True)
             best, best_cost = None, None
             for v in range(remaining):
@@ -255,7 +258,7 @@ class LinearSystem:
             remaining -= 1
             if best < target:
                 target -= 1
-        if _tracked_infeasible(tracked):
+        if _infeasible(tracked):
             return VarBounds(None, None, infeasible=True)
         lower = upper = None
         for coeffs, rhs, _ in tracked:
@@ -370,11 +373,12 @@ class LinearSystem:
                 c = row.coeffs[idx]
                 if not c.is_zero() and value:
                     rhs = rhs - c * value
-            new_rows.append(Row(tuple(row.coeffs[i] for i in keep), rhs))
+            new_rows.append((tuple(row.coeffs[i] for i in keep), rhs, frozenset()))
         names = None
         if self.names is not None:
             names = tuple(self.names[i] for i in keep)
-        return LinearSystem(self.context, len(keep), _cleanup_rows(new_rows), names)
+        rows = tuple(Row(c, r) for c, r, _ in _cleanup_tracked(new_rows))
+        return LinearSystem(self.context, len(keep), rows, names)
 
     # -- lattice point enumeration ----------------------------------------------
 
@@ -428,56 +432,54 @@ class LinearSystem:
 # row cleanup and tracked elimination
 # -----------------------------------------------------------------------------
 
-def _normalize_row(row: Row) -> Row | None:
-    """Scale so the first nonzero coefficient is +-1; drop vacuous rows.
+def _normalize_row(coeffs, rhs):
+    """(coeffs, rhs) scaled to the primitive integer coefficient vector, or None.
 
+    The one positive scale is the lcm of the coefficient denominators over
+    the gcd of every coefficient numerator, so rows that are positive
+    rational multiples of each other get equal coefficient vectors.
     Returns None for constant rows 0 <= nonnegative; keeps infeasible
     constant rows so infeasibility is reported, never hidden.
     """
-    pivot = None
-    for c in row.coeffs:
-        if not c.is_zero():
-            pivot = c
-            break
-    if pivot is None:
-        return None if row.rhs.sign() >= 0 else row
-    scale = pivot.inverse() if pivot.sign() > 0 else (-pivot).inverse()
-    return Row(tuple(c * scale for c in row.coeffs), row.rhs * scale)
-
-
-def _cleanup_rows(rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Deduplicate normalized rows; for equal coefficient vectors keep min rhs."""
-    tracked = [(row.coeffs, row.rhs, frozenset()) for row in rows]
-    return tuple(Row(c, r) for c, r, _ in _cleanup_tracked(tracked))
+    if all(c.is_zero() for c in coeffs):
+        return None if rhs.sign() >= 0 else (coeffs, rhs)
+    den = math.lcm(*(c.den for c in coeffs))
+    g = math.gcd(*(v for c in coeffs for v in c.num))
+    if den == 1 and g == 1:
+        return coeffs, rhs
+    ctx = rhs.context
+    return (tuple(FieldElement(ctx, tuple(v * (den // c.den) // g for v in c.num), 1)
+                  for c in coeffs), rhs * Fraction(den, g))
 
 
 _TrackedRow = tuple  # (coeffs, rhs, history frozenset of original row indices)
 
 
-def _tracked_infeasible(rows) -> bool:
+def _infeasible(rows) -> bool:
+    """True when some (coeffs, rhs, ...) row reads 0 . x <= negative."""
     return any(all(c.is_zero() for c in coeffs) and rhs.sign() < 0
-               for coeffs, rhs, _ in rows)
+               for coeffs, rhs, *_ in rows)
 
 
 def _cleanup_tracked(rows) -> list[_TrackedRow]:
-    """Normalize, drop vacuous rows, and deduplicate equal coefficient vectors."""
+    """Normalize, drop vacuous rows, and deduplicate equal coefficient vectors.
+
+    Of rows with equal coefficient vectors the one with the least rhs stays,
+    at the place of the first.
+    """
     best: dict[tuple, _TrackedRow] = {}
-    order: list[tuple] = []
     for coeffs, rhs, history in rows:
-        norm = _normalize_row(Row(coeffs, rhs))
+        norm = _normalize_row(coeffs, rhs)
         if norm is None:
             continue
-        key = norm.coeffs
-        candidate = (norm.coeffs, norm.rhs, history)
-        kept = best.get(key)
-        if kept is None:
-            best[key] = candidate
-            order.append(key)
-        else:
-            cmp = (norm.rhs - kept[1]).sign()
-            if cmp < 0 or (cmp == 0 and len(history) < len(kept[2])):
-                best[key] = candidate
-    return [best[key] for key in order]
+        coeffs, rhs = norm
+        kept = best.get(coeffs)
+        if kept is not None:
+            cmp = (rhs - kept[1]).sign()
+            if cmp > 0 or (cmp == 0 and len(history) >= len(kept[2])):
+                continue
+        best[coeffs] = (coeffs, rhs, history)
+    return list(best.values())
 
 
 def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
@@ -488,14 +490,13 @@ def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
     dropped; the remaining rows describe the projection exactly.
     """
     uppers, lowers, carried = [], [], []
-    for coeffs, rhs, history in rows:
+    for row in rows:
+        coeffs, rhs, history = row
         s = coeffs[j].sign()
         if s > 0:
-            inv = coeffs[j].inverse()
-            uppers.append((tuple(c * inv for c in coeffs), rhs * inv, history))
+            uppers.append(row)
         elif s < 0:
-            inv = (-coeffs[j]).inverse()
-            lowers.append((tuple(c * inv for c in coeffs), rhs * inv, history))
+            lowers.append(row)
         else:
             carried.append((coeffs[:j] + coeffs[j + 1:], rhs, history))
     limit = level + 1
@@ -505,8 +506,11 @@ def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
             history = uh | lh
             if len(history) > limit:
                 continue
-            coeffs = tuple(a + b for a, b in zip(uc, lc))
-            combined.append((coeffs[:j] + coeffs[j + 1:], ur + lr, history))
+            # (-l_j) u + u_j l: both multipliers are positive and x_j cancels
+            a, b = -lc[j], uc[j]
+            coeffs = tuple(x * a + y * b for x, y in zip(uc[:j] + uc[j + 1:],
+                                                         lc[:j] + lc[j + 1:]))
+            combined.append((coeffs, ur * a + lr * b, history))
     return _cleanup_tracked(carried + combined)
 
 

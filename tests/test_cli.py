@@ -93,11 +93,14 @@ def test_cover_csv(tmp_path):
 
 def test_cover_random_method(tmp_path):
     out = tmp_path / "cover.csv"
-    assert run(["cover", "--k", "3", "--method", "random", "--seed", "7",
-                "--out", str(out)]) == 0
-    with open(out) as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows[0]["f_pi"] == "2"
+    # (k, seed, f_pi, f_b): the randomized family, not the greedy one, and its seed
+    for k, seed, f_pi, f_b in ((3, 7, 2, 3), (4, 0, 3, 5), (4, 7, 3, 7)):
+        assert run(["cover", "--k", str(k), "--method", "random", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert (rows[0]["f_pi"], rows[0]["f_b"]) == (str(f_pi), str(f_b))
+        assert rows[0]["upper_total"] == str(f_pi + f_b)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

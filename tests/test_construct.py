@@ -257,7 +257,7 @@ def test_pipeline_relaxation_returns_bundle():
 
 def test_pipeline_rejects_large_k_when_certifying():
     with pytest.raises(ValidationError):
-        pipeline_relaxation(6)
+        pipeline_relaxation(7)
 
 
 def test_pipeline_k5_certifies():
@@ -265,6 +265,13 @@ def test_pipeline_k5_certifies():
     assert run.certificate.certified
     assert run.bundle.claimed_facets == 32 == pipeline_row_count(5)
     assert run.perturbed.context.degree == 27
+
+
+def test_pipeline_k6_certifies():
+    run = pipeline_run(6)
+    assert run.certificate.certified
+    assert run.bundle.claimed_facets == 54 == pipeline_row_count(6)
+    assert run.perturbed.context.degree == 58
 
 
 def test_pipeline_target_is_standard_simplex():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +320,54 @@ def test_interpolant_rejects_dependent_points():
     h = rational_heights([(p, 0) for p in pts])
     with pytest.raises(DegenerateSimplexError):
         affine_interpolant(pts, h)
+    # more points than dim + 1, and heights no affine function matches
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    h = rational_heights([(p, int(p == (1, 1))) for p in pts])
+    with pytest.raises(DegenerateSimplexError):
+        affine_interpolant(pts, h)
+
+
+def test_interpolant_with_fewer_points_than_dim_plus_one():
+    # coefficients without a pivot are zero, also behind a skipped zero column
+    f = affine_interpolant([(0, 0, 0), (1, 0, 0)],
+                           rational_heights([((0, 0, 0), 1), ((1, 0, 0), 3)]))
+    assert f.coeffs == (2, 0, 0) and f.offset == 1
+    f = affine_interpolant([(0, 0), (0, 1)],
+                           rational_heights([((0, 0), Fraction(1, 2)), ((0, 1), Fraction(2, 3))]))
+    assert f.coeffs == (0, Fraction(1, 6)) and f.offset == Fraction(1, 2)
+    f = affine_interpolant([(2, 3)], rational_heights([((2, 3), 5)]))
+    assert f.coeffs == (0, 0) and f.offset == 5
+
+
+def test_interpolant_rejects_irrational_heights():
+    ctx = make_context(2, 2)
+    h = HeightFunction.from_pairs([((0,), ctx.zero), ((1,), ctx.root_power(1))])
+    with pytest.raises(ValidationError):
+        affine_interpolant([(0,), (1,)], h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=dim + 2, unique=True),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+             min_size=dim + 2, max_size=dim + 2))))
+def test_interpolant_matches_sympy(case):
+    pts, values = case
+    h = rational_heights(zip(pts, values))
+    matrix = sympy.Matrix([[1, *p] for p in pts])
+    _, pivots = matrix.rref()
+    if len(pivots) < len(pts):
+        with pytest.raises(DegenerateSimplexError):
+            affine_interpolant(pts, h)
+        return
+    # the pivot columns carry the solution; the free coefficients are zero
+    rhs = sympy.Matrix([sympy.Rational(str(v)) for v in values[:len(pts)]])
+    solved = matrix[:, list(pivots)].LUsolve(rhs)
+    expected = [Fraction(0)] * (len(pts[0]) + 1)
+    for c, v in zip(pivots, solved):
+        expected[c] = Fraction(str(v))
+    f = affine_interpolant(pts, h)
+    assert (f.offset, *f.coeffs) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

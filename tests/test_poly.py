@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -67,11 +68,15 @@ def test_eliminate_pair_example():
     assert result.num_vars == 3
     assert result.num_rows == 1
     row = result.rows[0]
-    # normalized form: first nonzero coefficient is -1
-    assert row.coeffs[0] == -1
-    assert row.coeffs[1] == CTX2.zero
-    assert row.coeffs[2] == CTX2.element((0, Fraction(-1, 2)))
+    # a positive multiple of (-1, 0, -sqrt2/2) . x <= 0 ...
+    expected = (CTX2.from_rational(-1), CTX2.zero, CTX2.element((0, Fraction(-1, 2))))
+    scale = row.coeffs[0] / expected[0]
+    assert scale.sign() > 0
+    assert row.coeffs == tuple(scale * e for e in expected)
     assert row.rhs == CTX2.zero
+    # ... in primitive form: integer numerators without a common factor
+    assert all(c.den == 1 for c in row.coeffs)
+    assert math.gcd(*(v for c in row.coeffs for v in c.num)) == 1
 
 
 def test_eliminate_five_row_system_gives_six_facets():
@@ -226,6 +231,50 @@ def test_propagated_bounds_match_dividing_reference(system):
     """Deciding each update by one sign gives the bounds of divide-then-compare."""
     bounds = system.propagated_bounds()
     assert [(b.lower, b.upper) for b in bounds] == _dividing_propagated_bounds(system)
+
+
+def _pivot_normalized(rows):
+    """{coeffs: least rhs} over the rows scaled so their first nonzero coefficient
+    is +-1; a constant row is dropped when vacuous and reads 0 <= -1 otherwise."""
+    best = {}
+    for coeffs, rhs in rows:
+        pivot = next((c for c in coeffs if not c.is_zero()), None)
+        if pivot is None and rhs.sign() >= 0:
+            continue
+        pivot = -rhs if pivot is None else pivot
+        scale = (pivot if pivot.sign() > 0 else -pivot).inverse()
+        coeffs, rhs = tuple(c * scale for c in coeffs), rhs * scale
+        if coeffs not in best or rhs < best[coeffs]:
+            best[coeffs] = rhs
+    return best
+
+
+def _reference_eliminate(system, j):
+    """Fourier-Motzkin step that first scales every row to x_j coefficient +-1."""
+    uppers, lowers, rows = [], [], []
+    for row in system.rows:
+        c = row.coeffs[j]
+        rest = row.coeffs[:j] + row.coeffs[j + 1:]
+        if c.is_zero():
+            rows.append((rest, row.rhs))
+            continue
+        inv = (c if c.sign() > 0 else -c).inverse()
+        scaled = (tuple(x * inv for x in rest), row.rhs * inv)
+        (uppers if c.sign() > 0 else lowers).append(scaled)
+    for uc, ur in uppers:
+        for lc, lr in lowers:
+            rows.append((tuple(a + b for a, b in zip(uc, lc)), ur + lr))
+    return _pivot_normalized(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_propagation_cases(), j=st.integers(0, 2))
+def test_eliminate_variable_matches_pivot_normalizing_reference(system, j):
+    """Division-free combination and primitive rows project onto the same rows."""
+    j %= system.num_vars
+    projected = system.eliminate_variable(j)
+    assert (_pivot_normalized((row.coeffs, row.rhs) for row in projected.rows)
+            == _reference_eliminate(system, j))
 
 
 # ---------------------------------------------------------------------------
