@@ -3,10 +3,10 @@
 Every elimination is fraction-free integer elimination (Bareiss, Math.
 Comp. 22, 1968): every intermediate entry is a minor of the input, so each
 division by the previous pivot is exact and no rational or field
-arithmetic is needed.  Determinants, adjugates, field inverses, affine
-interpolation and null spaces over Q(c) all run through _fraction_free;
-a matrix over the field enters it as the integer matrix of its entries'
-multiplication maps.
+arithmetic is needed.  Determinants, lifted-facet rows, field inverses,
+affine interpolation and null spaces over Q(c) all run through
+_fraction_free; a matrix over the field enters it as the integer matrix of
+its entries' multiplication maps.
 """
 
 from __future__ import annotations
@@ -55,27 +55,6 @@ def _integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     m = [list(row) for row in matrix]
     sign, pivot, cols = _fraction_free(m, len(m), False)
     return sign * pivot if len(cols) == len(m) else 0
-
-
-def integer_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det(M), adj(M)) of a square integer matrix, so that M . adj(M) = det(M) I.
-
-    Fraction-free Gauss-Jordan on [M | I] leaves [d I | E] with E . M = d I
-    and d = +-det(M); a singular M falls back to signed minors.
-    """
-    n = len(matrix)
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    sign, pivot, cols = _fraction_free(m, n, True)
-    if len(cols) == n:
-        return sign * pivot, [[sign * x for x in row[n:]] for row in m]
-    adj = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [[x for j, x in enumerate(row) if j != r]
-                     for i, row in enumerate(matrix) if i != c]
-            adj[r][c] = (-1) ** (r + c) * _integer_determinant(minor)
-    return 0, adj
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement | int]],

@@ -12,11 +12,13 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .lift import (FacetSimplex, HeightFunction, check_upper_facet,
-                   facet_inequality_from_simplex, staircase_height)
+from .errors import (DegenerateSimplexError, PreconditionError, ResourceLimitError,
+                     ValidationError)
+from .lift import (FacetSimplex, HeightFunction, _facet_row, _first_failure,
+                   check_upper_facet, facet_inequality_from_simplex, staircase_height)
 
 Point = tuple[int, ...]
 
@@ -382,31 +384,33 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
 # brute-force facet enumeration and exact set cover
 # ---------------------------------------------------------------------------
 
-_ENUMERATION_POINT_GUARD = 1 << 12
+_ENUMERATION_CANDIDATE_GUARD = 1 << 20
 
 
 def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
                                       heights: HeightFunction,
                                       orientation: str = "upper"
                                       ) -> list[FacetSimplex]:
-    """All valid simplicial facets of the requested orientation, by brute force."""
-    pts = sorted(tuple(int(x) for x in p) for p in points)
-    if len(pts) > _ENUMERATION_POINT_GUARD:
-        raise ResourceLimitError(
-            f"{len(pts)} points exceed the enumeration guard of {_ENUMERATION_POINT_GUARD}",
-            required=len(pts))
-    from itertools import combinations
+    """All valid simplicial facets of the requested orientation, by brute force.
 
-    from .errors import DegenerateSimplexError
+    Candidates are screened by their integer facet rows, one bracket sign per
+    point up to the first failure; only survivors become FacetSimplex values.
+    """
+    pts = sorted(tuple(int(x) for x in p) for p in points)
     k = len(pts[0])
+    candidates = math.comb(len(pts), k + 1)
+    if candidates > _ENUMERATION_CANDIDATE_GUARD:
+        raise ResourceLimitError(
+            f"{candidates} candidate simplices exceed the enumeration guard of "
+            f"{_ENUMERATION_CANDIDATE_GUARD}", required=candidates)
     facets = []
     for candidate in combinations(pts, k + 1):
         try:
-            facet = facet_inequality_from_simplex(candidate, heights, orientation)
+            verts, lead, cofactors = _facet_row(candidate, heights, orientation)
         except DegenerateSimplexError:
             continue
-        if check_upper_facet(facet, pts, heights).valid:
-            facets.append(facet)
+        if _first_failure(cofactors[0], cofactors[1:], lead, verts, pts, heights).valid:
+            facets.append(facet_inequality_from_simplex(candidate, heights, orientation))
     return facets
 
 

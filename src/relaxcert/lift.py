@@ -1,10 +1,14 @@
 """Height functions on lattice point sets and facets of their convex lifts.
 
 A height function lifts points of T into R^(k+1); the simplicial upper and
-lower facets of the lifted hull carry inequalities in (x, y) built from
-integer cofactors of the vertex matrix.  The perturbation routine gives a
-chosen subset irrational height offsets along powers of a root of 2,
-keeping a given facet cover valid, which it re-verifies exactly.
+lower facets of the lifted hull carry inequalities in (x, y).  One integer
+facet row serves building, screening and checking them: with A the integer
+vertex matrix and H(v) the numerator vector of h(v) over the heights'
+common denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and
+det(A) give every slack as an integer vector whose sign is the field's
+bracket sign.  The perturbation routine gives a chosen subset irrational
+height offsets along powers of a root of 2, keeping a given facet cover
+valid, which it re-verifies exactly.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._linalg import _fraction_free, determinant, integer_adjugate
+from ._linalg import _fraction_free, determinant
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
-from .field import FieldContext, FieldElement, make_context
+from .field import FieldContext, FieldElement, _reduced, make_context
 
 Point = tuple[int, ...]
 
@@ -34,6 +39,9 @@ class HeightFunction:
                 raise ValidationError(f"no height for domain point {p}")
         if len(self.values) != len(self.domain):
             raise ValidationError("height values outside the stated domain")
+        # equal contexts hash alike, so contexts read back from JSON pass
+        if len({v.context for v in self.values.values()}) > 1:
+            raise ValidationError("heights from different field contexts")
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Sequence[int], FieldElement]]) -> "HeightFunction":
@@ -58,6 +66,12 @@ class HeightFunction:
 
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self.values.values())
+
+    @cached_property
+    def _numerators(self) -> tuple[int, dict[Point, tuple[int, ...]]]:
+        """(D, {p: H(p)}) with h(p) = H(p) / D over the common denominator D."""
+        den = math.lcm(*(v.den for v in self.values.values()))
+        return den, {p: tuple(x * (den // v.den) for x in v.num) for p, v in self.values.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,44 +152,84 @@ def staircase_height(k: int) -> HeightFunction:
     return HeightFunction.from_pairs(pairs)
 
 
+def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
+               orientation: str) -> tuple[list[Point], int, list[list[int]]]:
+    """Oriented integer row (vertices, lead, C) of the hyperplane through the lifted vertices.
+
+    With A = [1 ... 1; v_0 ... v_k] and h(v) = H(v) / D, the cofactor
+    vectors are C_r = sum_c adj(A)[c][r] * H(v_c).  The slack of the lifted
+    point (p, h(p)) is (C_0 + sum_i p_i C_i - lead * H(p)) / D, zero at
+    every vertex, with lead = det(A) > 0 for upper and < 0 for lower.
+    Orienting swaps v_0 and v_1, which negates lead and every C_r.
+    """
+    if orientation not in ("upper", "lower"):
+        raise ValidationError(f"unknown orientation {orientation!r}")
+    verts = list(vertices)
+    k = len(verts[0])
+    if len(verts) != k + 1:
+        raise DegenerateSimplexError(
+            f"need exactly {k + 1} vertices in dimension {k}, got {len(verts)}")
+    table = heights._numerators[1]
+    # one Gauss-Jordan pass over the rows (1, v_c, H(v_c)) of [A^T | H] leaves
+    # [d I | d (A^T)^-1 H], and d (A^T)^-1 = sign * adj(A)^T: row r is sign * C_r
+    m = [[1, *v, *table[v]] for v in verts]
+    sign, d, cols = _fraction_free(m, k + 1, jordan=True)
+    if len(cols) <= k:
+        raise DegenerateSimplexError(f"affinely dependent vertex set {verts}")
+    s = 1 if (sign * d > 0) == (orientation == "upper") else -1
+    if s < 0:
+        verts[0], verts[1] = verts[1], verts[0]
+    return verts, s * sign * d, [[s * sign * x for x in row[k + 1:]] for row in m]
+
+
+def _first_failure(base: Sequence[int], coeffs: Sequence[Sequence[int]], lead: int,
+                   vertices: Iterable[Point], points: Iterable[Point],
+                   heights: HeightFunction) -> FacetCheck:
+    """The first point off the vertices where base + p . coeffs - lead * H(p) is <= 0.
+
+    That integer vector is a positive multiple of an integer facet row's
+    slack at (p, h(p)); its sign is the field's exact bracket sign.
+    """
+    sign, table = heights.context.sign_of_int_vector, heights._numerators[1]
+    skip = set(vertices)
+    for point in points:
+        if point in skip:
+            continue
+        vec = [b - lead * y for b, y in zip(base, table[point])]
+        for x, c in zip(point, coeffs):
+            if x:
+                vec = [v + x * w for v, w in zip(vec, c)]
+        s = sign(vec)
+        if s < 0:
+            return FacetCheck(False, violated_at=point)
+        if s == 0:
+            return FacetCheck(False, tight_extra=point)
+    return FacetCheck(True)
+
+
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
                                   heights: HeightFunction,
                                   orientation: str = "upper") -> FacetSimplex:
     """Inequality of the hyperplane through the lifted vertices.
 
-    Expands the (k+2)x(k+2) determinant with the generic column (1, x, y)
-    along that column.  With A = [1 ... 1; v_0 ... v_k] the integer vertex
-    matrix, its cofactors are y_coeff = det(A) and, for row r of A,
-    -sum_c adj(A)[c][r] * h(v_c): the heights enter linearly, so the only
-    field work is integer scaling and addition.  Vertices are reordered
-    (one swap, negating every cofactor) so that the sign of det(A) matches
-    the requested orientation, making the row read y <= ... for upper and
-    y >= ... for lower.
+    The row is the integer facet row of `_facet_row`, the expansion of the
+    (k+2)x(k+2) determinant with the generic column (1, x, y) along that
+    column: y_coeff = lead = +-det(A), coeffs = -C_i / D and rhs = C_0 / D,
+    so the heights enter only through their integer numerators.  Vertices
+    are reordered (one swap) so that the sign of lead matches the requested
+    orientation, making the row read y <= ... for upper and y >= ... for
+    lower.  Forward elimination re-derives lead, and field arithmetic
+    re-checks tightness at every vertex, independently of the integer row.
     """
-    if orientation not in ("upper", "lower"):
-        raise ValidationError(f"unknown orientation {orientation!r}")
-    verts = [tuple(int(x) for x in v) for v in vertices]
-    k = len(verts[0])
-    if len(verts) != k + 1:
-        raise DegenerateSimplexError(
-            f"need exactly {k + 1} vertices in dimension {k}, got {len(verts)}")
+    verts, lead, cofactors = _facet_row([tuple(int(x) for x in v) for v in vertices],
+                                        heights, orientation)
     ctx = heights.context
-    matrix = [[1] * (k + 1)] + [[v[i] for v in verts] for i in range(k)]
-    # forward elimination alone settles degeneracy before the Gauss-Jordan adjugate
-    lead = determinant(matrix, ctx)
-    if lead.is_zero():
-        raise DegenerateSimplexError(f"affinely dependent vertex set {verts}")
-    _, adj = integer_adjugate(matrix)
-    hs = [heights(v) for v in verts]
-    flip = lead.sign() != (1 if orientation == "upper" else -1)
-    if flip:
-        verts[0], verts[1] = verts[1], verts[0]
-        lead = -lead
-    scale = 1 if flip else -1
-    cofactors = [sum((h * (scale * row[r]) for row, h in zip(adj, hs) if row[r]), ctx.zero)
-                 for r in range(k + 1)]
-    facet = FacetSimplex(tuple(verts), orientation, tuple(cofactors[1:]), lead,
-                         -cofactors[0])
+    if determinant([[1, *v] for v in verts], ctx) != lead:  # det(A^T) = det(A)
+        raise AssertionError("vertex determinant disagrees with the facet row")
+    den = heights._numerators[0]
+    coeffs = tuple(_reduced(ctx, tuple(-x for x in c), den) for c in cofactors[1:])
+    facet = FacetSimplex(tuple(verts), orientation, coeffs, ctx.from_rational(lead),
+                         _reduced(ctx, tuple(cofactors[0]), den))
     for v in verts:
         if not facet.evaluate(v, heights(v)).is_zero():
             raise AssertionError("facet inequality not tight at its own vertex")
@@ -189,19 +243,21 @@ def check_upper_facet(facet: FacetSimplex, points: Iterable[Sequence[int]],
     Valid means: the leading determinant sign matches the orientation (it
     does by construction), every non-vertex lifted point satisfies the
     inequality strictly, and no extra point is tight (which would make the
-    facet non-simplicial).
+    facet non-simplicial).  Points are checked in the given order and the
+    first failure is reported.  The facet's own row is read as integer
+    vectors over one denominator (y_coeff must be rational, as it is for
+    every facet built here), so each slack sign is one bracket sign.
     """
-    vertex_set = set(facet.vertices)
-    for point in points:
-        point = tuple(int(x) for x in point)
-        if point in vertex_set:
-            continue
-        s = facet.evaluate(point, heights(point)).sign()
-        if s < 0:
-            return FacetCheck(False, violated_at=point)
-        if s == 0:
-            return FacetCheck(False, tight_extra=point)
-    return FacetCheck(True)
+    ctx = heights.context
+    parts = (facet.rhs, *facet.coeffs)
+    if any(e.context != ctx for e in (facet.y_coeff, *parts)):
+        raise ValidationError("facet and heights from different field contexts")
+    y, den = facet.y_coeff.as_fraction(), heights._numerators[0]
+    scale = math.lcm(*(e.den for e in parts))
+    # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
+    base, *rows = [[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts]
+    return _first_failure(base, [[-x for x in r] for r in rows], y.numerator * scale,
+                          facet.vertices, (tuple(int(x) for x in p) for p in points), heights)
 
 
 def perturb_heights(points: Iterable[Sequence[int]],

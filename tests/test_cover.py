@@ -3,16 +3,22 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from relaxcert import cover
 from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations,
                              dominating_facet_family, dominating_facet_vertices,
                              dominating_family, enumerate_simplicial_lower_facets,
                              enumerate_simplicial_upper_facets, exact_min_cover,
                              is_dominating_family, permutation_facet_family,
                              symmetric_chain_cover)
-from relaxcert.errors import (PreconditionError, ResourceLimitError,
-                              ValidationError)
-from relaxcert.lift import check_upper_facet, staircase_height
+from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
+                              ResourceLimitError, ValidationError)
+from relaxcert.field import make_context
+from relaxcert.lift import (FacetCheck, FacetSimplex, HeightFunction,
+                            check_upper_facet, facet_inequality_from_simplex,
+                            staircase_height)
 
 
 def cube(k):
@@ -279,6 +285,102 @@ def test_enumeration_guard():
     h = HeightFunction.from_pairs((p, ctx.zero) for p in pts)
     with pytest.raises(ResourceLimitError):
         enumerate_simplicial_upper_facets(pts, h)
+
+
+def test_enumeration_guard_counts_candidates(monkeypatch):
+    # the 6-cube has only 64 points but C(64, 7) candidate simplices
+    def no_work(*args):
+        raise AssertionError("a candidate was examined before the guard")
+
+    monkeypatch.setattr(cover, "_facet_row", no_work)
+    h = staircase_height(6)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_simplicial_upper_facets(cube(6), h)
+    assert info.value.required == math.comb(64, 7)
+
+
+# reference: build every candidate in field arithmetic, then check it with
+# FacetSimplex.evaluate point by point, independently of the integer facet row
+
+def reference_check(facet, points, heights):
+    for point in points:
+        if point in facet.vertices:
+            continue
+        s = facet.evaluate(point, heights(point)).sign()
+        if s < 0:
+            return FacetCheck(False, violated_at=point)
+        if s == 0:
+            return FacetCheck(False, tight_extra=point)
+    return FacetCheck(True)
+
+
+def reference_enumeration(points, heights, orientation):
+    pts = sorted(points)
+    facets = []
+    for candidate in combinations(pts, len(pts[0]) + 1):
+        try:
+            facet = facet_inequality_from_simplex(candidate, heights, orientation)
+        except DegenerateSimplexError:
+            continue
+        if reference_check(facet, pts, heights).valid:
+            facets.append(facet)
+    return facets
+
+
+FIELDS = [(1, 2), (2, 2), (2, Fraction(3, 2)), (5, 2), (5, Fraction(3, 2))]
+
+
+@st.composite
+def lifted_point_sets(draw):
+    """Points of {-1, 0, 1, 2}^k with heights drawn from a small pool, so ties and
+    coplanar lifted points (extra tight points) are common."""
+    degree, radicand = draw(st.sampled_from(FIELDS))
+    ctx = make_context(degree, radicand)
+    k = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * k), min_size=k + 1,
+                           max_size=7, unique=True))
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    pool = draw(st.lists(st.lists(coeff, min_size=degree, max_size=degree).map(ctx.element),
+                         min_size=1, max_size=3))
+    heights = HeightFunction.from_pairs((p, draw(st.sampled_from(pool))) for p in points)
+    return points, heights
+
+
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=lifted_point_sets(), orientation=st.sampled_from(["upper", "lower"]),
+       data=st.data())
+@example(case=(SQUARE, HeightFunction.from_pairs(
+    (p, make_context(2, 2).from_rational(0)) for p in SQUARE)),
+    orientation="upper", data=None)
+def test_integer_facet_rows_match_field_reference(case, orientation, data):
+    points, heights = case
+    facets = enumerate_simplicial_upper_facets(points, heights, orientation)
+    expected = reference_enumeration(points, heights, orientation)
+    assert facets == expected
+    assert [f.to_json_dict() for f in facets] == [f.to_json_dict() for f in expected]
+    assert all(f.y_coeff.sign() == (1 if orientation == "upper" else -1) for f in facets)
+    # the check alone, on candidates in any orientation and points in any order
+    candidates = list(combinations(sorted(points), len(points[0]) + 1))
+    for attempt in range(6):
+        if data is None:
+            candidate, order, side = candidates[attempt % len(candidates)], points, "upper"
+        else:
+            candidate = data.draw(st.sampled_from(candidates))
+            order = data.draw(st.permutations(points))
+            side = data.draw(st.sampled_from(["upper", "lower"]))
+        try:
+            facet = facet_inequality_from_simplex(candidate, heights, side)
+        except DegenerateSimplexError:
+            continue
+        expected_check = reference_check(facet, order, heights)
+        assert check_upper_facet(facet, order, heights) == expected_check
+        # a positive rational multiple of the row, with a non-integral y_coeff
+        parts = [e * Fraction(2, 3) for e in (facet.y_coeff, facet.rhs, *facet.coeffs)]
+        scaled = FacetSimplex(facet.vertices, side, tuple(parts[2:]), parts[0], parts[1])
+        assert check_upper_facet(scaled, order, heights) == expected_check
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ValidationError)
-from relaxcert.field import make_context
+from relaxcert.field import FieldContext, make_context
 from relaxcert.lift import (HeightFunction, affine_interpolant,
                             check_upper_facet, facet_inequality_from_simplex,
                             perturb_heights, staircase_height)
@@ -201,6 +201,28 @@ def test_check_reports_extra_tight_point():
     facet = facet_inequality_from_simplex(pts[:3], h, "upper")
     result = check_upper_facet(facet, pts, h)
     assert not result.valid and result.tight_extra == (1, 1)
+
+
+def test_heights_from_different_contexts_refused():
+    pairs = [((0,), make_context(2, 2).one), ((1,), make_context(2, 3).one)]
+    with pytest.raises(ValidationError):
+        HeightFunction.from_pairs(pairs)
+    # equal contexts that are not the same object, as read back from JSON, pass
+    h = HeightFunction.from_pairs([((0,), make_context(2, 2).one),
+                                   ((1,), FieldContext(2, 2).root_power(1))])
+    assert h((1,)).context == h.context
+
+
+def test_check_refuses_facet_from_another_context():
+    h = staircase_height(2)
+    facet = facet_inequality_from_simplex([(0, 0), (0, 1), (1, 1)], h, "upper")
+    ctx = make_context(2, 2)
+    other = HeightFunction.from_pairs((p, ctx.from_rational(h(p).as_fraction()))
+                                      for p in cube(2))
+    with pytest.raises(ValidationError):
+        check_upper_facet(facet, cube(2), other)
+    rebuilt = facet_inequality_from_simplex(facet.vertices, other, "upper")
+    assert check_upper_facet(rebuilt, cube(2), other).valid
 
 
 # ---------------------------------------------------------------------------

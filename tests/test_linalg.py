@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxcert._linalg import _fraction_free, determinant, integer_adjugate, kernel_basis
+from relaxcert._linalg import _fraction_free, determinant, kernel_basis
 from relaxcert.errors import ValidationError
 from relaxcert.field import make_context
 
@@ -21,33 +21,36 @@ def square_matrices(max_size=6):
 # the fraction-free integer core
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=100, deadline=None)
-@given(square_matrices())
-def test_integer_adjugate_matches_sympy(matrix):
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(5), st.integers(0, 3), st.integers(0, 5), st.data())
+def test_gauss_jordan_solves_square_systems_like_sympy(matrix, width, doubled, data):
+    """On [M | B], Gauss-Jordan leaves [d I | sign * adj(M) B] with sign * d = det(M),
+    the solve behind lifted-facet rows; a singular M (often made so by a doubled
+    row) leaves a missing pivot."""
     n = len(matrix)
-    det, adj = integer_adjugate(matrix)
+    if n >= 2 and doubled < n:
+        matrix[doubled] = [2 * x for x in matrix[(doubled + 1) % n]]
+    rhs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+    m = [row + extra for row, extra in zip(matrix, rhs)]
+    sign, d, cols = _fraction_free(m, n, jordan=True)
     reference = sympy.Matrix(n, n, [x for row in matrix for x in row])
-    assert det == reference.det()
-    if n:
-        assert sympy.Matrix(adj) == reference.adjugate()
-
-
-@settings(max_examples=50, deadline=None)
-@given(square_matrices(5), st.integers(0, 4))
-def test_integer_adjugate_of_singular_matrices(matrix, row):
-    n = len(matrix)
-    if n < 2:
+    if reference.det() == 0:
+        assert len(cols) < n
         return
-    matrix[row % n] = [2 * x for x in matrix[(row + 1) % n]]
-    det, adj = integer_adjugate(matrix)
-    assert det == 0
-    assert sympy.Matrix(adj) == sympy.Matrix(matrix).adjugate()
+    assert cols == list(range(n)) and sign * d == reference.det()
+    assert all(row[:n] == [d * (i == j) for j in range(n)] for i, row in enumerate(m))
+    if n and width:
+        assert sympy.Matrix([[sign * x for x in row[n:]] for row in m]) == \
+            reference.adjugate() * sympy.Matrix(rhs)
 
 
-def test_integer_adjugate_inverts_with_row_swaps():
+def test_gauss_jordan_tracks_row_swaps():
     matrix = [[0, 2, 1], [1, 0, 0], [3, 1, 0]]
-    det, adj = integer_adjugate(matrix)
-    assert det == sympy.Matrix(matrix).det() == 1
+    m = [row + [int(i == j) for j in range(3)] for i, row in enumerate(matrix)]
+    sign, d, _ = _fraction_free(m, 3, jordan=True)
+    det, adj = sign * d, [[sign * x for x in row[3:]] for row in m]
+    assert det == sympy.Matrix(matrix).det() == 1 and sign == -1
     product = [[sum(matrix[i][t] * adj[t][j] for t in range(3)) for j in range(3)]
                for i in range(3)]
     assert product == [[det * (i == j) for j in range(3)] for i in range(3)]
