@@ -45,6 +45,50 @@ def test_gauss_jordan_solves_square_systems_like_sympy(matrix, width, doubled, d
             reference.adjugate() * sympy.Matrix(rhs)
 
 
+def integer_adjugate(matrix):
+    """(det(M), adj(M)) of a square integer matrix: Gauss-Jordan on [M | I] leaves
+    [d I | sign * adj(M)] with sign * d = det(M); a singular M leaves a missing pivot,
+    and its adjugate is taken from signed minors through `determinant`."""
+    n = len(matrix)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    sign, d, cols = _fraction_free(m, n, jordan=True)
+    if len(cols) == n:
+        return sign * d, [[sign * x for x in row[n:]] for row in m]
+    assert determinant(matrix, CTX1).is_zero()
+    adj = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            minor = [[x for j, x in enumerate(row) if j != r]
+                     for i, row in enumerate(matrix) if i != c]
+            adj[r][c] = (-1) ** (r + c) * int(determinant(minor, CTX1).as_fraction())
+    return 0, adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_integer_adjugate_matches_sympy(matrix):
+    n = len(matrix)
+    det, adj = integer_adjugate(matrix)
+    reference = sympy.Matrix(n, n, [x for row in matrix for x in row])
+    assert det == reference.det()
+    if n:
+        assert sympy.Matrix(adj) == reference.adjugate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices(5), st.integers(0, 4))
+def test_integer_adjugate_of_singular_matrices(matrix, row):
+    n = len(matrix)
+    if n < 2:
+        return
+    matrix[row % n] = [2 * x for x in matrix[(row + 1) % n]]
+    _, _, cols = _fraction_free([list(r) for r in matrix], n, jordan=True)
+    assert len(cols) < n
+    det, adj = integer_adjugate(matrix)
+    assert det == 0
+    assert sympy.Matrix(adj) == sympy.Matrix(matrix).adjugate()
+
+
 def test_gauss_jordan_tracks_row_swaps():
     matrix = [[0, 2, 1], [1, 0, 0], [3, 1, 0]]
     m = [row + [int(i == j) for j in range(3)] for i, row in enumerate(matrix)]
