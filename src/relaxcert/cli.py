@@ -256,3 +256,7 @@ def run(argv=None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -147,13 +147,12 @@ def projected_simplex_relaxation(eps: Fraction | int | str = DEFAULT_EPS) -> Lin
 
 def _pullback_matrix(ctx: FieldContext, a: int):
     """Matrix of (x1..x5) -> (x1, x2, x3, x4 - x5/(a*sqrt2)) as a 4x5 block."""
-    zero, one = ctx.zero, ctx.one
     minus_inv = ctx.element((0, Fraction(-1, 2 * a)))  # -1/(a*sqrt2) = -sqrt2/(2a)
     return [
-        (one, zero, zero, zero, zero),
-        (zero, one, zero, zero, zero),
-        (zero, zero, one, zero, zero),
-        (zero, zero, zero, one, minus_inv),
+        (1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 1, minus_inv),
     ]
 
 
@@ -387,9 +386,10 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     heights and the upper/lower facet covers; perturb the moved heights
     into an irrational family while re-verifying the cover; assemble the
     mixed system from 2k box rows plus the cover facets; certify it; then
-    subtract the affine interpolant of the base heights and pull back
-    under the block substitution that folds the moved points into extra
-    coordinates.  Row count is 2k plus twice the cover size.
+    pull it back, in one affine substitution, under the shear that
+    subtracts the affine interpolant of the base heights composed with the
+    block that folds the moved points into extra coordinates.  Row count
+    is 2k plus twice the cover size.
     """
     if k < 2:
         raise ValidationError("pipeline needs k >= 2")
@@ -425,25 +425,18 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
                 f"mixed certificate failed at k={k}: {certificate.witness}",
                 stage="mixed-certificate")
 
+    # one pull-back composes the shear (x, y) -> (x, y + f(x)), which removes the
+    # rational affine part f of the heights, with the block (u, v) -> (u + sum
+    # v_t p_t, sum v_t (h(p_t) - f(p_t))), which folds the moved points p_t into
+    # extra coordinates; as f(p_t) = f.p_t + f(0), the composite is
+    # x = u + sum v_t p_t, y = f.u + sum v_t (h(p_t) - f(0)) + f(0)
     interpolant = affine_interpolant(split.base.points, heights)
-    # shear away the rational affine part: (x, y) -> (x, y + f(x))
-    shear = []
-    for i in range(k):
-        shear.append(tuple(one if j == i else zero for j in range(k)) + (zero,))
-    shear.append(tuple(ctx.from_rational(c) for c in interpolant.coeffs) + (one,))
-    shift = (zero,) * k + (ctx.from_rational(interpolant.offset),)
-    sheared = mixed.substitute_affine(shear, shift)
-
-    moved = list(split.moved.points)
-    m = len(moved)
-    folded_heights = {p: perturbed(p) - ctx.from_rational(interpolant(p)) for p in moved}
-    # block substitution (u, v) -> (u + sum v_i p_i, sum h(p_i) v_i)
-    block = []
-    for i in range(k):
-        block.append(tuple(one if j == i else zero for j in range(k))
-                     + tuple(ctx.from_rational(moved[t][i]) for t in range(m)))
-    block.append((zero,) * k + tuple(folded_heights[p] for p in moved))
-    final = sheared.substitute_affine(block)
+    moved = split.moved.points
+    offset = ctx.from_rational(interpolant.offset)
+    block = [tuple(int(j == i) for j in range(k)) + tuple(p[i] for p in moved)
+             for i in range(k)]
+    block.append(tuple(interpolant.coeffs) + tuple(perturbed(p) - offset for p in moved))
+    final = mixed.substitute_affine(block, (0,) * k + (offset,))
 
     d = (1 << k) - 1
     target = simplex_points(d)

@@ -34,10 +34,6 @@ class Chain:
             if not (a < b):
                 raise ValidationError("chain subsets must strictly increase")
 
-    def is_full(self, n: int) -> bool:
-        return (len(self.subsets) == n + 1
-                and not self.subsets[0] and len(self.subsets[-1]) == n)
-
     def __len__(self) -> int:
         return len(self.subsets)
 
@@ -395,9 +391,18 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
 
     Candidates are screened by their integer facet rows, one bracket sign per
     point up to the first failure; only survivors become FacetSimplex values.
+    An empty list, points of mixed dimension and points outside the heights'
+    domain are refused with ValidationError before any candidate is counted.
     """
     pts = sorted(tuple(int(x) for x in p) for p in points)
+    if not pts:
+        raise ValidationError("facet enumeration needs at least one point")
     k = len(pts[0])
+    if any(len(p) != k for p in pts):
+        raise ValidationError(f"points of mixed dimension; the first has dimension {k}")
+    for p in pts:
+        if p not in heights.values:
+            raise ValidationError(f"point {p} lies outside the heights' domain")
     candidates = math.comb(len(pts), k + 1)
     if candidates > _ENUMERATION_CANDIDATE_GUARD:
         raise ResourceLimitError(

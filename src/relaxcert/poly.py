@@ -4,14 +4,16 @@ Systems are finite lists of rows ``coeffs . x <= rhs`` with exact field
 coefficients.  Provides exact membership, Fourier-Motzkin elimination,
 coordinate bounds, lattice-point enumeration in boxes, affine pullbacks,
 recession systems, and coordinate-subspace restriction.  Nothing here is
-ever evaluated in floating point.  Fourier-Motzkin never divides in the
-field: rows combine with positive field multipliers and are kept as
-primitive integer coefficient vectors; field division is left to the
-bounds, where the quotient is the answer.  One enumerator serves every
-field: it brackets each row's value between integers built from
-floor(2^32 c^i), vectorized in int64 (Python integers when int64 could
-overflow), and hands the rare points the bracket cannot decide to the
-field's exact sign.
+ever evaluated in floating point.  One routine, substitute_affine,
+evaluates rows under an affine map; membership is its pull-back to a
+single point, whose new right-hand sides are the rows' slacks.
+Fourier-Motzkin never divides in the field: rows combine with positive
+field multipliers and are kept as primitive integer coefficient vectors;
+field division is left to the bounds, where the quotient is the answer.
+One enumerator serves every field: it brackets each row's value between
+integers built from floor(2^32 c^i), vectorized in int64 (Python
+integers when int64 could overflow), and hands the rare points the
+bracket cannot decide to the field's exact sign.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ResourceLimitError, ValidationError
 from .field import FieldContext, FieldElement
 
 DEFAULT_POINT_CAP = 1 << 26
+_PROPAGATION_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,6 @@ class Box:
             v *= hi - lo + 1
         return v
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        return all(lo <= x <= hi for (lo, hi), x in zip(self.bounds, point))
-
     def __str__(self) -> str:
         return ",".join(f"{lo}:{hi}" for lo, hi in self.bounds)
 
@@ -129,10 +129,6 @@ class VarBounds:
     @property
     def bounded(self) -> bool:
         return not self.infeasible and self.lower is not None and self.upper is not None
-
-
-def _default_names(num_vars: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(num_vars))
 
 
 @dataclass(frozen=True)
@@ -171,30 +167,21 @@ class LinearSystem:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def variable_names(self) -> tuple[str, ...]:
-        return self.names if self.names is not None else _default_names(self.num_vars)
-
     # -- membership ---------------------------------------------------------
 
-    def coerce_point(self, point: Sequence) -> tuple[FieldElement, ...]:
+    def contains(self, point: Sequence) -> Membership:
+        """Membership as the pull-back to the single point.
+
+        Each pulled-back rhs is the row's slack at the point: negative
+        violates the row, zero makes it tight.
+        """
         if len(point) != self.num_vars:
             raise ValidationError(
                 f"point of length {len(point)} in a {self.num_vars}-variable system")
-        return tuple(self.context.coerce(x) for x in point)
-
-    def row_slack(self, row: Row, point: tuple[FieldElement, ...]) -> FieldElement:
-        """rhs - coeffs . point; negative sign means the row is violated."""
-        total = row.rhs
-        for c, x in zip(row.coeffs, point):
-            if not c.is_zero() and not x.is_zero():
-                total = total - c * x
-        return total
-
-    def contains(self, point: Sequence) -> Membership:
-        p = self.coerce_point(point)
+        pulled = self.substitute_affine([()] * self.num_vars, point)
         tight, violated = [], []
-        for i, row in enumerate(self.rows):
-            s = self.row_slack(row, p).sign()
+        for i, row in enumerate(pulled.rows):
+            s = row.rhs.sign()
             if s < 0:
                 violated.append(i)
             elif s == 0:
@@ -273,19 +260,19 @@ class LinearSystem:
             return VarBounds(None, None, infeasible=True)
         return VarBounds(lower, upper)
 
-    def propagated_bounds(self, max_rounds: int = 8) -> list[VarBounds]:
+    def propagated_bounds(self) -> list[VarBounds]:
         """Per-variable bounds by exact interval propagation over the rows.
 
         Sound but not necessarily tight: every feasible point respects the
         returned intervals, while an unbounded verdict here only means the
         propagation could not prove a bound (coordinate_bounds decides it
         exactly).  Cheap, and immediate whenever single-variable rows are
-        present.
+        present; at most _PROPAGATION_ROUNDS passes over the rows.
         """
         lower: list[FieldElement | None] = [None] * self.num_vars
         upper: list[FieldElement | None] = [None] * self.num_vars
         row_signs = [[c.sign() for c in row.coeffs] for row in self.rows]
-        for _ in range(max_rounds):
+        for _ in range(_PROPAGATION_ROUNDS):
             changed = False
             for row, signs in zip(self.rows, row_signs):
                 support = [v for v, s in enumerate(signs) if s]
@@ -321,22 +308,32 @@ class LinearSystem:
         """Pull the system back under z -> matrix . z + shift (new vars z).
 
         matrix has one row per old variable; row count of the system is
-        preserved exactly.
+        preserved exactly: coeffs . x <= rhs becomes (coeffs . matrix) z <=
+        rhs - coeffs . shift.  This is the one place rows are evaluated
+        under an affine map; with an empty matrix row per variable and the
+        shift a point, each new rhs is the row's slack there (contains).
+        int entries stay ints, so their products take the field's integer
+        fast path; every other entry is coerced into the context.
         """
         if len(matrix) != self.num_vars:
             raise ValidationError(
                 f"substitution matrix has {len(matrix)} rows, expected {self.num_vars}")
-        mat = [tuple(self.context.coerce(v) for v in row) for row in matrix]
+        coerce = self.context.coerce
+
+        def entry(v):
+            return v if type(v) is int else coerce(v)
+
+        mat = [tuple(map(entry, row)) for row in matrix]
         new_dim = len(mat[0]) if mat else 0
         for row in mat:
             if len(row) != new_dim:
                 raise ValidationError("ragged substitution matrix")
         if shift is None:
-            t = (self.context.zero,) * self.num_vars
+            t = (0,) * self.num_vars
         else:
             if len(shift) != self.num_vars:
                 raise ValidationError("shift vector has the wrong length")
-            t = tuple(self.context.coerce(v) for v in shift)
+            t = tuple(map(entry, shift))
         zero = self.context.zero
         new_rows = []
         for row in self.rows:
@@ -344,14 +341,15 @@ class LinearSystem:
             for col in range(new_dim):
                 acc = zero
                 for a, mrow in zip(row.coeffs, mat):
-                    if not a.is_zero() and not mrow[col].is_zero():
-                        acc = acc + a * mrow[col]
+                    v = mrow[col]
+                    if v and a:
+                        acc = acc + a * v
                 new_coeffs.append(acc)
-            offset = zero
-            for a, tv in zip(row.coeffs, t):
-                if not a.is_zero() and not tv.is_zero():
-                    offset = offset + a * tv
-            new_rows.append(Row(tuple(new_coeffs), row.rhs - offset))
+            rhs = row.rhs
+            for a, v in zip(row.coeffs, t):
+                if v and a:
+                    rhs = rhs - a * v
+            new_rows.append(Row(tuple(new_coeffs), rhs))
         return LinearSystem(self.context, new_dim, tuple(new_rows))
 
     def recession_system(self) -> "LinearSystem":

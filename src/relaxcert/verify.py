@@ -272,10 +272,7 @@ def recession_ray_rationality(system: LinearSystem, window: Box | None = None,
     # normalize on the first nonzero coordinate
     pivot = next(v for v in ray if not v.is_zero())
     ray = tuple(v / pivot for v in ray)
-    tight = all(
-        sum((c * v for c, v in zip(row.coeffs, ray) if not c.is_zero() and not v.is_zero()),
-            ctx.zero).is_zero()
-        for row in recession.rows)
+    tight = len(recession.contains(ray).tight_rows) == recession.num_rows
     num_coord, den_coord = ray[-1], ray[-2]
     checks: list[ConvergentCheck] = []
     if den_coord.is_zero():

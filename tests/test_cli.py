@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from relaxcert.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_json(path):
@@ -153,3 +159,16 @@ def test_malformed_radicand_exit_two(tmp_path, capsys):
         bad.write_text(json.dumps(data))
         assert run(["certify-mixed", "--system", str(bad), "--heights", str(heights)]) == 2
         assert "not an exact rational" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "relaxcert.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = module("bounds", "--dmax", "3")
+    assert done.returncode == 0
+    assert "d,trivial,corollary,pipeline,best" in done.stdout.splitlines()
+    assert module("build", "dim5", "--eps", "abc").returncode == 2

@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from relaxcert import construct, cover
 from relaxcert._linalg import determinant
 from relaxcert.construct import (RelaxationBundle,
                                  composed_simplex_relaxation, cube_simplex_split,
@@ -14,6 +18,7 @@ from relaxcert.construct import (RelaxationBundle,
                                  stretched_simplex_relaxation)
 from relaxcert.errors import PreconditionError, ValidationError
 from relaxcert.field import make_context
+from relaxcert.lift import HeightFunction, affine_interpolant, staircase_height
 from relaxcert.poly import Box
 from relaxcert.verify import box_check
 
@@ -277,6 +282,51 @@ def test_pipeline_k6_certifies():
 def test_pipeline_target_is_standard_simplex():
     run = pipeline_run(2)
     assert run.bundle.target.points == simplex_points(3).points
+
+
+def _shear_then_block(run):
+    """The assembly as two substitutions: the shear removing f, then the block."""
+    k, ctx = run.k, run.perturbed.context
+    zero, one = ctx.zero, ctx.one
+    split = cube_simplex_split(k)
+    f = affine_interpolant(split.base.points, run.heights)
+    shear = [tuple(one if j == i else zero for j in range(k)) + (zero,) for i in range(k)]
+    shear.append(tuple(ctx.from_rational(c) for c in f.coeffs) + (one,))
+    sheared = run.mixed_system.substitute_affine(
+        shear, (zero,) * k + (ctx.from_rational(f.offset),))
+    moved = split.moved.points
+    block = [tuple(one if j == i else zero for j in range(k))
+             + tuple(ctx.from_rational(p[i]) for p in moved) for i in range(k)]
+    block.append((zero,) * k
+                 + tuple(run.perturbed(p) - ctx.from_rational(f(p)) for p in moved))
+    return sheared.substitute_affine(block)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.sampled_from((2, 3, 4)),
+       slope=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4),
+       offset=st.fractions(-2, 2, max_denominator=3))
+@example(k=2, slope=[0] * 4, offset=0)
+@example(k=3, slope=[0] * 4, offset=0)
+@example(k=4, slope=[0] * 4, offset=0)
+def test_one_pullback_matches_shear_then_block(k, slope, offset):
+    """The single assembly substitution gives the rows of the two-stage one.
+
+    The staircase heights have f(0) = 0, so an affine function g is added to
+    them, in the cover too: g changes the sheared part f, while the cover
+    keeps its vertex sets, since adding g moves no facet of the lifted cube.
+    """
+    def heights(k):
+        h = staircase_height(k)
+        return HeightFunction(h.domain, {p: v + offset + sum(a * x for a, x in zip(slope, p))
+                                         for p, v in h.values.items()})
+
+    with mock.patch.object(construct, "staircase_height", heights), \
+            mock.patch.object(cover, "staircase_height", heights):
+        run = pipeline_run(k, certify=False)
+    final = run.bundle.system
+    assert final.num_vars == (1 << k) - 1
+    assert final.rows == _shear_then_block(run).rows
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,21 @@ def test_enumerate_affine_heights():
     assert len(enumerate_simplicial_upper_facets(tri, h3)) == 1
 
 
+def test_enumeration_refuses_empty_point_list():
+    with pytest.raises(ValidationError, match="at least one point"):
+        enumerate_simplicial_upper_facets([], staircase_height(2))
+
+
+def test_enumeration_refuses_mixed_dimensions():
+    with pytest.raises(ValidationError, match="mixed dimension"):
+        enumerate_simplicial_upper_facets([(0, 0), (1, 0, 1)], staircase_height(2))
+
+
+def test_enumeration_refuses_points_outside_the_heights():
+    with pytest.raises(ValidationError, match="outside the heights' domain"):
+        enumerate_simplicial_lower_facets(cube(2) + [(2, 0)], staircase_height(2))
+
+
 def test_enumeration_guard():
     from relaxcert.field import make_context
     from relaxcert.lift import HeightFunction

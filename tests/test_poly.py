@@ -54,6 +54,65 @@ def test_contains_accepts_field_coordinates():
     assert m.inside and set(m.tight_rows) >= {2, 3}
 
 
+_ORACLE_FIELDS = tuple(make_context(n, r) for n, r in
+                       ((1, 2), (2, 2), (2, Fraction(3, 2)), (5, 2), (5, Fraction(3, 2))))
+
+
+def _elements(ctx):
+    """Zero, small integers and full elements of ctx, so that zero products are common."""
+    full = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                    min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    return st.one_of(st.just(ctx.zero), st.integers(-2, 2).map(ctx.from_rational), full)
+
+
+@st.composite
+def _membership_cases(draw):
+    """A system and a point mixing int, Fraction and field coordinates.
+
+    Each row's rhs is its value at the point plus 0, +-1 or a random element,
+    so tight, strictly satisfied and violated rows all occur.
+    """
+    ctx = draw(st.sampled_from(_ORACLE_FIELDS))
+    num_vars = draw(st.integers(0, 3))
+    coordinate = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           _elements(ctx))
+    point = tuple(draw(st.lists(coordinate, min_size=num_vars, max_size=num_vars)))
+    at = [ctx.coerce(x) for x in point]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(_elements(ctx), min_size=num_vars, max_size=num_vars))
+        value = sum((c * x for c, x in zip(coeffs, at)), ctx.zero)
+        rows.append((coeffs, value + draw(st.one_of(st.sampled_from((0, 1, -1)),
+                                                    _elements(ctx)))))
+    return LinearSystem.from_rows(ctx, rows, num_vars), point
+
+
+def _row_slack_membership(system, point):
+    """Membership by the per-row slack loop over a point coerced into the field."""
+    p = tuple(system.context.coerce(x) for x in point)
+    tight, violated = [], []
+    for i, row in enumerate(system.rows):
+        total = row.rhs
+        for c, x in zip(row.coeffs, p):
+            if not c.is_zero() and not x.is_zero():
+                total = total - c * x
+        s = total.sign()
+        if s < 0:
+            violated.append(i)
+        elif s == 0:
+            tight.append(i)
+    return poly.Membership(not violated, tuple(tight), tuple(violated))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_membership_cases())
+def test_contains_matches_row_slack_reference(case):
+    """The pull-back to a point gives the same inside, tight and violated rows."""
+    system, point = case
+    assert system.contains(point) == _row_slack_membership(system, point)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
@@ -516,6 +575,26 @@ def test_substitute_membership_commutes():
             sum(matrix[i][j] * z[j] for j in range(3)) + shift[i] for i in range(4))
         assert pulled.contains(z).inside == P.contains(
             tuple(CTX2.from_rational(v) for v in image)).inside
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_substitute_affine_int_entries_match_field_entries(data):
+    """int matrix and shift entries pull back to the rows their field elements give."""
+    ctx = data.draw(st.sampled_from(_ORACLE_FIELDS))
+    num_vars, new_dim = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    element = _elements(ctx)
+    rows = data.draw(st.lists(st.tuples(st.lists(element, min_size=num_vars,
+                                                 max_size=num_vars), element), max_size=4))
+    system = LinearSystem.from_rows(ctx, rows, num_vars)
+    ints = st.integers(-3, 3)
+    matrix = data.draw(st.lists(st.lists(ints, min_size=new_dim, max_size=new_dim),
+                                min_size=num_vars, max_size=num_vars))
+    shift = data.draw(st.none() | st.lists(ints, min_size=num_vars, max_size=num_vars))
+    field_matrix = [[ctx.from_rational(v) for v in row] for row in matrix]
+    field_shift = None if shift is None else [ctx.from_rational(v) for v in shift]
+    assert (system.substitute_affine(matrix, shift)
+            == system.substitute_affine(field_matrix, field_shift))
 
 
 def test_substitute_shape_mismatch():
