@@ -74,7 +74,7 @@ def _cmd_build(args) -> int:
     elif args.what == "xa":
         bundle = stretched_simplex_relaxation(args.a, as_fraction(args.eps), cap=args.cap)
     elif args.what == "corollary":
-        bundle = composed_simplex_relaxation(args.d, as_fraction(args.eps))
+        bundle = composed_simplex_relaxation(args.d, as_fraction(args.eps), cap=args.cap)
     else:
         run = pipeline_run(args.k, cap=args.cap)
         bundle = run.bundle

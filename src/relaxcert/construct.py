@@ -9,6 +9,7 @@ dimensions of the form 2**k - 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,15 +157,13 @@ def _pullback_matrix(ctx: FieldContext, a: int):
     ]
 
 
-def stretched_simplex_relaxation(a: int, eps: Fraction | int | str = DEFAULT_EPS,
-                                 cap: int = DEFAULT_POINT_CAP) -> RelaxationBundle:
-    """Five-row relaxation of the stretched simplex vertex set in Z^5.
+@functools.lru_cache(maxsize=64)
+def _certified_base(eps: Fraction, cap: int) -> LinearSystem:
+    """The five-row mixed system for eps, certified once per (eps, cap).
 
-    The base mixed system is re-certified for the given eps before the
-    pullback under the projection with kernel direction (0,0,0,1,a*sqrt2).
+    Only a certified system is returned, and so cached: a refuted or
+    partial certificate raises, and is computed again on the next call.
     """
-    if a < 1:
-        raise ValidationError("stretch factor must be a positive integer")
     base = projected_simplex_relaxation(eps)
     certificate = certify_mixed(base, projected_simplex_points(),
                                 projected_simplex_heights(base.context), cap=cap)
@@ -172,6 +171,20 @@ def stretched_simplex_relaxation(a: int, eps: Fraction | int | str = DEFAULT_EPS
         raise CertificationError(
             f"mixed certificate failed for eps={eps}: {certificate.witness}",
             stage="mixed-system")
+    return base
+
+
+def stretched_simplex_relaxation(a: int, eps: Fraction | int | str = DEFAULT_EPS,
+                                 cap: int = DEFAULT_POINT_CAP) -> RelaxationBundle:
+    """Five-row relaxation of the stretched simplex vertex set in Z^5.
+
+    The base mixed system is certified for the given eps (once per eps and
+    cap) before the pullback under the projection with kernel direction
+    (0,0,0,1,a*sqrt2).
+    """
+    if a < 1:
+        raise ValidationError("stretch factor must be a positive integer")
+    base = _certified_base(as_fraction(eps), cap)
     system = base.substitute_affine(_pullback_matrix(base.context, a))
     system = LinearSystem(system.context, 5, system.rows,
                           ("x1", "x2", "x3", "x4", "x5"))
@@ -266,20 +279,20 @@ def free_join_compose(left: RelaxationBundle, right: RelaxationBundle) -> Relaxa
                             Box.uniform(-1, 2, k + l + 1))
 
 
-def composed_simplex_relaxation(d: int, eps: Fraction | int | str = DEFAULT_EPS
-                                ) -> RelaxationBundle:
+def composed_simplex_relaxation(d: int, eps: Fraction | int | str = DEFAULT_EPS,
+                                cap: int = DEFAULT_POINT_CAP) -> RelaxationBundle:
     """Join-composed relaxation of a simplex vertex set of dimension d.
 
     Uses floor((d+1)/6) copies of the five-row block plus one standard
     simplex factor for the remainder, for 5*floor((d+1)/6) + ((d+1) mod 6)
-    rows in total.
+    rows in total.  cap bounds the enumeration that certifies the block.
     """
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     copies, remainder = divmod(d + 1, 6)
     parts: list[RelaxationBundle] = []
     if copies:
-        block = simplex5_relaxation(eps)
+        block = simplex5_relaxation(eps, cap=cap)
         parts = [block] * copies
     if remainder:
         parts.append(standard_simplex_bundle(remainder - 1))

@@ -62,7 +62,9 @@ class HeightFunction:
         return len(self.domain[0])
 
     def __call__(self, point: Sequence[int]) -> FieldElement:
-        return self.values[tuple(point)]
+        if (point := tuple(point)) not in self.values:
+            raise ValidationError(f"point {point} lies outside the heights' domain")
+        return self.values[point]
 
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self.values.values())
@@ -256,8 +258,11 @@ def check_upper_facet(facet: FacetSimplex, points: Iterable[Sequence[int]],
     scale = math.lcm(*(e.den for e in parts))
     # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
     base, *rows = [[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts]
+    pts = [tuple(int(x) for x in p) for p in points]
+    for p in pts:
+        heights(p)  # refuses a point outside the domain
     return _first_failure(base, [[-x for x in r] for r in rows], y.numerator * scale,
-                          facet.vertices, (tuple(int(x) for x in p) for p in points), heights)
+                          facet.vertices, pts, heights)
 
 
 def perturb_heights(points: Iterable[Sequence[int]],

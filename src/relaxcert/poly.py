@@ -12,8 +12,8 @@ field multipliers and are kept as primitive integer coefficient vectors;
 field division is left to the bounds, where the quotient is the answer.
 One enumerator serves every field: it brackets each row's value between
 integers built from floor(2^32 c^i), vectorized in int64 (Python
-integers when int64 could overflow), and hands the rare points the
-bracket cannot decide to the field's exact sign.
+integers when int64 could overflow), prunes prefixes that no completion
+satisfies, and sends points the bracket cannot decide to the exact sign.
 """
 
 from __future__ import annotations
@@ -384,6 +384,7 @@ class LinearSystem:
                                  jobs: int = 1) -> list[tuple[int, ...]]:
         """All integer points of the box satisfying the system, in lex order.
 
+        cap bounds the box's points, not the prefixes the search visits.
         jobs > 1 splits the first coordinate's range across that many worker
         processes, at most one per CPU.
         """
@@ -535,6 +536,7 @@ def _integer_rows(system: LinearSystem):
 
 _BRACKET_BITS = 32
 _CHUNK = 1 << 18
+_FIRST_STEP = 1 << 8
 
 
 def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
@@ -545,81 +547,79 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     lies within err = sum_{i>=1} |w_i| of centre = sum_i L_i w_i.  So the
     row fails where centre < -err, holds where centre > err, and only
     points with 0 < err and |centre| <= err go to the exact
-    sign_of_int_vector.  The trailing coordinates form a grid of at most
-    _CHUNK points evaluated at once; the leading ones are iterated, and the
-    last of those in tiles when a tile of more than one value fits.  The
-    arithmetic is int64 when a magnitude bound over the box stays below
-    2^62, and Python integers (dtype object) otherwise.
+    sign_of_int_vector.  Branch and bound: each step fixes the next
+    coordinate of every kept prefix (the first, as many as make at most
+    _FIRST_STEP prefixes) and drops a prefix whose centre, plus the most
+    the free coordinates can add to it and the most err reaches over the
+    box, is negative for some row; err is evaluated only on the points that
+    pass the last step.  A step holds at most _CHUNK centres, one prefix's
+    children in slices if need be.  The arithmetic is int64 when a
+    magnitude bound over the box stays below 2^62, and Python integers
+    (dtype object) otherwise.
     """
-    n, d = context.degree, box.dimension
-    scale = context.power_brackets(_BRACKET_BITS)
+    n, d, count = context.degree, box.dimension, len(int_rows)
+    a = np.array([a for a, _ in int_rows], dtype=object).reshape(count, n, d)
+    b = np.array([b for _, b in int_rows], dtype=object).reshape(count, n)
+    scale = np.array(context.power_brackets(_BRACKET_BITS), dtype=object)
     # at least 1, so that the bound also covers every coefficient array
-    reach = [max(abs(lo), abs(hi), 1) for lo, hi in box.bounds]
-    headroom = max(reach, default=0)
-    plans = []
-    for a, b in int_rows:
-        la = [sum(s * a[i][j] for i, s in enumerate(scale)) for j in range(d)]
-        lb = sum(s * v for s, v in zip(scale, b))
-        errors = [(a[i], b[i]) for i in range(1, n) if b[i] or any(a[i])]
-        size = [abs(b[i]) + sum(abs(v) * m for v, m in zip(a[i], reach)) for i in range(n)]
-        headroom = max(headroom, sum((s + 1) * z for s, z in zip(scale, size)))
-        plans.append((a, b, la, lb, errors))
+    reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in box.bounds], dtype=object)
+    size = np.abs(b) + np.abs(a) @ reach  # the most |w_i| reaches over the box
+    headroom = max((*reach, *((scale + 1) * size).sum(axis=1)), default=0)
     dtype = np.int64 if headroom < (1 << 62) else object
 
+    centres = (a * scale[:, None]).sum(axis=1).astype(dtype)
+    err_a, err_b = a[:, 1:].astype(dtype), b[:, 1:, None].astype(dtype)
+    low, high = np.array(box.bounds, dtype=np.int64).reshape(d, 2).T
+    # column j: the most coordinates j.. can add to each centre, plus the most err reaches
+    most = np.column_stack((np.maximum(-centres * low, -centres * high), size[:, 1:].sum(axis=1)))
+    most = np.cumsum(most[:, ::-1], axis=1)[:, ::-1].astype(dtype)
+
     sizes = [hi - lo + 1 for lo, hi in box.bounds]
-    split, volume = d, 1
-    while split > 0 and volume * sizes[split - 1] <= _CHUNK:
-        split -= 1
-        volume *= sizes[split]
+    first = min(d, 1 + sum(math.prod(sizes[:j]) <= _FIRST_STEP for j in range(2, d + 1)))
+    cuts = [0, first] + list(range(first + 1, d + 1))
+    steps = []
+    for j0, j1 in zip(cuts, cuts[1:]):
+        grid = np.indices(sizes[j0:j1], dtype=np.int64).reshape(
+            j1 - j0, math.prod(sizes[j0:j1])) + low[j0:j1, None]
+        steps.append((grid, -(centres[:, j0:j1] @ grid.astype(dtype)), most[:, j1:j1 + 1]))
 
-    def grid_at(bounds):
-        """The points of the given ranges of the coordinates from split on, one per column."""
-        shape = [hi - lo + 1 for lo, hi in bounds]
-        grid = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape))
-        grid += np.array([lo for lo, _ in bounds], dtype=np.int64)[:, None]
-        return grid.astype(dtype, copy=False)
-
-    width = _CHUNK // volume
-    if split and width > 1:
-        # the next coordinate, too wide to join the grid whole, joins it in tiles
-        split -= 1
-        start, stop = box.bounds[split]
-        prefixes = itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split]))
-        blocks = ((prefix, grid_at(((t, min(t + width - 1, stop)),) + box.bounds[split + 1:]))
-                  for prefix in prefixes for t in range(start, stop + 1, width))
-    else:
-        grid = grid_at(box.bounds[split:])
-        blocks = ((prefix, grid) for prefix in
-                  itertools.product(*(range(lo, hi + 1) for lo, hi in box.bounds[:split])))
-
-    def affine(coeffs, const, prefix, grid):
-        """const - coeffs . (prefix, grid) as a fresh array over the grid."""
-        out = np.full(grid.shape[1], const - sum(c * x for c, x in zip(coeffs, prefix)),
-                      dtype=dtype)
-        for c, values in zip(coeffs[split:], grid):
-            if c:
-                out -= c * values
-        return out
-
-    sign_of = context.sign_of_int_vector
+    limit = max(1, _CHUNK // max(count, 1))
     result: list[tuple[int, ...]] = []
-    for prefix, grid in blocks:
-        ok = np.ones(grid.shape[1], dtype=bool)
-        for a, b, la, lb, errors in plans:
-            centre = affine(la, lb, prefix, grid)
-            err = 0
-            for a_i, b_i in errors:
-                err += np.abs(affine(a_i, b_i, prefix, grid))
-            ok &= centre >= -err
-            if errors:
-                for idx in np.flatnonzero(ok & (centre <= err) & (err > 0)):
-                    x = prefix + tuple(int(v) for v in grid[:, idx])
-                    if sign_of([b[i] - sum(c * v for c, v in zip(a[i], x))
-                                for i in range(n)]) < 0:
-                        ok[idx] = False
-            if not ok.any():
-                break
-        result.extend(prefix + tuple(p) for p in grid[:, ok].T.tolist())
+
+    def finish(xs, centre):
+        """The bracket test, and the exact sign where it cannot decide, on the columns of xs."""
+        err = np.abs(err_b - err_a @ xs.astype(dtype)).sum(axis=1)
+        ok = (centre >= -err).all(axis=0)
+        undecided = ok & (centre <= err) & (err > 0)
+        for col in np.flatnonzero(undecided.any(axis=0)):
+            x = xs[:, col].astype(object)
+            for r in np.flatnonzero(undecided[:, col]):
+                if context.sign_of_int_vector((b[r] - a[r] @ x).tolist()) < 0:
+                    ok[col] = False
+                    break
+        result.extend(map(tuple, xs[:, ok].T.tolist()))
+
+    def descend(depth, points, values):
+        """Extend the prefixes (columns of points, their centres) by step `depth`."""
+        grid, delta, bound = steps[depth]
+        per = max(1, limit // grid.shape[1])
+        for s in range(0, points.shape[1], per):
+            for c in range(0, grid.shape[1], limit):
+                children = grid[:, c:c + limit]
+                parents = values[:, s:s + per]
+                vals = (parents[:, :, None] + delta[:, None, c:c + limit]).reshape(
+                    count, parents.shape[1] * children.shape[1])
+                keep = (vals + bound >= 0).all(axis=0)
+                if not keep.any():
+                    continue
+                xs = np.concatenate((np.repeat(points[:, s:s + per], children.shape[1], axis=1),
+                                     np.tile(children, parents.shape[1])))[:, keep]
+                if depth + 1 < len(steps):
+                    descend(depth + 1, xs, vals[:, keep])
+                else:
+                    finish(xs, vals[:, keep])
+
+    descend(0, np.zeros((0, 1), dtype=np.int64), (b @ scale).astype(dtype)[:, None])
     return result
 
 

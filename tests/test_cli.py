@@ -124,6 +124,17 @@ def test_resource_error_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_corollary_honours_cap(tmp_path, capsys):
+    # the cap bounds the enumeration that certifies each dim-5 block, as for dim5
+    out = tmp_path / "c11.json"
+    for what in (["dim5"], ["corollary", "--d", "11"]):
+        assert run(["build", *what, "--cap", "10", "--out", str(out)]) == 1
+        assert "above the cap of 10" in capsys.readouterr().err
+        assert not out.exists()
+    # below d = 5 there is no block to certify
+    assert run(["build", "corollary", "--d", "4", "--cap", "10", "--out", str(out)]) == 0
+
+
 def test_verify_jobs_below_one_exit_two(tmp_path, capsys):
     out = tmp_path / "dim5.json"
     assert run(["build", "dim5", "--out", str(out)]) == 0

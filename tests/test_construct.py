@@ -16,11 +16,11 @@ from relaxcert.construct import (RelaxationBundle,
                                  simplex5_relaxation, simplex_points,
                                  standard_simplex_bundle, stretched_simplex_points,
                                  stretched_simplex_relaxation)
-from relaxcert.errors import PreconditionError, ValidationError
+from relaxcert.errors import CertificationError, PreconditionError, ValidationError
 from relaxcert.field import make_context
 from relaxcert.lift import HeightFunction, affine_interpolant, staircase_height
-from relaxcert.poly import Box
-from relaxcert.verify import box_check
+from relaxcert.poly import DEFAULT_POINT_CAP, Box
+from relaxcert.verify import box_check, certify_mixed
 
 CTX2 = make_context(2, 2)
 
@@ -180,6 +180,44 @@ def test_composed_d7_box_check():
     bundle = composed_simplex_relaxation(7)
     result = box_check(bundle, Box.uniform(-1, 2, 7))
     assert result.passed and result.points_found == 8
+
+
+def test_composed_d13_window():
+    # [-1, 2]^13 holds 2^26 points, exactly the default cap; pruning visits few of them
+    box = Box.uniform(-1, 2, 13)
+    assert box.volume == DEFAULT_POINT_CAP
+    result = box_check(composed_simplex_relaxation(13), box)
+    assert result.passed and result.points_found == 14
+
+
+def test_dim5_base_certified_once_per_eps_and_cap(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["cap"])
+        return certify_mixed(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "certify_mixed", counting)
+    construct._certified_base.cache_clear()
+    first = simplex5_relaxation("1/9")
+    again = simplex5_relaxation(Fraction(1, 9))
+    assert calls == [DEFAULT_POINT_CAP]
+    # a fresh bundle and provenance on every call
+    assert again == first and again is not first
+    first.provenance["touched"] = True
+    assert "touched" not in simplex5_relaxation("1/9").provenance
+    composed_simplex_relaxation(40, "1/9")
+    stretched_simplex_relaxation(2, "1/9")
+    assert calls == [DEFAULT_POINT_CAP]
+    simplex5_relaxation("1/9", cap=1 << 20)
+    assert calls == [DEFAULT_POINT_CAP, 1 << 20]
+    # refuted and partial certificates are not cached
+    for eps, cap in (("1/2", DEFAULT_POINT_CAP), ("1/2", DEFAULT_POINT_CAP),
+                     ("1/9", 10), ("1/9", 10)):
+        with pytest.raises(CertificationError):
+            simplex5_relaxation(eps, cap=cap)
+    assert len(calls) == 6
+    construct._certified_base.cache_clear()
 
 
 def test_standard_simplex_bundle_counts():

@@ -203,6 +203,13 @@ def test_check_reports_extra_tight_point():
     assert not result.valid and result.tight_extra == (1, 1)
 
 
+def test_check_refuses_points_outside_the_heights():
+    h = staircase_height(2)
+    facet = facet_inequality_from_simplex([(0, 0), (0, 1), (1, 1)], h, "upper")
+    with pytest.raises(ValidationError, match="outside the heights' domain"):
+        check_upper_facet(facet, [(0, 0), (2, 0)], h)
+
+
 def test_heights_from_different_contexts_refused():
     pairs = [((0,), make_context(2, 2).one), ((1,), make_context(2, 3).one)]
     with pytest.raises(ValidationError):
@@ -322,6 +329,11 @@ def test_interpolant_on_simplex_matches_staircase():
     assert f.offset == 0
     for p in base:
         assert f(p) == h(p).as_fraction()
+
+
+def test_interpolant_refuses_points_outside_the_heights():
+    with pytest.raises(ValidationError, match="outside the heights' domain"):
+        affine_interpolant([(0, 0), (2, 0), (0, 1)], staircase_height(2))
 
 
 def test_interpolant_of_zero_heights_is_zero():

@@ -502,7 +502,7 @@ _P, _Q = _convergent(CTX2, 1 << 18)
 # no rows at all
 @example(case=(LinearSystem(make_context(5, 2), 2, ()), Box(((-1, 1), (0, 2)))),
          chunk=poly._CHUNK)
-# coordinates wider than _CHUNK join the grid in tiles, the last one narrower
+# one prefix's children in slices when they alone exceed _CHUNK, the last one narrower
 @example(case=(LinearSystem.from_rows(CTX1, [((1,), 3)], 1), Box(((-4, 6),))), chunk=4)
 @example(case=(LinearSystem.from_rows(CTX2, [((1, CTX2.element((-_P, _Q))), 0),
                                              ((CTX2.element((1, 1)), -1), 2)], 2),
@@ -518,6 +518,18 @@ _P, _Q = _convergent(CTX2, 1 << 18)
 # (q sqrt2 - p) x <= 0 with |q sqrt2 - p| < 1/q: only the exact sign decides it
 @example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((-_P, _Q)),), 0)], 1),
                Box(((-2, 2),))), chunk=poly._CHUNK)
+# ... also past a first step of two coordinates: the points (1, *, x3) with
+# (q sqrt2 - p) x3 < 0 are kept by the exact sign alone
+@example(case=(LinearSystem.from_rows(CTX2, [((1, 0, CTX2.element((-_P, _Q))), 1)], 3),
+               Box(((0, 1), (-20, 20), (-2, 2)))), chunk=poly._CHUNK)
+# the first step fixes x1 alone, and x1 + sqrt2 x3 <= -9/2 - 3 sqrt2 prunes every prefix
+@example(case=(LinearSystem.from_rows(CTX2, [((1, 0, CTX2.element((0, 1))),
+                                              CTX2.element((Fraction(-9, 2), -3)))], 3),
+               Box(((-3, 3), (-20, 20), (-3, 3)))), chunk=poly._CHUNK)
+# Python integers (dtype object), one prefix at a time
+@example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((1 << 61, 3)), 1, -1), 5),
+                                             ((-1, CTX2.element((0, -(1 << 59))), 1), 2)], 3),
+               Box.uniform(-2, 2, 3)), chunk=1)
 def test_enumerate_matches_membership_oracle(case, chunk):
     """Enumeration equals a per-point FieldElement.sign filter over the box."""
     system, box = case
