@@ -259,8 +259,8 @@ def check_upper_facet(facet: FacetSimplex, points: Iterable[Sequence[int]],
     # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
     base, *rows = [[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts]
     pts = [tuple(int(x) for x in p) for p in points]
-    for p in pts:
-        heights(p)  # refuses a point outside the domain
+    if outside := set(pts) - heights.values.keys():
+        raise ValidationError(f"point {min(outside)} lies outside the heights' domain")
     return _first_failure(base, [[-x for x in r] for r in rows], y.numerator * scale,
                           facet.vertices, pts, heights)
 

@@ -18,7 +18,6 @@ satisfies, and sends points the bracket cannot decide to the exact sign.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor

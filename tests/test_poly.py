@@ -495,6 +495,7 @@ def _oracle_cases(draw):
 
 
 _P, _Q = _convergent(CTX2, 1 << 18)
+_NEAR_TWO = make_context(2, Fraction((1 << 40) + 1, 1 << 38))
 
 
 @settings(max_examples=150, deadline=None)
@@ -522,6 +523,12 @@ _P, _Q = _convergent(CTX2, 1 << 18)
 # (q sqrt2 - p) x3 < 0 are kept by the exact sign alone
 @example(case=(LinearSystem.from_rows(CTX2, [((1, 0, CTX2.element((-_P, _Q))), 1)], 3),
                Box(((0, 1), (-20, 20), (-2, 2)))), chunk=poly._CHUNK)
+# c = sqrt(4 + 2^-38) lies within 2^-39 of 2: at x = 1 the bracket of 2 - c x (dropped)
+# and of c x - 2 (kept) has centre 0 and err 1, so only the exact sign decides
+@example(case=(LinearSystem.from_rows(_NEAR_TWO, [((_NEAR_TWO.root_power(1),), 2)], 1),
+               Box(((-1, 1),))), chunk=poly._CHUNK)
+@example(case=(LinearSystem.from_rows(_NEAR_TWO, [((-_NEAR_TWO.root_power(1),), -2)], 1),
+               Box(((-1, 1),))), chunk=poly._CHUNK)
 # the first step fixes x1 alone, and x1 + sqrt2 x3 <= -9/2 - 3 sqrt2 prunes every prefix
 @example(case=(LinearSystem.from_rows(CTX2, [((1, 0, CTX2.element((0, 1))),
                                               CTX2.element((Fraction(-9, 2), -3)))], 3),
