@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import build_full_cover, dominating_family
-from .errors import CertificationError, PreconditionError, ValidationError
+from .errors import (CertificationError, PreconditionError, ResourceLimitError,
+                     ValidationError)
 from .field import FieldContext, as_fraction, make_context
 from .lift import (HeightFunction, affine_interpolant, facet_inequality_from_simplex,
                    perturb_heights, staircase_height)
@@ -161,12 +162,17 @@ def _pullback_matrix(ctx: FieldContext, a: int):
 def _certified_base(eps: Fraction, cap: int) -> LinearSystem:
     """The five-row mixed system for eps, certified once per (eps, cap).
 
-    Only a certified system is returned, and so cached: a refuted or
-    partial certificate raises, and is computed again on the next call.
+    Only a certified system is returned, and so cached: a refuted
+    certificate raises CertificationError and a partial one (the
+    enumeration hit the cap) ResourceLimitError; either is computed again
+    on the next call.
     """
     base = projected_simplex_relaxation(eps)
     certificate = certify_mixed(base, projected_simplex_points(),
                                 projected_simplex_heights(base.context), cap=cap)
+    if certificate.verdict == "partial":
+        raise ResourceLimitError(
+            f"mixed certificate for eps={eps} is partial: {certificate.witness}")
     if not certificate.certified:
         raise CertificationError(
             f"mixed certificate failed for eps={eps}: {certificate.witness}",

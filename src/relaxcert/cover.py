@@ -12,13 +12,12 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
-from .errors import (DegenerateSimplexError, PreconditionError, ResourceLimitError,
-                     ValidationError)
-from .lift import (FacetSimplex, HeightFunction, _facet_row, _first_failure,
-                   check_upper_facet, facet_inequality_from_simplex, staircase_height)
+from .errors import PreconditionError, ResourceLimitError, ValidationError
+from .lift import (FacetSimplex, HeightFunction, _screen_facets, check_upper_facet,
+                   facet_inequality_from_simplex, staircase_height)
 
 Point = tuple[int, ...]
 
@@ -389,8 +388,9 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
                                       ) -> list[FacetSimplex]:
     """All valid simplicial facets of the requested orientation, by brute force.
 
-    Candidates are screened by their integer facet rows, one bracket sign per
-    point up to the first failure; only survivors become FacetSimplex values.
+    Every candidate is screened at once by lift._screen_facets, in blocks of
+    bounded memory; only survivors become FacetSimplex values, in
+    combinations order.
     An empty list, points of mixed dimension and points outside the heights'
     domain are refused with ValidationError before any candidate is counted.
     """
@@ -408,15 +408,9 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
         raise ResourceLimitError(
             f"{candidates} candidate simplices exceed the enumeration guard of "
             f"{_ENUMERATION_CANDIDATE_GUARD}", required=candidates)
-    facets = []
-    for candidate in combinations(pts, k + 1):
-        try:
-            verts, lead, cofactors = _facet_row(candidate, heights, orientation)
-        except DegenerateSimplexError:
-            continue
-        if _first_failure(cofactors[0], cofactors[1:], lead, verts, pts, heights).valid:
-            facets.append(facet_inequality_from_simplex(candidate, heights, orientation))
-    return facets
+    mask = _screen_facets(pts, combinations(range(len(pts)), k + 1), heights, orientation)
+    return [facet_inequality_from_simplex(candidate, heights, orientation)
+            for candidate in compress(combinations(pts, k + 1), mask)]
 
 
 def enumerate_simplicial_lower_facets(points: Sequence[Sequence[int]],

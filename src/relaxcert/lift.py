@@ -17,7 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._linalg import _fraction_free, determinant
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
@@ -184,6 +187,85 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
     return verts, s * sign * d, [[s * sign * x for x in row[k + 1:]] for row in m]
 
 
+_SCREEN_ENTRIES = 1 << 13  # about the most entries one block's largest array holds
+
+
+def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_facet_row on a stack of matrices [A^T | H], shape (C, k+1, 1+k+n), at once.
+
+    The same fraction-free Gauss-Jordan pass runs on every matrix; one with
+    no pivot left in some column is affinely dependent and is dropped, so
+    every survivor has the pivot of column t in row t, with its own row
+    swaps and sign.  Returns (kept, lead, C): the survivors' indices, their
+    leads and their cofactor vectors C[:, r], oriented as by _facet_row.
+    """
+    kept, sign, k1 = np.arange(len(m)), np.ones(len(m), dtype=np.int64), m.shape[1]
+    prev = np.ones(len(m), dtype=m.dtype)
+    for t in range(k1):
+        nonzero = m[:, t:, t] != 0
+        full = nonzero.any(axis=1)
+        m, kept, sign, prev = m[full], kept[full], sign[full], prev[full]
+        at, p = np.arange(len(m)), t + nonzero[full].argmax(axis=1)
+        m[at, t], m[at, p] = m[at, p], m[at, t]
+        sign[p != t] *= -1
+        row = m[:, t:t + 1]
+        pivot = row[:, :, t:t + 1]
+        m = (pivot * m - m[:, :, t:t + 1] * row) // prev[:, None, None]
+        m[:, t] = row[:, 0]
+        prev = pivot[:, 0, 0]
+    flip = sign * np.where((sign * prev > 0) == (orientation == "upper"), 1, -1)
+    return kept, flip * prev, flip[:, None, None] * m[:, :, k1:]
+
+
+def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
+                   heights: HeightFunction, orientation: str) -> np.ndarray:
+    """Bool mask: is each candidate simplex a valid facet of the given orientation?
+
+    simplices yields (k+1)-tuples of indices into points; they are read in
+    blocks whose largest array holds about _SCREEN_ENTRIES entries.  Each
+    block's rows come from _batched_rows and its slacks C_0 + sum_i p_i C_i
+    - lead * H(p), shape (C, P, n), from one matmul.  A candidate is valid
+    iff it is non-degenerate and every slack off its vertices is positive:
+    the integer's sign at degree 1, above it the bracket centre = sum_i L_i
+    w_i with L = power_brackets(32) unless |centre| <= err = sum_{i>=1}
+    |w_i|, where sign_of_int_vector decides.  The arithmetic is int64 when
+    a bound on every elimination product and centre stays below 2^62, and
+    Python integers (dtype object) otherwise.
+    """
+    if orientation not in ("upper", "lower"):
+        raise ValidationError(f"unknown orientation {orientation!r}")
+    ctx, table = heights.context, heights._numerators[1]
+    k, n = len(points[0]), ctx.degree
+    rows = np.array([[1, *p, *table[p]] for p in points], dtype=object)
+    reach, top = np.abs(rows[:, :k + 1]).max(), max(1, np.abs(rows[:, k + 1:]).max())
+    # every minor of a stack, hence every entry of its elimination, has at most one H column
+    minor = math.factorial(k + 1) * reach ** k * max(reach, top)
+    brackets = ctx.power_brackets(32) if n > 1 else (1,)
+    headroom = max(2 * minor ** 2, (1 + k * reach + top) * minor * (sum(brackets) + n))
+    rows = rows.astype(np.int64 if headroom < (1 << 62) else object)
+    brackets = np.array(brackets, dtype=rows.dtype)
+    x, hp = rows[:, :k + 1], rows[:, k + 1:]
+    size = max(1, _SCREEN_ENTRIES // max((k + 1) * (k + 1 + n), len(points) * n))
+    masks, simplices = [np.zeros(0, dtype=bool)], iter(simplices)
+    while block := list(islice(simplices, size)):
+        index = np.array(block, dtype=np.intp)
+        kept, lead, cofactors = _batched_rows(rows[index], orientation)
+        w = x @ cofactors - lead[:, None, None] * hp
+        vertex = np.zeros(w.shape[:2], dtype=bool)
+        np.put_along_axis(vertex, index[kept], True, axis=1)
+        if n == 1:
+            positive = w[:, :, 0] > 0
+        else:
+            centre, err = w @ brackets, np.abs(w[:, :, 1:]).sum(axis=2)
+            positive = centre > err
+            for c, p in zip(*np.nonzero((abs(centre) <= err) & ~vertex)):
+                positive[c, p] = ctx.sign_of_int_vector(w[c, p].tolist()) > 0
+        mask = np.zeros(len(block), dtype=bool)
+        mask[kept] = (positive | vertex).all(axis=1)
+        masks.append(mask)
+    return np.concatenate(masks)
+
+
 def _first_failure(base: Sequence[int], coeffs: Sequence[Sequence[int]], lead: int,
                    vertices: Iterable[Point], points: Iterable[Point],
                    heights: HeightFunction) -> FacetCheck:
@@ -277,7 +359,7 @@ def perturb_heights(points: Iterable[Sequence[int]],
     heights on `moved` together with 1 are linearly independent over Q.
     eps = 2**-t for the smallest t such that every cover facet, rebuilt
     from its vertices under the new heights, is still valid; validity is
-    re-verified with exact arithmetic.
+    re-verified exactly, by one _screen_facets call per orientation.
     """
     t_points = sorted(tuple(int(x) for x in p) for p in points)
     x_set = {tuple(int(v) for v in p) for p in base}
@@ -309,17 +391,14 @@ def perturb_heights(points: Iterable[Sequence[int]],
         return HeightFunction.from_pairs(pairs)
 
     offsets = {p: j + 1 for j, p in enumerate(y_list)}
+    index, sides = {p: i for i, p in enumerate(t_points)}, {}
+    for facet in cover:  # affine dependence does not depend on the heights: refuse it now
+        _facet_row(facet.vertices, heights, facet.orientation)
+        sides.setdefault(facet.orientation, []).append([index[v] for v in facet.vertices])
     for t in range(64):
         eps = Fraction(1, 1 << t)
         candidate = build(eps)
-        ok = True
-        for facet in cover:
-            rebuilt = facet_inequality_from_simplex(facet.vertices, candidate,
-                                                    facet.orientation)
-            if not check_upper_facet(rebuilt, t_points, candidate).valid:
-                ok = False
-                break
-        if ok:
+        if all(_screen_facets(t_points, s, candidate, o).all() for o, s in sides.items()):
             return candidate, eps
     raise ArithmeticError("no perturbation size accepted after 64 halvings")
 

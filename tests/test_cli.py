@@ -125,14 +125,29 @@ def test_resource_error_exit_two(tmp_path, capsys):
 
 
 def test_build_corollary_honours_cap(tmp_path, capsys):
-    # the cap bounds the enumeration that certifies each dim-5 block, as for dim5
+    # the cap bounds the enumeration that certifies each dim-5 block, as for dim5;
+    # hitting it leaves the certificate partial, a resource error and not a refutation
     out = tmp_path / "c11.json"
     for what in (["dim5"], ["corollary", "--d", "11"]):
-        assert run(["build", *what, "--cap", "10", "--out", str(out)]) == 1
-        assert "above the cap of 10" in capsys.readouterr().err
+        assert run(["build", *what, "--cap", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the cap of 10" in err
         assert not out.exists()
     # below d = 5 there is no block to certify
     assert run(["build", "corollary", "--d", "4", "--cap", "10", "--out", str(out)]) == 0
+
+
+def test_partial_and_refuted_dim5_exit_codes(tmp_path, capsys):
+    # a partial certificate exits 2 from build as from certify-mixed; a refuted one exits 1
+    mixed, heights = tmp_path / "mixed.json", tmp_path / "heights.json"
+    assert run(["build", "dim5", "--out", str(tmp_path / "dim5.json"), "--mixed-out",
+                str(mixed), "--heights-out", str(heights)]) == 0
+    assert run(["certify-mixed", "--system", str(mixed), "--heights", str(heights),
+                "--cap", "10"]) == 2
+    assert run(["build", "dim5", "--cap", "10", "--out", str(tmp_path / "d.json")]) == 2
+    capsys.readouterr()
+    assert run(["build", "dim5", "--eps", "1/2", "--out", str(tmp_path / "r.json")]) == 1
+    assert "refuted (mixed-system)" in capsys.readouterr().err
 
 
 def test_verify_jobs_below_one_exit_two(tmp_path, capsys):

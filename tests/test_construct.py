@@ -16,7 +16,8 @@ from relaxcert.construct import (RelaxationBundle,
                                  simplex5_relaxation, simplex_points,
                                  standard_simplex_bundle, stretched_simplex_points,
                                  stretched_simplex_relaxation)
-from relaxcert.errors import CertificationError, PreconditionError, ValidationError
+from relaxcert.errors import (CertificationError, PreconditionError, ResourceLimitError,
+                              ValidationError)
 from relaxcert.field import make_context
 from relaxcert.lift import HeightFunction, affine_interpolant, staircase_height
 from relaxcert.poly import DEFAULT_POINT_CAP, Box
@@ -212,9 +213,10 @@ def test_dim5_base_certified_once_per_eps_and_cap(monkeypatch):
     simplex5_relaxation("1/9", cap=1 << 20)
     assert calls == [DEFAULT_POINT_CAP, 1 << 20]
     # refuted and partial certificates are not cached
-    for eps, cap in (("1/2", DEFAULT_POINT_CAP), ("1/2", DEFAULT_POINT_CAP),
-                     ("1/9", 10), ("1/9", 10)):
-        with pytest.raises(CertificationError):
+    for eps, cap, error in (("1/2", DEFAULT_POINT_CAP, CertificationError),
+                            ("1/2", DEFAULT_POINT_CAP, CertificationError),
+                            ("1/9", 10, ResourceLimitError), ("1/9", 10, ResourceLimitError)):
+        with pytest.raises(error):
             simplex5_relaxation(eps, cap=cap)
     assert len(calls) == 6
     construct._certified_base.cache_clear()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaxcert import cover
+from relaxcert import cover, lift
 from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations,
                              dominating_facet_family, dominating_facet_vertices,
                              dominating_family, enumerate_simplicial_lower_facets,
@@ -307,7 +307,8 @@ def test_enumeration_guard_counts_candidates(monkeypatch):
     def no_work(*args):
         raise AssertionError("a candidate was examined before the guard")
 
-    monkeypatch.setattr(cover, "_facet_row", no_work)
+    monkeypatch.setattr(cover, "_screen_facets", no_work)
+    monkeypatch.setattr(lift, "_batched_rows", no_work)
     h = staircase_height(6)
     with pytest.raises(ResourceLimitError) as info:
         enumerate_simplicial_upper_facets(cube(6), h)
@@ -396,6 +397,57 @@ def test_integer_facet_rows_match_field_reference(case, orientation, data):
         parts = [e * Fraction(2, 3) for e in (facet.y_coeff, facet.rhs, *facet.coeffs)]
         scaled = FacetSimplex(facet.vertices, side, tuple(parts[2:]), parts[0], parts[1])
         assert check_upper_facet(scaled, order, heights) == expected_check
+
+
+def spy_blocks(monkeypatch):
+    """Record the length and dtype of every block the facet screen eliminates."""
+    seen, batched = [], lift._batched_rows
+
+    def spy(m, orientation):
+        seen.append((len(m), m.dtype))
+        return batched(m, orientation)
+
+    monkeypatch.setattr(lift, "_batched_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+def test_screen_block_size_does_not_change_the_facets(monkeypatch, orientation):
+    points = cube(3)
+    cases = [staircase_height(3), HeightFunction.from_pairs(
+        (p, make_context(2, 2).element([i - 3, Fraction(i % 3, 2)])) for i, p in enumerate(points))]
+    for heights in cases:
+        expected = [f.to_json_dict()
+                    for f in enumerate_simplicial_upper_facets(points, heights, orientation)]
+        # at k = 3 the largest array of a block holds 4 x (4 + n) entries per candidate
+        for block in (1, 3):
+            seen = spy_blocks(monkeypatch)
+            monkeypatch.setattr(lift, "_SCREEN_ENTRIES", block * 4 * (4 + heights.context.degree))
+            facets = enumerate_simplicial_upper_facets(points, heights, orientation)
+            assert [f.to_json_dict() for f in facets] == expected
+            assert {size for size, _ in seen} == {block, math.comb(8, 4) % block or block}
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_screen_object_path_past_int64_headroom(monkeypatch, degree):
+    # height numerators near 2^40 put the elimination products past 2^62
+    ctx = make_context(degree, 2)
+    big = 1 << 40
+    heights = HeightFunction.from_pairs(
+        (p, ctx.element([big * (sum(p[:-1]) ** 2) * (2 * p[-1] - 1) + i, *[big - i] * (degree - 1)]))
+        for i, p in enumerate(cube(3)))
+    seen = spy_blocks(monkeypatch)
+    for orientation in ("upper", "lower"):
+        facets = enumerate_simplicial_upper_facets(cube(3), heights, orientation)
+        assert facets == reference_enumeration(cube(3), heights, orientation)
+        assert facets
+    assert seen and all(dtype == object for _, dtype in seen)
+
+
+def test_screen_refuses_unknown_orientation():
+    with pytest.raises(ValidationError, match="unknown orientation"):
+        enumerate_simplicial_upper_facets(cube(2), staircase_height(2), "sideways")
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ValidationError)
 from relaxcert.field import FieldContext, make_context
-from relaxcert.lift import (HeightFunction, affine_interpolant,
-                            check_upper_facet, facet_inequality_from_simplex,
-                            perturb_heights, staircase_height)
+from relaxcert import lift
+from relaxcert.lift import (FacetSimplex, HeightFunction, _batched_rows, _facet_row,
+                            affine_interpolant, check_upper_facet,
+                            facet_inequality_from_simplex, perturb_heights,
+                            staircase_height)
 
 CTX1 = make_context(1, 2)
 
@@ -169,6 +173,37 @@ def test_facet_inequality_matches_laplace_oracle(data, k, degree, orientation):
         assert facet.to_json_dict() == expected
 
 
+def random_heights(points, degree, seed):
+    rng, ctx = random.Random(seed), make_context(degree, 2)
+    return HeightFunction.from_pairs(
+        (p, ctx.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for _ in range(degree)])) for p in points)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_rows_match_facet_row(k):
+    # every candidate of the k-cube at once, against the one-candidate pass
+    points = cube(k)
+    candidates = list(combinations(range(len(points)), k + 1))
+    cases = [(staircase_height(k), "upper"), (staircase_height(k), "lower"),
+             (random_heights(points, 2, k), "upper"), (random_heights(points, 5, k), "lower")]
+    for heights, orientation in cases:
+        rows = {}
+        for i, candidate in enumerate(candidates):
+            try:
+                rows[i] = _facet_row([points[j] for j in candidate], heights, orientation)
+            except DegenerateSimplexError:
+                pass
+        table = heights._numerators[1]
+        stack = np.array([[1, *p, *table[p]] for p in points], dtype=object)
+        for dtype in (np.int64, object):
+            kept, lead, cofactors = _batched_rows(
+                stack.astype(dtype)[np.array(candidates)], orientation)
+            assert kept.tolist() == sorted(rows)
+            for i, lead_i, cof in zip(kept.tolist(), lead.tolist(), cofactors.tolist()):
+                assert (lead_i, cof) == rows[i][1:]
+
+
 # ---------------------------------------------------------------------------
 # facet validity checks
 # ---------------------------------------------------------------------------
@@ -309,6 +344,45 @@ def test_perturb_rejects_invalid_cover():
         [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)], h, "lower")
     with pytest.raises(PreconditionError):
         perturb_heights(points, base, moved, h, [bad])
+
+
+def test_perturb_halves_until_both_orientations_hold():
+    # (1, 1) sits 1/100 below the plane of the other three corners; its offset
+    # eps * sqrt2 must stay under 1/100 for both cover facets, so eps = 2^-8
+    points = cube(2)
+    base, moved = points[:3], points[3:]
+    h = rational_heights([(p, 0) for p in base] + [((1, 1), Fraction(-1, 100))])
+    cover = [facet_inequality_from_simplex(base, h, "upper"),
+             facet_inequality_from_simplex([(0, 0), (1, 0), (1, 1)], h, "lower")]
+    perturbed, eps = perturb_heights(points, base, moved, h, cover)
+    assert eps == Fraction(1, 256)
+    ctx = perturbed.context
+    for scale, valid in ((1, True), (2, False)):
+        shifted = HeightFunction.from_pairs(
+            [(p, ctx.from_rational(h(p).as_fraction())) for p in base]
+            + [((1, 1), ctx.from_rational(Fraction(-1, 100)) + ctx.root_power(1) * eps * scale)])
+        rebuilt = [facet_inequality_from_simplex(f.vertices, shifted, f.orientation)
+                   for f in cover]
+        assert all(check_upper_facet(f, points, shifted).valid for f in rebuilt) == valid
+
+
+def test_perturb_refuses_dependent_cover_facet_before_halving(monkeypatch):
+    # a valid row on an affinely dependent vertex set passes the precondition check
+    points = cube(3)
+    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    moved = sorted(set(points) - set(base))
+    h = staircase_height(3)
+    one = h.context.one
+    flat = FacetSimplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), "upper",
+                        (h.context.zero,) * 3, one, one * 100)
+    assert check_upper_facet(flat, points, h).valid
+
+    def no_halving(*args):
+        raise AssertionError("a halving ran before the degenerate facet was refused")
+
+    monkeypatch.setattr(lift, "_screen_facets", no_halving)
+    with pytest.raises(DegenerateSimplexError):
+        perturb_heights(points, base, moved, h, build_cover_k3() + (flat,))
 
 
 def test_perturb_rejects_bad_partition():
