@@ -6,12 +6,14 @@ gcd(den, *num) == 1 (the form of ANTIC's nf_elem), so two elements are
 equal exactly when their (num, den) are.  Products fold c**n = p/q back in
 integers; inverses solve the element's integer multiplication matrix, the
 same matrix _linalg.kernel_basis expands field entries into, by the
-fraction-free Gauss-Jordan elimination of _linalg.  Signs come from the
-integers L[i] = floor(2**B * c**i), the same brackets the lattice
-enumerator uses: they bound 2**B times the numerator sum between two
-integers, and B is raised until that bracket excludes zero.  No
-floating-point arithmetic is used on any certified result (float
-conversion exists for diagnostics only).
+fraction-free Gauss-Jordan elimination of _linalg.  Every sign is that of
+an integer vector w: with L[i] = floor(2**B * c**i), sum L[i] w[i] lies
+within sum_{i>=1} |w[i]| of 2**B times the value.  sign_of_int_vector
+raises B until that bracket excludes zero; signs_of_int_vectors, the one
+kernel for numpy stacks of vectors, applies it at B = 32 and leaves only
+what it cannot decide to sign_of_int_vector.  No floating-point
+arithmetic is used on any certified result (float conversion exists for
+diagnostics only).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from ._linalg import _fraction_free
 from .errors import ValidationError
@@ -84,7 +88,7 @@ class FieldContext:
     concurrent sign queries are safe.  make_context interns contexts.
     """
 
-    __slots__ = ("degree", "radicand", "_lock", "_brackets", "_zero", "_one")
+    __slots__ = ("degree", "radicand", "_lock", "_brackets", "_kernel", "_zero", "_one")
 
     def __init__(self, degree: int, radicand: RationalLike):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
@@ -103,6 +107,7 @@ class FieldContext:
         self.radicand = radicand
         self._lock = threading.Lock()
         self._brackets = (_INITIAL_BITS, self.power_brackets(_INITIAL_BITS))
+        self._kernel = None
         self._zero = FieldElement(self, (0,) * degree, 1)
         self._one = FieldElement(self, (1,) + (0,) * (degree - 1), 1)
 
@@ -169,6 +174,34 @@ class FieldContext:
             if hi < 0:
                 return -1
             self._narrow(bits)
+
+    def _kernel_brackets(self) -> tuple[int, ...]:
+        """The kernel's L = power_brackets(32), computed once; a race stores equal tuples."""
+        if self._kernel is None:
+            self._kernel = self.power_brackets(32)
+        return self._kernel
+
+    def signs_of_int_vectors(self, w: np.ndarray) -> np.ndarray:
+        """Signs of sum(w[..., i] * c**i) for the integer vectors on w's last axis.
+
+        _bracket at B = 32 on the whole stack; sign_of_int_vector decides only
+        the vectors it leaves open.  The arithmetic is int64 while max|w| *
+        (sum L + n) < 2**62, and Python integers otherwise, whatever w's dtype.
+        """
+        w = np.asarray(w)
+        if w.ndim == 0 or w.shape[-1] != self.degree or w.dtype.kind not in "iuO":
+            raise ValidationError(f"not a stack of integer vectors of length {self.degree}")
+        if self.degree == 1:  # the bracket is exact: the value is w[..., 0] itself
+            return np.sign(w[..., 0]).astype(np.int64)
+        brackets = self._kernel_brackets()
+        top = max(int(w.max(initial=0)), -int(w.min(initial=0)))
+        dtype = np.int64 if top * (sum(brackets) + self.degree) < (1 << 62) else object
+        flat = w.reshape(-1, self.degree).astype(dtype, copy=False)
+        centre, err = flat @ np.array(brackets, dtype=dtype), np.abs(flat[:, 1:]).sum(axis=1)
+        signs = (centre > err).astype(np.int64) - (centre < -err)
+        for i in np.flatnonzero((signs == 0) & (err > 0)):
+            signs[i] = self.sign_of_int_vector(flat[i].tolist())
+        return signs.reshape(w.shape[:-1])
 
     def multiplication_matrix(self, num: Sequence[int]) -> list[list[int]]:
         """q times the matrix of multiplication by sum(num[i] * c**i), for c**n = p/q.

@@ -5,10 +5,11 @@ lower facets of the lifted hull carry inequalities in (x, y).  One integer
 facet row serves building, screening and checking them: with A the integer
 vertex matrix and H(v) the numerator vector of h(v) over the heights'
 common denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and
-det(A) give every slack as an integer vector whose sign is the field's
-bracket sign.  The perturbation routine gives a chosen subset irrational
-height offsets along powers of a root of 2, keeping a given facet cover
-valid, which it re-verifies exactly.
+det(A) give every slack as an integer vector, and the field's kernel
+signs_of_int_vectors signs a whole stack of them at once.  The
+perturbation routine gives a chosen subset irrational height offsets
+along powers of a root of 2, keeping a given facet cover valid, which it
+re-verifies exactly.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class HeightFunction:
         if (point := tuple(point)) not in self.values:
             raise ValidationError(f"point {point} lies outside the heights' domain")
         return self.values[point]
+
+    def _require_domain(self, points: Iterable[Point]) -> None:
+        if outside := set(points) - self.values.keys():
+            raise ValidationError(f"point {min(outside)} lies outside the heights' domain")
 
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self.values.values())
@@ -174,6 +179,7 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
     if len(verts) != k + 1:
         raise DegenerateSimplexError(
             f"need exactly {k + 1} vertices in dimension {k}, got {len(verts)}")
+    heights._require_domain(verts)
     table = heights._numerators[1]
     # one Gauss-Jordan pass over the rows (1, v_c, H(v_c)) of [A^T | H] leaves
     # [d I | d (A^T)^-1 H], and d (A^T)^-1 = sign * adj(A)^T: row r is sign * C_r
@@ -224,13 +230,11 @@ def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     simplices yields (k+1)-tuples of indices into points; they are read in
     blocks whose largest array holds about _SCREEN_ENTRIES entries.  Each
     block's rows come from _batched_rows and its slacks C_0 + sum_i p_i C_i
-    - lead * H(p), shape (C, P, n), from one matmul.  A candidate is valid
-    iff it is non-degenerate and every slack off its vertices is positive:
-    the integer's sign at degree 1, above it the bracket centre = sum_i L_i
-    w_i with L = power_brackets(32) unless |centre| <= err = sum_{i>=1}
-    |w_i|, where sign_of_int_vector decides.  The arithmetic is int64 when
-    a bound on every elimination product and centre stays below 2^62, and
-    Python integers (dtype object) otherwise.
+    - lead * H(p), shape (C, P, n), from one matmul; the field's kernel
+    signs_of_int_vectors signs them all.  A candidate is valid iff it is
+    non-degenerate and every slack off its vertices is positive.  The
+    elimination is int64 when a bound on every product it forms stays
+    below 2^62, and Python integers (dtype object) otherwise.
     """
     if orientation not in ("upper", "lower"):
         raise ValidationError(f"unknown orientation {orientation!r}")
@@ -238,57 +242,22 @@ def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     k, n = len(points[0]), ctx.degree
     rows = np.array([[1, *p, *table[p]] for p in points], dtype=object)
     reach, top = np.abs(rows[:, :k + 1]).max(), max(1, np.abs(rows[:, k + 1:]).max())
-    # every minor of a stack, hence every entry of its elimination, has at most one H column
+    # every minor of a stack, hence every entry of its elimination, has at most one H
+    # column; the slacks, at most (1 + k reach + top) minor, stay below the bound too
     minor = math.factorial(k + 1) * reach ** k * max(reach, top)
-    brackets = ctx.power_brackets(32) if n > 1 else (1,)
-    headroom = max(2 * minor ** 2, (1 + k * reach + top) * minor * (sum(brackets) + n))
-    rows = rows.astype(np.int64 if headroom < (1 << 62) else object)
-    brackets = np.array(brackets, dtype=rows.dtype)
+    rows = rows.astype(np.int64 if 2 * minor ** 2 < (1 << 62) else object)
     x, hp = rows[:, :k + 1], rows[:, k + 1:]
     size = max(1, _SCREEN_ENTRIES // max((k + 1) * (k + 1 + n), len(points) * n))
     masks, simplices = [np.zeros(0, dtype=bool)], iter(simplices)
     while block := list(islice(simplices, size)):
         index = np.array(block, dtype=np.intp)
         kept, lead, cofactors = _batched_rows(rows[index], orientation)
-        w = x @ cofactors - lead[:, None, None] * hp
-        vertex = np.zeros(w.shape[:2], dtype=bool)
-        np.put_along_axis(vertex, index[kept], True, axis=1)
-        if n == 1:
-            positive = w[:, :, 0] > 0
-        else:
-            centre, err = w @ brackets, np.abs(w[:, :, 1:]).sum(axis=2)
-            positive = centre > err
-            for c, p in zip(*np.nonzero((abs(centre) <= err) & ~vertex)):
-                positive[c, p] = ctx.sign_of_int_vector(w[c, p].tolist()) > 0
+        positive = ctx.signs_of_int_vectors(x @ cofactors - lead[:, None, None] * hp) > 0
+        np.put_along_axis(positive, index[kept], True, axis=1)  # the vertices' zero slacks
         mask = np.zeros(len(block), dtype=bool)
-        mask[kept] = (positive | vertex).all(axis=1)
+        mask[kept] = positive.all(axis=1)
         masks.append(mask)
     return np.concatenate(masks)
-
-
-def _first_failure(base: Sequence[int], coeffs: Sequence[Sequence[int]], lead: int,
-                   vertices: Iterable[Point], points: Iterable[Point],
-                   heights: HeightFunction) -> FacetCheck:
-    """The first point off the vertices where base + p . coeffs - lead * H(p) is <= 0.
-
-    That integer vector is a positive multiple of an integer facet row's
-    slack at (p, h(p)); its sign is the field's exact bracket sign.
-    """
-    sign, table = heights.context.sign_of_int_vector, heights._numerators[1]
-    skip = set(vertices)
-    for point in points:
-        if point in skip:
-            continue
-        vec = [b - lead * y for b, y in zip(base, table[point])]
-        for x, c in zip(point, coeffs):
-            if x:
-                vec = [v + x * w for v, w in zip(vec, c)]
-        s = sign(vec)
-        if s < 0:
-            return FacetCheck(False, violated_at=point)
-        if s == 0:
-            return FacetCheck(False, tight_extra=point)
-    return FacetCheck(True)
 
 
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
@@ -330,21 +299,28 @@ def check_upper_facet(facet: FacetSimplex, points: Iterable[Sequence[int]],
     facet non-simplicial).  Points are checked in the given order and the
     first failure is reported.  The facet's own row is read as integer
     vectors over one denominator (y_coeff must be rational, as it is for
-    every facet built here), so each slack sign is one bracket sign.
+    every facet built here), and the slacks at all points are signed at
+    once by the field's kernel signs_of_int_vectors.
     """
     ctx = heights.context
     parts = (facet.rhs, *facet.coeffs)
     if any(e.context != ctx for e in (facet.y_coeff, *parts)):
         raise ValidationError("facet and heights from different field contexts")
-    y, den = facet.y_coeff.as_fraction(), heights._numerators[0]
+    y, (den, table) = facet.y_coeff.as_fraction(), heights._numerators
     scale = math.lcm(*(e.den for e in parts))
     # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
     base, *rows = [[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts]
     pts = [tuple(int(x) for x in p) for p in points]
-    if outside := set(pts) - heights.values.keys():
-        raise ValidationError(f"point {min(outside)} lies outside the heights' domain")
-    return _first_failure(base, [[-x for x in r] for r in rows], y.numerator * scale,
-                          facet.vertices, pts, heights)
+    heights._require_domain(pts)
+    x = np.array(pts, dtype=object).reshape(len(pts), len(rows))
+    hp = np.array([table[p] for p in pts], dtype=object).reshape(len(pts), ctx.degree)
+    signs = ctx.signs_of_int_vectors(
+        np.array(base, dtype=object) - x @ np.array(rows, dtype=object)
+        - y.numerator * scale * hp)
+    for point, s in zip(pts, signs.tolist()):
+        if s <= 0 and point not in facet.vertices:
+            return FacetCheck(False, point if s < 0 else None, point if s == 0 else None)
+    return FacetCheck(True)
 
 
 def perturb_heights(points: Iterable[Sequence[int]],

@@ -10,10 +10,9 @@ single point, whose new right-hand sides are the rows' slacks.
 Fourier-Motzkin never divides in the field: rows combine with positive
 field multipliers and are kept as primitive integer coefficient vectors;
 field division is left to the bounds, where the quotient is the answer.
-One enumerator serves every field: it brackets each row's value between
-integers built from floor(2^32 c^i), vectorized in int64 (Python
-integers when int64 could overflow), prunes prefixes that no completion
-satisfies, and sends points the bracket cannot decide to the exact sign.
+One enumerator serves every field: a vectorized branch and bound prunes
+the prefixes that no completion satisfies, and the field's kernel
+signs_of_int_vectors decides every row at the points that remain.
 """
 
 from __future__ import annotations
@@ -533,7 +532,6 @@ def _integer_rows(system: LinearSystem):
     return out
 
 
-_BRACKET_BITS = 32
 _CHUNK = 1 << 18
 _FIRST_STEP = 1 << 8
 
@@ -541,25 +539,22 @@ _FIRST_STEP = 1 << 8
 def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
     """Points of the box on which every integer row is nonnegative, in lex order.
 
-    A row's value at x is V = sum_i w_i c^i with integer w_i = b_i - A_i.x.
-    With L_i = floor(2^B c^i) from the field (L_0 = 2^B exactly), 2^B V
-    lies within err = sum_{i>=1} |w_i| of centre = sum_i L_i w_i.  So the
-    row fails where centre < -err, holds where centre > err, and only
-    points with 0 < err and |centre| <= err go to the exact
-    sign_of_int_vector.  Branch and bound: each step fixes the next
-    coordinate of every kept prefix (the first, as many as make at most
-    _FIRST_STEP prefixes) and drops a prefix whose centre, plus the most
-    the free coordinates can add to it and the most err reaches over the
-    box, is negative for some row; err is evaluated only on the points that
-    pass the last step.  A step holds at most _CHUNK centres, one prefix's
-    children in slices if need be.  The arithmetic is int64 when a
-    magnitude bound over the box stays below 2^62, and Python integers
-    (dtype object) otherwise.
+    A row's value at x is V = sum_i w_i c^i with integer w_i = b_i - A_i.x,
+    and the field's kernel signs_of_int_vectors decides it at the points
+    that survive the search.  The search prunes with the kernel's brackets
+    L_i, by which 2^B V lies within err = sum_{i>=1} |w_i| of centre =
+    sum_i L_i w_i: each step fixes the next coordinate of every kept prefix
+    (the first, as many as make at most _FIRST_STEP prefixes) and drops a
+    prefix whose centre, plus the most the free coordinates can add to it
+    and the most err reaches over the box, is negative for some row.  A
+    step holds at most _CHUNK centres, one prefix's children in slices if
+    need be.  The search is int64 when a magnitude bound over the box stays
+    below 2^62, and Python integers (dtype object) otherwise.
     """
     n, d, count = context.degree, box.dimension, len(int_rows)
     a = np.array([a for a, _ in int_rows], dtype=object).reshape(count, n, d)
     b = np.array([b for _, b in int_rows], dtype=object).reshape(count, n)
-    scale = np.array(context.power_brackets(_BRACKET_BITS), dtype=object)
+    scale = np.array(context._kernel_brackets(), dtype=object)
     # at least 1, so that the bound also covers every coefficient array
     reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in box.bounds], dtype=object)
     size = np.abs(b) + np.abs(a) @ reach  # the most |w_i| reaches over the box
@@ -567,7 +562,7 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     dtype = np.int64 if headroom < (1 << 62) else object
 
     centres = (a * scale[:, None]).sum(axis=1).astype(dtype)
-    err_a, err_b = a[:, 1:].astype(dtype), b[:, 1:, None].astype(dtype)
+    rows_a, rows_b = a.transpose(0, 2, 1).astype(dtype), b[:, None, :].astype(dtype)
     low, high = np.array(box.bounds, dtype=np.int64).reshape(d, 2).T
     # column j: the most coordinates j.. can add to each centre, plus the most err reaches
     most = np.column_stack((np.maximum(-centres * low, -centres * high), size[:, 1:].sum(axis=1)))
@@ -585,17 +580,10 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     limit = max(1, _CHUNK // max(count, 1))
     result: list[tuple[int, ...]] = []
 
-    def finish(xs, centre):
-        """The bracket test, and the exact sign where it cannot decide, on the columns of xs."""
-        err = np.abs(err_b - err_a @ xs.astype(dtype)).sum(axis=1)
-        ok = (centre >= -err).all(axis=0)
-        undecided = ok & (centre <= err) & (err > 0)
-        for col in np.flatnonzero(undecided.any(axis=0)):
-            x = xs[:, col].astype(object)
-            for r in np.flatnonzero(undecided[:, col]):
-                if context.sign_of_int_vector((b[r] - a[r] @ x).tolist()) < 0:
-                    ok[col] = False
-                    break
+    def finish(xs):
+        """Keep the columns of xs where every row's w = b - A x has a nonnegative sign."""
+        w = rows_b - xs.T.astype(dtype) @ rows_a
+        ok = (context.signs_of_int_vectors(w) >= 0).all(axis=0)
         result.extend(map(tuple, xs[:, ok].T.tolist()))
 
     def descend(depth, points, values):
@@ -616,7 +604,7 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
                 if depth + 1 < len(steps):
                     descend(depth + 1, xs, vals[:, keep])
                 else:
-                    finish(xs, vals[:, keep])
+                    finish(xs)
 
     descend(0, np.zeros((0, 1), dtype=np.int64), (b @ scale).astype(dtype)[:, None])
     return result

@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -462,3 +463,90 @@ def test_signs_floors_and_bounds_match_mpmath(degree, data):
         assert _mpf(lo) - tolerance <= value <= _mpf(hi) + tolerance
     lo, hi = ctx.isolating_interval
     assert 0 < lo and lo ** degree < radicand < hi ** degree
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the scalar sign
+# ---------------------------------------------------------------------------
+
+_INT64_MAX = (1 << 63) - 1
+
+
+@st.composite
+def _int_vectors(draw, ctx):
+    """One integer vector over ctx's power basis: zero, random, or near-cancelling."""
+    n = ctx.degree
+    kind = draw(st.sampled_from(("zero", "random", "near") if n > 1 else ("zero", "random")))
+    if kind == "zero":
+        return [0] * n
+    if kind == "random":
+        bound = draw(st.sampled_from((1, 1 << 10, 1 << 31, 1 << 40, 1 << 62, 1 << 90)))
+        return draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    # q c^i - p for a convergent p/q of c^i: the 32-bit bracket leaves it open once q > 2^16
+    i = draw(st.integers(1, n - 1))
+    with mpmath.workdps(60):
+        power = mpmath.root(_mpf(ctx.radicand), n) ** i
+        p, q = draw(st.sampled_from(_convergents(power, 1 << 40)))
+    vec = [0] * n
+    vec[0], vec[i] = -p, q
+    return vec if draw(st.booleans()) else [-v for v in vec]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 27])
+@pytest.mark.parametrize("radicand", [2, Fraction(3, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signs_of_int_vectors_match_scalar_sign(degree, radicand, data):
+    ctx = make_context(degree, radicand)
+    shape = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    vectors = data.draw(st.lists(_int_vectors(ctx), min_size=math.prod(shape),
+                                 max_size=math.prod(shape)))
+    fits = all(abs(v) <= _INT64_MAX for vec in vectors for v in vec)
+    dtype = np.int64 if fits and data.draw(st.booleans()) else object
+    stack = np.array(vectors, dtype=dtype).reshape(*shape, degree)
+    signs = ctx.signs_of_int_vectors(stack)
+    assert signs.shape == shape and signs.dtype == np.int64
+    assert signs.reshape(-1).tolist() == [ctx.sign_of_int_vector(v) for v in vectors]
+
+
+def test_kernel_switches_to_python_integers_before_int64_overflows():
+    # centre = sum L_i w_i reaches about 2^72 here, far past int64
+    ctx = make_context(5, Fraction(3, 2))
+    vectors = [[1 << 40, -(1 << 40), 3, 0, -(1 << 39)], [-(1 << 40), 1 << 40, 0, 0, 0],
+               [1 << 61, 0, 0, 0, -1], [0] * 5]
+    signs = ctx.signs_of_int_vectors(np.array(vectors, dtype=np.int64))
+    assert signs.tolist() == [ctx.sign_of_int_vector(v) for v in vectors]
+
+
+def test_kernel_sends_only_what_its_bracket_leaves_open_to_the_exact_sign(monkeypatch):
+    # (-p, q) for the convergents p/q of sqrt 2, which alternate below and above it
+    convergents = [(1, 1), (3, 2)]
+    while convergents[-1][1] < 10 ** 7:
+        p, q = convergents[-1]
+        convergents.append((p + 2 * q, p + q))
+    ctx, seen = make_context(2, 2), []
+    exact = FieldContext.sign_of_int_vector
+
+    def spy(self, vec):
+        seen.append(tuple(vec))
+        return exact(self, vec)
+
+    monkeypatch.setattr(FieldContext, "sign_of_int_vector", spy)
+    stack = np.array([[-p, q] for p, q in convergents] + [[0, 0]], dtype=np.int64)
+    assert ctx.signs_of_int_vectors(stack).tolist() == \
+        [(-1) ** j for j in range(len(convergents))] + [0]
+    # 2^32 |q sqrt 2 - p| < 2^32 / (2 q): open for the large q, decided for the small
+    assert {(-1607521, 1136689), (-3880899, 2744210)} <= set(seen)
+    assert all(q > 30000 for _, q in seen)
+    seen.clear()
+    assert ctx.signs_of_int_vectors(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    assert ctx.signs_of_int_vectors(np.zeros((2, 0, 2), dtype=object)).shape == (2, 0)
+    assert not seen
+
+
+def test_kernel_refuses_what_is_not_an_integer_stack():
+    ctx = make_context(2, 2)
+    with pytest.raises(ValidationError):
+        ctx.signs_of_int_vectors(np.zeros((3, 2), dtype=float))
+    with pytest.raises(ValidationError):
+        ctx.signs_of_int_vectors(np.zeros((3, 5), dtype=np.int64))

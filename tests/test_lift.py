@@ -12,8 +12,8 @@ from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ValidationError)
 from relaxcert.field import FieldContext, make_context
 from relaxcert import lift
-from relaxcert.lift import (FacetSimplex, HeightFunction, _batched_rows, _facet_row,
-                            affine_interpolant, check_upper_facet,
+from relaxcert.lift import (FacetCheck, FacetSimplex, HeightFunction, _batched_rows,
+                            _facet_row, affine_interpolant, check_upper_facet,
                             facet_inequality_from_simplex, perturb_heights,
                             staircase_height)
 
@@ -243,6 +243,41 @@ def test_check_refuses_points_outside_the_heights():
     facet = facet_inequality_from_simplex([(0, 0), (0, 1), (1, 1)], h, "upper")
     with pytest.raises(ValidationError, match="outside the heights' domain"):
         check_upper_facet(facet, [(0, 0), (2, 0)], h)
+
+
+def test_check_of_vertices_only_or_no_points_is_valid():
+    # no point off the facet's vertices; with no points at all the slack stack is empty
+    h = staircase_height(3)
+    ctx = make_context(2, 2)
+    tilted = HeightFunction.from_pairs(
+        (p, h(p).as_fraction() + ctx.root_power(1) * p[0]) for p in cube(3))
+    for heights in (h, tilted):
+        facet = facet_inequality_from_simplex(
+            [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)], heights, "upper")
+        assert check_upper_facet(facet, facet.vertices, heights) == FacetCheck(True)
+        assert check_upper_facet(facet, [], heights) == FacetCheck(True)
+        assert check_upper_facet(facet, cube(3), heights).valid
+
+
+def test_facet_row_refuses_vertices_outside_the_heights():
+    h = staircase_height(2)
+    with pytest.raises(ValidationError, match=r"point \(2, 0\) lies outside the heights' domain"):
+        facet_inequality_from_simplex([(0, 0), (2, 0), (0, 1)], h)
+    with pytest.raises(ValidationError, match="outside the heights' domain"):
+        _facet_row([(0, 0), (2, 0), (0, 1)], h, "lower")
+
+
+def test_perturb_refuses_cover_facet_with_vertex_outside_the_heights():
+    # the facet is valid on the heights' domain, which lacks its vertex (1, 1, 1)
+    facet = facet_inequality_from_simplex(
+        [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)], staircase_height(3), "upper")
+    points = cube(3)[:-1]
+    h = HeightFunction.from_pairs((p, staircase_height(3)(p)) for p in points)
+    assert check_upper_facet(facet, points, h).valid
+    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    moved = sorted(set(points) - set(base))
+    with pytest.raises(ValidationError, match=r"point \(1, 1, 1\) lies outside"):
+        perturb_heights(points, base, moved, h, [facet])
 
 
 def test_heights_from_different_contexts_refused():
