@@ -42,9 +42,10 @@ def _parse_box(spec: str, dimension: int) -> Box:
     ranges = []
     for part in parts:
         lo, _, hi = part.partition(":")
-        if not _:
-            raise ValidationError(f"bad box range {part!r}, expected lo:hi")
-        ranges.append((int(lo), int(hi)))
+        try:
+            ranges.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValidationError(f"bad box range {part!r}, expected lo:hi") from None
     if len(ranges) == 1:
         ranges = ranges * dimension
     if len(ranges) != dimension:
@@ -53,18 +54,28 @@ def _parse_box(spec: str, dimension: int) -> Box:
     return Box(tuple(ranges))
 
 
+def _load_json(path: str, key: str | None, load):
+    """load(data) on the JSON at path, or on its `key` entry; ValidationError
+    names the path of a file that cannot be read, is not JSON or lacks a field."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if key in data:
+            data = data[key]
+        return load(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"{path} has no field {exc}") from exc
+
+
 def _load_system(path: str) -> LinearSystem:
-    data = json.loads(Path(path).read_text())
-    if "system" in data:
-        data = data["system"]
-    return LinearSystem.from_json_dict(data)
+    return _load_json(path, "system", LinearSystem.from_json_dict)
 
 
 def _load_points(path: str) -> PointSet:
-    data = json.loads(Path(path).read_text())
-    if "target" in data:
-        data = data["target"]
-    return PointSet.from_json_dict(data)
+    return _load_json(path, "target", PointSet.from_json_dict)
 
 
 def _cmd_build(args) -> int:
@@ -117,7 +128,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify_mixed(args) -> int:
     system = _load_system(args.system)
-    heights = HeightFunction.from_json_dict(json.loads(Path(args.heights).read_text()))
+    heights = _load_json(args.heights, None, HeightFunction.from_json_dict)
     points = PointSet(len(heights.domain[0]), heights.domain)
     certificate = certify_mixed(system, points, heights, cap=args.cap)
     _print_provenance({"construction": "certify-mixed",

@@ -4,7 +4,9 @@ Covers the five-row mixed system and its pullback to a 5-dimensional
 simplex vertex set, the stretched one-parameter family, free-join
 composition and the join-based bound for arbitrary dimension, the
 cube-projection simplex copy, and the full project/lift/relax chain for
-dimensions of the form 2**k - 1.
+dimensions of the form 2**k - 1.  The composed bound is one n-ary join; its
+block is certified once per (eps, cap), with refutations not cached, and
+pulled back once per (a, eps, cap).
 """
 
 from __future__ import annotations
@@ -180,20 +182,25 @@ def _certified_base(eps: Fraction, cap: int) -> LinearSystem:
     return base
 
 
+@functools.lru_cache(maxsize=64)
+def _stretched_block(a: int, eps: Fraction, cap: int) -> LinearSystem:
+    """The certified base pulled back for stretch a, once per (a, eps, cap)."""
+    base = _certified_base(eps, cap)
+    system = base.substitute_affine(_pullback_matrix(base.context, a))
+    return LinearSystem(system.context, 5, system.rows, ("x1", "x2", "x3", "x4", "x5"))
+
+
 def stretched_simplex_relaxation(a: int, eps: Fraction | int | str = DEFAULT_EPS,
                                  cap: int = DEFAULT_POINT_CAP) -> RelaxationBundle:
     """Five-row relaxation of the stretched simplex vertex set in Z^5.
 
     The base mixed system is certified for the given eps (once per eps and
     cap) before the pullback under the projection with kernel direction
-    (0,0,0,1,a*sqrt2).
+    (0,0,0,1,a*sqrt2), which is done once per (a, eps, cap).
     """
     if a < 1:
         raise ValidationError("stretch factor must be a positive integer")
-    base = _certified_base(as_fraction(eps), cap)
-    system = base.substitute_affine(_pullback_matrix(base.context, a))
-    system = LinearSystem(system.context, 5, system.rows,
-                          ("x1", "x2", "x3", "x4", "x5"))
+    system = _stretched_block(a, as_fraction(eps), cap)
     target = stretched_simplex_points(a)
     box = Box(((-2, 3),) * 4 + ((-1, max(2, 2 * a)),))
     provenance = {
@@ -245,44 +252,67 @@ def standard_simplex_bundle(d: int, context: FieldContext | None = None) -> Rela
                             Box.uniform(-1, 2, d))
 
 
-def free_join_compose(left: RelaxationBundle, right: RelaxationBundle) -> RelaxationBundle:
-    """Relaxation of the free join: left at level z=0, right at level z=1.
+def free_join_compose(*bundles: RelaxationBundle) -> RelaxationBundle:
+    """The free join of two or more bundles: the left fold of binary joins.
 
-    Rows become A x + b z <= b and C y - d z <= 0 over k + l + 1 variables;
-    requires the origin in both targets and nonnegative right-hand sides
-    with a strictly positive entry on each side.
+    A binary join puts left at z = 0 and right at z = 1: A x + b z <= b and
+    C y - d z <= 0.  Built in one pass over the variables of bundle 0, then
+    of each bundle i >= 1 followed by its level z_i.  Every bundle needs the
+    shared context, the origin and rhs >= 0 with some rhs > 0, checked in
+    fold order and each distinct bundle once.
     """
-    ctx = left.system.context
-    if right.system.context != ctx:
-        raise ValidationError("free join requires a shared field context")
-    k, l = left.system.num_vars, right.system.num_vars
-    if tuple([0] * k) not in left.target or tuple([0] * l) not in right.target:
-        raise PreconditionError(
-            "free join needs the origin in both point sets; translate first")
-    for name, bundle in (("left", left), ("right", right)):
-        signs = [row.rhs.sign() for row in bundle.system.rows]
-        if any(s < 0 for s in signs):
-            raise PreconditionError(f"{name} system has a negative right-hand side")
-        if not any(s > 0 for s in signs):
-            raise PreconditionError(f"{name} system has no strictly positive right-hand side")
+    if len(bundles) < 2:
+        raise ValidationError("free join needs at least two bundles")
+    first = bundles[0]
+    ctx = first.system.context
+    checked: set[int] = set()
+    for i in range(1, len(bundles)):
+        if bundles[i].system.context != ctx:
+            raise ValidationError("free join requires a shared field context")
+        step = [("left", first), ("right", bundles[1])] if i == 1 else [("right", bundles[i])]
+        if any(tuple([0] * b.system.num_vars) not in b.target for _, b in step):
+            raise PreconditionError(
+                "free join needs the origin in both point sets; translate first")
+        for name, bundle in step:
+            if id(bundle) in checked:  # the composed bound repeats one block
+                continue
+            checked.add(id(bundle))
+            signs = [row.rhs.sign() for row in bundle.system.rows]
+            if any(s < 0 for s in signs):
+                raise PreconditionError(f"{name} system has a negative right-hand side")
+            if not any(s > 0 for s in signs):
+                raise PreconditionError(
+                    f"{name} system has no strictly positive right-hand side")
     zero = ctx.zero
+    sizes = [b.system.num_vars for b in bundles]
+    total = sum(sizes) + len(bundles) - 1
     rows = []
-    for row in left.system.rows:
-        rows.append(Row(row.coeffs + (zero,) * l + (row.rhs,), row.rhs))
-    for row in right.system.rows:
-        rows.append(Row((zero,) * k + row.coeffs + (-row.rhs,), zero))
-    system = LinearSystem(ctx, k + l + 1, tuple(rows))
-    points = [p + (0,) * l + (0,) for p in left.target.points]
-    points += [(0,) * k + q + (1,) for q in right.target.points]
-    target = PointSet(k + l + 1, tuple(points), label="free_join")
+    for row in first.system.rows:
+        coeffs = list(row.coeffs)
+        for k in sizes[1:]:
+            coeffs += (zero,) * k
+            coeffs.append(row.rhs)
+        rows.append(Row(tuple(coeffs), row.rhs))
+    points = [p + (0,) * (total - sizes[0]) for p in first.target.points]
+    cores: dict[int, list] = {}
+    offset = sizes[0]
+    for bundle, k in zip(bundles[1:], sizes[1:]):
+        if id(bundle) not in cores:
+            cores[id(bundle)] = [row.coeffs + (-row.rhs,) for row in bundle.system.rows]
+        before, after = (zero,) * offset, (zero,) * (total - offset - k - 1)
+        rows += [Row(before + core + after, zero) for core in cores[id(bundle)]]
+        before, after = (0,) * offset, (0,) * (total - offset - k - 1)
+        points += [before + q + (1,) + after for q in bundle.target.points]
+        offset += k + 1
+    target = PointSet(total, tuple(points), label="free_join")
     provenance = {
         "construction": "free_join",
-        "left": left.provenance.get("construction"),
-        "right": right.provenance.get("construction"),
+        "left": first.provenance.get("construction") if len(bundles) == 2 else "free_join",
+        "right": bundles[-1].provenance.get("construction"),
         "rows": len(rows),
     }
-    return RelaxationBundle(system, target, provenance,
-                            Box.uniform(-1, 2, k + l + 1))
+    return RelaxationBundle(LinearSystem(ctx, total, tuple(rows)), target, provenance,
+                            Box.uniform(-1, 2, total))
 
 
 def composed_simplex_relaxation(d: int, eps: Fraction | int | str = DEFAULT_EPS,
@@ -291,20 +321,16 @@ def composed_simplex_relaxation(d: int, eps: Fraction | int | str = DEFAULT_EPS,
 
     Uses floor((d+1)/6) copies of the five-row block plus one standard
     simplex factor for the remainder, for 5*floor((d+1)/6) + ((d+1) mod 6)
-    rows in total.  cap bounds the enumeration that certifies the block.
+    rows in total, joined in one n-ary free join.  cap bounds the
+    enumeration that certifies the block.
     """
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     copies, remainder = divmod(d + 1, 6)
-    parts: list[RelaxationBundle] = []
-    if copies:
-        block = simplex5_relaxation(eps, cap=cap)
-        parts = [block] * copies
+    parts = [simplex5_relaxation(eps, cap=cap)] * copies if copies else []
     if remainder:
         parts.append(standard_simplex_bundle(remainder - 1))
-    bundle = parts[0]
-    for part in parts[1:]:
-        bundle = free_join_compose(bundle, part)
+    bundle = free_join_compose(*parts) if len(parts) > 1 else parts[0]
     provenance = {
         "construction": "composed_simplex",
         "d": d,

@@ -49,15 +49,16 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ValidationError(f"not an exact rational: {value!r}")
 
 
-def _int_nth_root(value: int, n: int) -> int:
-    """Floor of value ** (1/n) for a nonnegative integer value."""
+def _int_nth_root(value: int, n: int, start: int | None = None) -> int:
+    """Floor of value ** (1/n) for a nonnegative integer value; Newton descends
+    from start (default: a power of two above it); the result is exact from any start."""
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0:
         return 0
     if n == 1:
         return value
-    x = 1 << (-(-value.bit_length() // n))
+    x = start if start is not None else 1 << (-(-value.bit_length() // n))
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
         if y >= x:
@@ -114,9 +115,14 @@ class FieldContext:
     # -- brackets for c ------------------------------------------------------
 
     def power_brackets(self, bits: int) -> tuple[int, ...]:
-        """Integers L[i] = floor(2**bits * c**i) for 0 <= i < degree; L[0] is exact."""
+        """Integers L[i] = floor(2**bits * c**i) for 0 <= i < degree; L[0] is exact.
+        From i = 2, Newton starts at ((L[i-1] + 1) (L[1] + 1) >> bits) + 1 > L[i]."""
         n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
-        return tuple(_int_nth_root(((p ** i) << (bits * n)) // q ** i, n) for i in range(n))
+        out = [1 << bits]
+        for i in range(1, n):
+            start = ((out[-1] + 1) * (out[1] + 1) >> bits) + 1 if i > 1 else None
+            out.append(_int_nth_root(((p ** i) << (bits * n)) // q ** i, n, start))
+        return tuple(out)
 
     def _narrow(self, bits: int) -> None:
         """Raise B past `bits`, the precision a query failed at, unless B has moved on."""

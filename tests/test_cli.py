@@ -198,3 +198,46 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 0
     assert "d,trivial,corollary,pipeline,best" in done.stdout.splitlines()
     assert module("build", "dim5", "--eps", "abc").returncode == 2
+
+
+def _verify_error(capsys, system, points, box="-2:3"):
+    rc = run(["verify", "--system", str(system), "--points", str(points), f"--box={box}"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:"), err
+    return err
+
+
+def test_missing_system_file_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    missing = tmp_path / "absent.json"
+    assert str(missing) in _verify_error(capsys, missing, out)
+    rc = run(["certify-mixed", "--system", str(out), "--heights", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and str(missing) in err
+
+
+def test_malformed_json_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"system": [')
+    assert str(bad) in _verify_error(capsys, bad, out)
+    assert str(bad) in _verify_error(capsys, out, bad)
+
+
+def test_system_without_rows_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    data = read_json(out)
+    del data["system"]["rows"]
+    bad = tmp_path / "norows.json"
+    bad.write_text(json.dumps(data))
+    err = _verify_error(capsys, bad, out)
+    assert str(bad) in err and "rows" in err
+
+
+def test_non_integer_box_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    assert "a:b" in _verify_error(capsys, out, out, box="a:b")

@@ -20,7 +20,7 @@ from relaxcert.errors import (CertificationError, PreconditionError, ResourceLim
                               ValidationError)
 from relaxcert.field import make_context
 from relaxcert.lift import HeightFunction, affine_interpolant, staircase_height
-from relaxcert.poly import DEFAULT_POINT_CAP, Box
+from relaxcert.poly import DEFAULT_POINT_CAP, Box, LinearSystem, PointSet, Row
 from relaxcert.verify import box_check, certify_mixed
 
 CTX2 = make_context(2, 2)
@@ -161,6 +161,94 @@ def test_join_requires_positive_rhs_somewhere():
         free_join_compose(cone, segment_bundle())
 
 
+def _binary_join(left, right):
+    """Reference binary free join: left at level z = 0, right at level z = 1."""
+    ctx = left.system.context
+    if right.system.context != ctx:
+        raise ValidationError("free join requires a shared field context")
+    k, l = left.system.num_vars, right.system.num_vars
+    if tuple([0] * k) not in left.target or tuple([0] * l) not in right.target:
+        raise PreconditionError("free join needs the origin in both point sets")
+    for bundle in (left, right):
+        signs = [row.rhs.sign() for row in bundle.system.rows]
+        if any(s < 0 for s in signs) or not any(s > 0 for s in signs):
+            raise PreconditionError("bad right-hand sides")
+    zero = ctx.zero
+    rows = [Row(row.coeffs + (zero,) * l + (row.rhs,), row.rhs) for row in left.system.rows]
+    rows += [Row((zero,) * k + row.coeffs + (-row.rhs,), zero) for row in right.system.rows]
+    points = [p + (0,) * (l + 1) for p in left.target.points]
+    points += [(0,) * k + q + (1,) for q in right.target.points]
+    provenance = {"construction": "free_join",
+                  "left": left.provenance.get("construction"),
+                  "right": right.provenance.get("construction"), "rows": len(rows)}
+    return RelaxationBundle(LinearSystem(ctx, k + l + 1, tuple(rows)),
+                            PointSet(k + l + 1, tuple(points), label="free_join"),
+                            provenance, Box.uniform(-1, 2, k + l + 1))
+
+
+def _folded_join(bundles):
+    joined = bundles[0]
+    for bundle in bundles[1:]:
+        joined = _binary_join(joined, bundle)
+    return joined
+
+
+def _one_var_bundle(rhs_pair, points, name, ctx=CTX2):
+    """The rows x <= r0 and -x <= r1 over one variable, with the given target."""
+    r0, r1 = (ctx.from_rational(r) for r in rhs_pair)
+    system = LinearSystem(ctx, 1, (Row((ctx.one,), r0), Row((-ctx.one,), r1)))
+    return RelaxationBundle(system, PointSet(1, points), {"construction": name},
+                            Box.uniform(-2, 2, 1))
+
+
+GOOD_BUNDLES = ([segment_bundle()] + [standard_simplex_bundle(d) for d in range(5)]
+                + [simplex5_relaxation(), stretched_simplex_relaxation(2),
+                   stretched_simplex_relaxation(3)])
+BAD_BUNDLES = [
+    _one_var_bundle((2, 0), ((1,), (2,)), "no_origin"),
+    _one_var_bundle((1, -1), ((0,), (1,)), "negative_rhs"),
+    _one_var_bundle((0, 0), ((0,), (-1,)), "no_positive_rhs"),
+    standard_simplex_bundle(2, make_context(3, 2)),
+]
+
+
+def _join_outcome(join, bundles):
+    """The joined bundle's JSON, or the class of the exception the join raises."""
+    try:
+        return join(bundles).to_json_dict()
+    except (ValidationError, PreconditionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(GOOD_BUNDLES), min_size=2, max_size=6))
+def test_nary_join_equals_binary_fold(bundles):
+    assert free_join_compose(*bundles).to_json_dict() == _folded_join(bundles).to_json_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(GOOD_BUNDLES + BAD_BUNDLES), min_size=2, max_size=6))
+def test_nary_join_raises_like_the_fold(bundles):
+    assert _join_outcome(lambda bs: free_join_compose(*bs), bundles) == \
+        _join_outcome(_folded_join, bundles)
+
+
+@pytest.mark.parametrize("bad", BAD_BUNDLES, ids=lambda b: b.provenance["construction"])
+@pytest.mark.parametrize("position", range(4))
+def test_nary_join_refuses_a_bad_bundle_anywhere(bad, position):
+    bundles = [simplex5_relaxation()] * 3
+    bundles.insert(position, bad)
+    expected = _join_outcome(_folded_join, bundles)
+    assert expected in (ValidationError, PreconditionError)
+    assert _join_outcome(lambda bs: free_join_compose(*bs), bundles) is expected
+
+
+def test_join_needs_two_bundles():
+    for bundles in ((), (segment_bundle(),)):
+        with pytest.raises(ValidationError):
+            free_join_compose(*bundles)
+
+
 # ---------------------------------------------------------------------------
 # composed relaxations
 # ---------------------------------------------------------------------------
@@ -171,6 +259,30 @@ def test_composed_row_count_formula_small():
         assert bundle.claimed_facets == 5 * ((d + 1) // 6) + (d + 1) % 6
         assert bundle.system.num_vars == d
         assert len(bundle.target) == d + 1
+
+
+def test_composed_equals_the_binary_fold():
+    block = simplex5_relaxation()
+    for d in list(range(1, 61)) + [200]:
+        copies, remainder = divmod(d + 1, 6)
+        parts = [block] * copies
+        if remainder:
+            parts.append(standard_simplex_bundle(remainder - 1))
+        bundle, folded = composed_simplex_relaxation(d), _folded_join(parts)
+        assert bundle.system.to_json_dict() == folded.system.to_json_dict(), d
+        assert bundle.target.to_json_dict() == folded.target.to_json_dict(), d
+
+
+def test_composed_joins_once(monkeypatch):
+    calls = []
+
+    def counting(*bundles):
+        calls.append(len(bundles))
+        return free_join_compose(*bundles)
+
+    monkeypatch.setattr(construct, "free_join_compose", counting)
+    bundle = composed_simplex_relaxation(200)
+    assert calls == [34] and bundle.claimed_facets == 168
 
 
 def test_composed_d5_is_dim5():
@@ -200,6 +312,7 @@ def test_dim5_base_certified_once_per_eps_and_cap(monkeypatch):
 
     monkeypatch.setattr(construct, "certify_mixed", counting)
     construct._certified_base.cache_clear()
+    construct._stretched_block.cache_clear()
     first = simplex5_relaxation("1/9")
     again = simplex5_relaxation(Fraction(1, 9))
     assert calls == [DEFAULT_POINT_CAP]
@@ -220,6 +333,14 @@ def test_dim5_base_certified_once_per_eps_and_cap(monkeypatch):
             simplex5_relaxation(eps, cap=cap)
     assert len(calls) == 6
     construct._certified_base.cache_clear()
+    construct._stretched_block.cache_clear()
+
+
+def test_stretched_block_pulled_back_once():
+    first, again = stretched_simplex_relaxation(3), stretched_simplex_relaxation(3)
+    assert again.system is first.system
+    assert again.provenance == first.provenance and again.provenance is not first.provenance
+    assert stretched_simplex_relaxation(2).system != first.system
 
 
 def test_standard_simplex_bundle_counts():

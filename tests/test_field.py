@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from relaxcert.errors import ValidationError
 from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, FieldContext, FieldElement,
-                             make_context)
+                             _int_nth_root, make_context)
 
 
 def sqrt2_ctx():
@@ -550,3 +550,27 @@ def test_kernel_refuses_what_is_not_an_integer_stack():
         ctx.signs_of_int_vectors(np.zeros((3, 2), dtype=float))
     with pytest.raises(ValidationError):
         ctx.signs_of_int_vectors(np.zeros((3, 5), dtype=np.int64))
+
+
+@pytest.mark.parametrize("radicand", [2, Fraction(3, 2)])
+@pytest.mark.parametrize("degree", [2, 5, 27, 58, 121, 248])
+def test_power_brackets_match_integer_roots(degree, radicand):
+    """Newton from the previous bracket gives sympy's roots and the bit-length start's."""
+    import sympy
+    ctx = FieldContext(degree, radicand)
+    p, q = ctx.radicand.numerator, ctx.radicand.denominator
+    for bits in (8, 32, 61):
+        brackets = ctx.power_brackets(bits)
+        values = [((p ** i) << (bits * degree)) // q ** i for i in range(degree)]
+        assert list(brackets) == [int(sympy.integer_nthroot(v, degree)[0]) for v in values]
+        if degree <= 121 or bits == 8:  # the bit-length start is slow beyond
+            assert list(brackets) == [_int_nth_root(v, degree) for v in values]
+
+
+def test_int_nth_root_exact_from_any_start():
+    value = (3 << 200) + 12345
+    root = _int_nth_root(value, 7)
+    assert root ** 7 <= value < (root + 1) ** 7
+    # a start below the root only walks up by ones, so it stays close
+    for start in (root - 5, root, root + 1, root + 1000, 1 << 40):
+        assert _int_nth_root(value, 7, start) == root
