@@ -92,7 +92,7 @@ def kernel_basis(matrix: Sequence[Sequence[FieldElement]],
     big: list[list[int]] = []
     for row in matrix:
         den = math.lcm(*(e.den for e in row))
-        blocks = [context.multiplication_matrix([v * (den // e.den) for v in e.num])
+        blocks = [context.multiplication_matrix([v * (den // e.den) for v in e.num]).tolist()
                   for e in row]
         big.extend([x for block in blocks for x in block[i]] for i in range(n))
     _, d, pivots = _fraction_free(big, cols * n, True)

@@ -55,12 +55,15 @@ def _parse_box(spec: str, dimension: int) -> Box:
 
 
 def _load_json(path: str, key: str | None, load):
-    """load(data) on the JSON at path, or on its `key` entry; ValidationError
-    names the path of a file that cannot be read, is not JSON or lacks a field."""
+    """load(data) on the JSON object at path, or on its `key` entry; every
+    ValidationError names the path of a file that cannot be read, is not a
+    JSON object, lacks a field or holds values that load refuses."""
     try:
         data = json.loads(Path(path).read_text())
-        if key in data:
+        if isinstance(data, dict) and key in data:
             data = data[key]
+        if not isinstance(data, dict):
+            raise ValidationError("not a JSON object")
         return load(data)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
@@ -68,6 +71,8 @@ def _load_json(path: str, key: str | None, load):
         raise ValidationError(f"{path} is not JSON: {exc}") from exc
     except KeyError as exc:
         raise ValidationError(f"{path} has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ValidationError, or a value of the wrong type
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_system(path: str) -> LinearSystem:
@@ -256,6 +261,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for out in (getattr(args, name, None) for name in ("out", "mixed_out", "heights_out")):
+            if out and not Path(out).parent.is_dir():
+                raise ValidationError(f"cannot write {out}: no directory {Path(out).parent}")
         return args.func(args)
     except (ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -438,9 +438,9 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     """
     if k < 2:
         raise ValidationError("pipeline needs k >= 2")
-    if certify and k > 6:
+    if certify and k > 7:
         raise ValidationError(
-            "full certification is supported for k <= 6; pass certify=False "
+            "full certification is supported for k <= 7; pass certify=False "
             "to build an uncertified system")
     split = cube_simplex_split(k)
     cube = sorted(set(split.base.points) | set(split.moved.points))
@@ -485,8 +485,7 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
 
     d = (1 << k) - 1
     target = simplex_points(d)
-    spot = [final.contains(p) for p in target.points]
-    if not all(s.inside for s in spot):
+    if not all(m.inside for m in final.memberships(target.points)):
         raise CertificationError("a target point violates the assembled system",
                                  stage="assembly")
     provenance = {

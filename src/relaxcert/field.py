@@ -35,6 +35,8 @@ RationalLike = Union[int, Fraction, str]
 _INITIAL_BITS = 8
 _STEP_BITS = 16
 _MAX_BITS = 1 << 14
+# the largest degree read from JSON: the k = 8 pipeline builds degree 248
+MAX_JSON_DEGREE = 1 << 10
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -89,7 +91,7 @@ class FieldContext:
     concurrent sign queries are safe.  make_context interns contexts.
     """
 
-    __slots__ = ("degree", "radicand", "_lock", "_brackets", "_kernel", "_zero", "_one")
+    __slots__ = ("degree", "radicand", "_lock", "_brackets", "_kernel", "_fold", "_zero", "_one")
 
     def __init__(self, degree: int, radicand: RationalLike):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
@@ -108,7 +110,7 @@ class FieldContext:
         self.radicand = radicand
         self._lock = threading.Lock()
         self._brackets = (_INITIAL_BITS, self.power_brackets(_INITIAL_BITS))
-        self._kernel = None
+        self._kernel = self._fold = None
         self._zero = FieldElement(self, (0,) * degree, 1)
         self._one = FieldElement(self, (1,) + (0,) * (degree - 1), 1)
 
@@ -209,14 +211,21 @@ class FieldContext:
             signs[i] = self.sign_of_int_vector(flat[i].tolist())
         return signs.reshape(w.shape[:-1])
 
-    def multiplication_matrix(self, num: Sequence[int]) -> list[list[int]]:
-        """q times the matrix of multiplication by sum(num[i] * c**i), for c**n = p/q.
+    def multiplication_matrix(self, num, columns: Sequence[int] | None = None) -> np.ndarray:
+        """q times the matrix of multiplication by sum(num[..., i] * c**i), for c**n = p/q.
 
-        Column j holds the coefficients of q * num * c**j, which are integers.
+        Column j holds the coefficients of q * num * c**j, which are integers;
+        columns picks some (default all).  num may be a stack of vectors on its
+        last axis: a numpy array keeps its dtype, a sequence becomes Python
+        integers.  The fold's index and factor arrays are built once per context.
         """
-        n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
-        return [[q * num[i - j] if i >= j else p * num[n + i - j] for j in range(n)]
-                for i in range(n)]
+        if self._fold is None:
+            n, p, q = self.degree, self.radicand.numerator, self.radicand.denominator
+            i, j = np.arange(n)[:, None], np.arange(n)
+            self._fold = ((i - j) % n, np.where(i >= j, q, p))
+        index, factor = self._fold if columns is None else (x[:, columns] for x in self._fold)
+        num = num if isinstance(num, np.ndarray) else np.array(num, dtype=object)
+        return num[..., index] * factor
 
     # -- element constructors ----------------------------------------------
 
@@ -273,7 +282,10 @@ class FieldContext:
 
     @staticmethod
     def from_json_dict(data: dict) -> "FieldContext":
-        return make_context(int(data["degree"]), as_fraction(data["radicand"]))
+        degree = int(data["degree"])
+        if degree > MAX_JSON_DEGREE:
+            raise ValidationError(f"field degree {degree} is above the limit {MAX_JSON_DEGREE}")
+        return make_context(degree, as_fraction(data["radicand"]))
 
     def root_float(self) -> float:
         return float(self.radicand) ** (1.0 / self.degree)
@@ -407,7 +419,7 @@ class FieldElement:
         # solve N x = q den e_0, N = q times the matrix of multiplication by sum(a_i c**i)
         n, q = ctx.degree, ctx.radicand.denominator
         m = [row + [q * self.den if i == 0 else 0]
-             for i, row in enumerate(ctx.multiplication_matrix(a))]
+             for i, row in enumerate(ctx.multiplication_matrix(a).tolist())]
         _, pivot, cols = _fraction_free(m, n, jordan=True)
         if len(cols) < n:
             raise ZeroDivisionError(f"element has no inverse modulo x^{n} - {ctx.radicand}")

@@ -38,6 +38,8 @@ class HeightFunction:
     values: dict[Point, FieldElement]
 
     def __post_init__(self):
+        if not self.domain:
+            raise ValidationError("a height function needs at least one point")
         for p in self.domain:
             if p not in self.values:
                 raise ValidationError(f"no height for domain point {p}")

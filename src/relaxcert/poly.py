@@ -4,9 +4,10 @@ Systems are finite lists of rows ``coeffs . x <= rhs`` with exact field
 coefficients.  Provides exact membership, Fourier-Motzkin elimination,
 coordinate bounds, lattice-point enumeration in boxes, affine pullbacks,
 recession systems, and coordinate-subspace restriction.  Nothing here is
-ever evaluated in floating point.  One routine, substitute_affine,
-evaluates rows under an affine map; membership is its pull-back to a
-single point, whose new right-hand sides are the rows' slacks.
+ever evaluated in floating point.  Each system keeps its rows' integer
+numerators as numpy arrays (_integer_rows); one routine, _evaluate, reads
+every row's value at a batch of points from them, which the affine
+pull-back turns into new rows and membership into signed slacks.
 Fourier-Motzkin never divides in the field: rows combine with positive
 field multipliers and are kept as primitive integer coefficient vectors;
 field division is left to the bounds, where the quotient is the answer.
@@ -22,12 +23,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, _reduced
 
 DEFAULT_POINT_CAP = 1 << 26
 _PROPAGATION_ROUNDS = 8
@@ -168,23 +170,21 @@ class LinearSystem:
     # -- membership ---------------------------------------------------------
 
     def contains(self, point: Sequence) -> Membership:
-        """Membership as the pull-back to the single point.
+        """Membership of one point: memberships([point])[0]."""
+        return self.memberships([point])[0]
 
-        Each pulled-back rhs is the row's slack at the point: negative
-        violates the row, zero makes it tight.
+    def memberships(self, points: Sequence[Sequence]) -> list[Membership]:
+        """Membership of every point (ints, rationals or field elements).
+
+        A row's slack rhs - coeffs . point is negative where the point
+        violates the row and zero where the row is tight; one _evaluate call
+        gives every slack in integer numerators, and one signs_of_int_vectors
+        call signs them all.
         """
-        if len(point) != self.num_vars:
-            raise ValidationError(
-                f"point of length {len(point)} in a {self.num_vars}-variable system")
-        pulled = self.substitute_affine([()] * self.num_vars, point)
-        tight, violated = [], []
-        for i, row in enumerate(pulled.rows):
-            s = row.rhs.sign()
-            if s < 0:
-                violated.append(i)
-            elif s == 0:
-                tight.append(i)
-        return Membership(not violated, tuple(tight), tuple(violated))
+        values, rhs, _ = self._evaluate(points)
+        return [Membership(bool((s >= 0).all()), tuple(np.flatnonzero(s == 0).tolist()),
+                           tuple(np.flatnonzero(s < 0).tolist()))
+                for s in self.context.signs_of_int_vectors(rhs[:, None] - values).T]
 
     def is_syntactically_infeasible(self) -> bool:
         """True when some row reads 0 . x <= negative."""
@@ -307,48 +307,81 @@ class LinearSystem:
 
         matrix has one row per old variable; row count of the system is
         preserved exactly: coeffs . x <= rhs becomes (coeffs . matrix) z <=
-        rhs - coeffs . shift.  This is the one place rows are evaluated
-        under an affine map; with an empty matrix row per variable and the
-        shift a point, each new rhs is the row's slack there (contains).
-        int entries stay ints, so their products take the field's integer
-        fast path; every other entry is coerced into the context.
+        rhs - coeffs . shift.  One _evaluate call over the matrix's columns
+        and the shift gives every new numerator from the rows' integer
+        numerators; field elements are built only for the new rows.
+        Entries may be ints, rationals or field elements of the context.
         """
         if len(matrix) != self.num_vars:
             raise ValidationError(
                 f"substitution matrix has {len(matrix)} rows, expected {self.num_vars}")
-        coerce = self.context.coerce
-
-        def entry(v):
-            return v if type(v) is int else coerce(v)
-
-        mat = [tuple(map(entry, row)) for row in matrix]
-        new_dim = len(mat[0]) if mat else 0
-        for row in mat:
-            if len(row) != new_dim:
-                raise ValidationError("ragged substitution matrix")
+        new_dim = len(matrix[0]) if matrix else 0
+        if any(len(row) != new_dim for row in matrix):
+            raise ValidationError("ragged substitution matrix")
         if shift is None:
-            t = (0,) * self.num_vars
-        else:
-            if len(shift) != self.num_vars:
-                raise ValidationError("shift vector has the wrong length")
-            t = tuple(map(entry, shift))
-        zero = self.context.zero
-        new_rows = []
+            shift = (0,) * self.num_vars
+        elif len(shift) != self.num_vars:
+            raise ValidationError("shift vector has the wrong length")
+        values, rhs, dens = self._evaluate([*zip(*matrix), shift])
+        ctx = self.context
+        return LinearSystem(ctx, new_dim, tuple(
+            Row(tuple(_reduced(ctx, tuple(v), den) for v in coeffs), _reduced(ctx, tuple(t), den))
+            for coeffs, t, den in zip(values[:, :-1].tolist(), (rhs - values[:, -1]).tolist(), dens)))
+
+    @cached_property
+    def _integer_rows(self) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+        """(A, b, dens, top): row r reads sum_i (b[r, i] - A[r, :, i] . x) c**i / dens[r] >= 0,
+        with dens[r] its least common denominator and top the largest |entry| of
+        A and b, which are int64 when top < 2**62 and Python integers otherwise."""
+        n, dens, a, b = self.context.degree, [], [], []
         for row in self.rows:
-            new_coeffs = []
-            for col in range(new_dim):
-                acc = zero
-                for a, mrow in zip(row.coeffs, mat):
-                    v = mrow[col]
-                    if v and a:
-                        acc = acc + a * v
-                new_coeffs.append(acc)
-            rhs = row.rhs
-            for a, v in zip(row.coeffs, t):
-                if v and a:
-                    rhs = rhs - a * v
-            new_rows.append(Row(tuple(new_coeffs), rhs))
-        return LinearSystem(self.context, new_dim, tuple(new_rows))
+            dens.append(den := math.lcm(row.rhs.den, *(e.den for e in row.coeffs)))
+            a.append([e.num if e.den == den else [x * (den // e.den) for x in e.num]
+                      for e in row.coeffs])
+            b.append([x * (den // row.rhs.den) for x in row.rhs.num])
+        a = np.array(a, dtype=object).reshape(len(dens), self.num_vars, n)
+        b = np.array(b, dtype=object).reshape(len(dens), n)
+        top = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, b))
+        if top < (1 << 62):
+            a, b = a.astype(np.int64), b.astype(np.int64)
+        return a, b, dens, top
+
+    def _evaluate(self, columns: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(values, rhs, dens): the numerators of sum_j coeffs_j * columns[c][j] in
+        values[r, c] and of the rhs in rhs[r], all over dens[r], for every row r.
+
+        Over the entries' common denominator E, an int or rational entry acts
+        on a row's numerators as a scalar, and a field entry through its
+        multiplication matrix, at the powers where some row's coefficient j
+        is nonzero.  int64 while top (E q + num_vars n max|entry| max(p, q))
+        < 2**62, Python integers otherwise.
+        """
+        ctx, n, num_vars = self.context, self.context.degree, self.num_vars
+        p, q = ctx.radicand.numerator, ctx.radicand.denominator
+        a, b, row_dens, top = self._integer_rows
+        for col in columns:
+            if len(col) != num_vars:
+                raise ValidationError(f"point of length {len(col)} in a {num_vars}-variable system")
+        cols = [[v if type(v) is int else ctx.coerce(v) for v in col] for col in columns]
+        den = math.lcm(*(v.den for col in cols for v in col if type(v) is not int))
+        scalars = [[v * den * q if type(v) is int else v.num[0] * (den // v.den) * q
+                    if v.is_rational() else 0 for v in col] for col in cols]
+        fields: dict[int, list] = {}  # variable j -> [(column, scaled numerators)]
+        for c, col in enumerate(cols):
+            for j, v in enumerate(col):
+                if type(v) is not int and not v.is_rational():
+                    fields.setdefault(j, []).append((c, [x * (den // v.den) for x in v.num]))
+        most = max([0, *(abs(x) for col in scalars for x in col), *(
+            abs(x) * max(p, q) for group in fields.values() for _, num in group for x in num)])
+        dtype = np.int64 if max(top, 1) * (den * q + num_vars * n * most) < (1 << 62) else object
+        a = a.astype(dtype, copy=False)
+        values = np.array(scalars, dtype=dtype).reshape(len(cols), num_vars) @ a
+        for j, group in fields.items():
+            powers = np.flatnonzero((a[:, j] != 0).any(axis=0))
+            blocks = ctx.multiplication_matrix(np.array([x for _, x in group], dtype=dtype), powers)
+            values[:, [c for c, _ in group]] += (a[:, j, powers] @ blocks.reshape(
+                len(group) * n, len(powers)).T).reshape(len(b), len(group), n)
+        return values, b.astype(dtype, copy=False) * (den * q), [d * den * q for d in row_dens]
 
     def recession_system(self) -> "LinearSystem":
         zero = self.context.zero
@@ -396,7 +429,7 @@ class LinearSystem:
             raise ResourceLimitError(
                 f"box holds {volume} lattice points, above the cap of {cap}",
                 required=volume)
-        int_rows = _integer_rows(self)
+        int_rows = self._integer_rows[:2]
         jobs = min(jobs, os.cpu_count() or 1)
         if jobs > 1 and box.dimension and box.bounds[0][1] > box.bounds[0][0]:
             return _enumerate_parallel(self.context, int_rows, box, jobs)
@@ -515,23 +548,6 @@ def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
 # lattice enumeration
 # -----------------------------------------------------------------------------
 
-def _integer_rows(system: LinearSystem):
-    """Clear denominators: per row, integer coefficient matrix by basis power.
-
-    Returns [(A, b)] where A is a degree x num_vars integer matrix and b an
-    integer vector of length degree, encoding sum_i (b[i] - A[i].x) c^i.
-    """
-    n = system.context.degree
-    out = []
-    for row in system.rows:
-        den = math.lcm(row.rhs.den, *(e.den for e in row.coeffs))
-        scaled = [(e.num, den // e.den) for e in row.coeffs + (row.rhs,)]
-        a = [[num[i] * m for num, m in scaled[:-1]] for i in range(n)]
-        num, m = scaled[-1]
-        out.append((a, [v * m for v in num]))
-    return out
-
-
 _CHUNK = 1 << 18
 _FIRST_STEP = 1 << 8
 
@@ -551,9 +567,9 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
     need be.  The search is int64 when a magnitude bound over the box stays
     below 2^62, and Python integers (dtype object) otherwise.
     """
-    n, d, count = context.degree, box.dimension, len(int_rows)
-    a = np.array([a for a, _ in int_rows], dtype=object).reshape(count, n, d)
-    b = np.array([b for _, b in int_rows], dtype=object).reshape(count, n)
+    a, b = int_rows  # the system's _integer_rows: A is rows x d x n, b is rows x n
+    n, d, count = context.degree, box.dimension, len(b)
+    a, b = a.transpose(0, 2, 1).astype(object), b.astype(object)
     scale = np.array(context._kernel_brackets(), dtype=object)
     # at least 1, so that the bound also covers every coefficient array
     reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in box.bounds], dtype=object)

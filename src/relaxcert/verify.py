@@ -115,9 +115,8 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
                            notes=tuple(notes))
 
     coverage = []
-    for p in base_points:
-        lifted = tuple(p) + (heights(p),)
-        membership = system.contains(lifted)
+    lifted = system.memberships([tuple(p) + (heights(p),) for p in base_points])
+    for p, membership in zip(base_points, lifted):
         if not membership.inside:
             return Certificate(
                 "refuted",
@@ -134,7 +133,11 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
         coverage.append(CoverageRecord(p, tight_upper, tight_lower))
 
     projection = system.eliminate_variable(k)
-    propagated = projection.propagated_bounds()
+    # the single-variable rows (a pipeline's box rows) often bound every coordinate alone
+    single = tuple(row for row in projection.rows if sum(map(bool, row.coeffs)) == 1)
+    propagated = LinearSystem(projection.context, k, single).propagated_bounds()
+    if not all(bounds.bounded for bounds in propagated):
+        propagated = projection.propagated_bounds()
     box_bounds = []
     for j in range(k):
         bounds = propagated[j]

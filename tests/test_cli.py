@@ -241,3 +241,46 @@ def test_non_integer_box_exit_two(tmp_path, capsys):
     out = tmp_path / "dim5.json"
     assert run(["build", "dim5", "--out", str(out)]) == 0
     assert "a:b" in _verify_error(capsys, out, out, box="a:b")
+
+
+def test_json_of_the_wrong_shape_exit_two(tmp_path, capsys):
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out)]) == 0
+    for name, text in (("five.json", "5\n"), ("list.json", "[1, 2]\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        err = _verify_error(capsys, bad, out)
+        assert str(bad) in err and "not a JSON object" in err and len(err.splitlines()) == 1
+    for path, value in ((("field", "degree"), "abc"), (("num_vars",), [1])):
+        data = read_json(out)["system"]
+        data[path[0]] = value if len(path) == 1 else {**data[path[0]], path[1]: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        err = _verify_error(capsys, bad, out)
+        assert str(bad) in err and len(err.splitlines()) == 1
+
+
+def test_heights_without_entries_exit_two(tmp_path, capsys):
+    mixed, heights = tmp_path / "mixed.json", tmp_path / "heights.json"
+    assert run(["build", "dim5", "--out", str(tmp_path / "dim5.json"),
+                "--mixed-out", str(mixed), "--heights-out", str(heights)]) == 0
+    data = read_json(heights)
+    data["entries"] = []
+    heights.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["certify-mixed", "--system", str(mixed), "--heights", str(heights)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(heights) in err and len(err.splitlines()) == 1
+
+
+def test_output_in_a_missing_directory_exit_two_before_building(tmp_path, capsys):
+    ok, missing = tmp_path / "ok.json", tmp_path / "absent" / "x.json"
+    for flag in ("--out", "--mixed-out", "--heights-out"):
+        paths = {"--out": ok, "--mixed-out": tmp_path / "m.json",
+                 "--heights-out": tmp_path / "h.json", flag: missing}
+        rc = run(["build", "dim5", *(x for item in paths.items() for x in map(str, item))])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and str(missing) in err
+        assert len(err.splitlines()) == 1
+        # refused before the build: no other output was written
+        assert not any(p.exists() for p in paths.values())

@@ -423,7 +423,7 @@ def test_pipeline_relaxation_returns_bundle():
 
 def test_pipeline_rejects_large_k_when_certifying():
     with pytest.raises(ValidationError):
-        pipeline_relaxation(7)
+        pipeline_relaxation(8)
 
 
 def test_pipeline_k5_certifies():

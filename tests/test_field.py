@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxcert.errors import ValidationError
-from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, FieldContext, FieldElement,
+from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, MAX_JSON_DEGREE, FieldContext,
+                             FieldElement,
                              _int_nth_root, make_context)
 
 
@@ -271,6 +273,17 @@ def test_context_json_round_trip():
     data = ctx.to_json_dict()
     assert data == {"degree": 5, "radicand": "3/2"}
     assert ctx.from_json_dict(data) == ctx
+
+
+def test_context_json_refuses_a_huge_degree_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="above the limit"):
+        FieldContext.from_json_dict({"degree": 100000, "radicand": "2"})
+    assert time.perf_counter() - start < 0.5
+    limit = {"degree": MAX_JSON_DEGREE + 1, "radicand": "2"}
+    with pytest.raises(ValidationError):
+        FieldContext.from_json_dict(limit)
+    assert FieldContext.from_json_dict({"degree": 248, "radicand": "2"}).degree == 248
 
 
 # ---------------------------------------------------------------------------

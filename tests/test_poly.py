@@ -113,6 +113,55 @@ def test_contains_matches_row_slack_reference(case):
     assert system.contains(point) == _row_slack_membership(system, point)
 
 
+_BATCH_FIELDS = _ORACLE_FIELDS + (make_context(27, 2),)
+_BIG = 1 << 40  # numerators of 2**40 and more send _evaluate down the Python-integer path
+
+
+def _scaled(elements):
+    """Elements as drawn, or times 2**40."""
+    return st.one_of(elements, elements.map(lambda e: e * _BIG))
+
+
+@st.composite
+def _batch_cases(draw):
+    """A system and a batch of points: int and Fraction coordinates, the last one
+    possibly a field element, and numerators that are small or at least 2**40.
+
+    Each row's rhs is its value at the first point plus 0, +-1 or a random
+    element, so tight, strictly satisfied and violated rows all occur.
+    """
+    ctx = draw(st.sampled_from(_BATCH_FIELDS))
+    num_vars = draw(st.integers(1, 3))
+    rational = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda v: v * _BIG),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    last = st.one_of(rational, _scaled(_elements(ctx)))
+    point = st.tuples(*[rational] * (num_vars - 1), last)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    at = [ctx.coerce(x) for x in points[0]]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(_scaled(_elements(ctx)), min_size=num_vars, max_size=num_vars))
+        value = sum((c * x for c, x in zip(coeffs, at)), ctx.zero)
+        rows.append((coeffs, value + draw(st.one_of(st.sampled_from((0, 1, -1)),
+                                                    _elements(ctx)))))
+    return LinearSystem.from_rows(ctx, rows, num_vars), points
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_batch_cases())
+def test_memberships_match_row_slack_reference(case):
+    """One batched call gives every point's inside, tight and violated rows."""
+    system, points = case
+    assert system.memberships(points) == [_row_slack_membership(system, p) for p in points]
+
+
+def test_memberships_of_an_empty_batch_and_a_wrong_length_point():
+    P = projected_simplex_relaxation(Fraction(1, 8))
+    assert P.memberships([]) == []
+    with pytest.raises(ValidationError):
+        P.memberships([(0, 0, 0, 0), (0, 0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
@@ -614,6 +663,44 @@ def test_substitute_affine_int_entries_match_field_entries(data):
     field_shift = None if shift is None else [ctx.from_rational(v) for v in shift]
     assert (system.substitute_affine(matrix, shift)
             == system.substitute_affine(field_matrix, field_shift))
+
+
+def _field_substitute(system, matrix, shift):
+    """The pull-back by per-entry field arithmetic: every product a FieldElement product."""
+    ctx = system.context
+    mat = [[ctx.coerce(v) for v in row] for row in matrix]
+    new_dim = len(mat[0]) if mat else 0
+    new_rows = []
+    for row in system.rows:
+        coeffs = []
+        for col in range(new_dim):
+            acc = ctx.zero
+            for a, mrow in zip(row.coeffs, mat):
+                acc = acc + a * mrow[col]
+            coeffs.append(acc)
+        rhs = row.rhs
+        for a, v in zip(row.coeffs, shift):
+            rhs = rhs - a * ctx.coerce(v)
+        new_rows.append(poly.Row(tuple(coeffs), rhs))
+    return LinearSystem(ctx, new_dim, tuple(new_rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_affine_matches_field_reference(data):
+    """int, Fraction and field entries, small or of 2**40 and more, pull back exactly."""
+    ctx = data.draw(st.sampled_from(_BATCH_FIELDS))
+    num_vars, new_dim = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    element = _scaled(_elements(ctx))
+    rows = data.draw(st.lists(st.tuples(st.lists(element, min_size=num_vars,
+                                                 max_size=num_vars), element), max_size=4))
+    system = LinearSystem.from_rows(ctx, rows, num_vars)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda v: v * _BIG),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4), element)
+    matrix = data.draw(st.lists(st.lists(entry, min_size=new_dim, max_size=new_dim),
+                                min_size=num_vars, max_size=num_vars))
+    shift = data.draw(st.lists(entry, min_size=num_vars, max_size=num_vars))
+    assert system.substitute_affine(matrix, shift) == _field_substitute(system, matrix, shift)
 
 
 def test_substitute_shape_mismatch():
