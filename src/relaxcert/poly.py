@@ -11,8 +11,9 @@ pull-back turns into new rows and membership into signed slacks.
 Fourier-Motzkin never divides in the field: rows combine with positive
 field multipliers and are kept as primitive integer coefficient vectors;
 field division is left to the bounds, where the quotient is the answer.
-One enumerator serves every field: a vectorized branch and bound prunes
-the prefixes that no completion satisfies, and the field's kernel
+One enumerator serves every field: a vectorized branch and bound, which
+branches first on the coordinates that complete rows soonest, prunes the
+prefixes that no completion satisfies, and the field's kernel
 signs_of_int_vectors decides every row at the points that remain.
 """
 
@@ -413,11 +414,12 @@ class LinearSystem:
 
     def enumerate_lattice_points(self, box: Box, cap: int = DEFAULT_POINT_CAP,
                                  jobs: int = 1) -> list[tuple[int, ...]]:
-        """All integer points of the box satisfying the system, in lex order.
+        """All integer points of the box satisfying the system, in lex order
+        whatever order the search branches in (_search_order).
 
         cap bounds the box's points, not the prefixes the search visits.
-        jobs > 1 splits the first coordinate's range across that many worker
-        processes, at most one per CPU.
+        jobs > 1 splits the first searched coordinate's range across that
+        many worker processes, at most one per CPU.
         """
         if box.dimension != self.num_vars:
             raise ValidationError(
@@ -430,10 +432,11 @@ class LinearSystem:
                 f"box holds {volume} lattice points, above the cap of {cap}",
                 required=volume)
         int_rows = self._integer_rows[:2]
-        jobs = min(jobs, os.cpu_count() or 1)
-        if jobs > 1 and box.dimension and box.bounds[0][1] > box.bounds[0][0]:
-            return _enumerate_parallel(self.context, int_rows, box, jobs)
-        return _enumerate(self.context, int_rows, box)
+        order = _search_order(int_rows[0], box)
+        jobs = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+        if jobs > 1 and box.dimension and box.bounds[order[0]][1] > box.bounds[order[0]][0]:
+            return _enumerate_parallel(self.context, int_rows, box, order, jobs)
+        return _enumerate(self.context, int_rows, box, order)
 
     # -- serialization --------------------------------------------------------------
 
@@ -552,39 +555,71 @@ _CHUNK = 1 << 18
 _FIRST_STEP = 1 << 8
 
 
-def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...]]:
+def _search_order(a: np.ndarray, box: Box) -> list[int]:
+    """_enumerate's coordinate order: greedily the free coordinate that completes
+    some row soonest (fewest other free coordinates in a row that contains it),
+    then the narrower box range, then more rows, then the lower index; a
+    coordinate in no row comes after every coordinate in some row."""
+    d = box.dimension
+    support = (a != 0).any(axis=2)  # rows x d
+    rows = support.sum(axis=0).tolist()
+    # bit i of a mask stands for ranked[i], the coordinates ranked by the tie-breaks
+    ranked = sorted(range(d), key=lambda j: (box.bounds[j][1] - box.bounds[j][0], -rows[j], j))
+    bits = np.array([1 << ranked.index(j) for j in range(d)], dtype=object)
+    masks = set((support.astype(object) @ bits).tolist())
+    free, order = (1 << d) - 1, []
+    while free:
+        # pick: the free coordinates of the rows nearest completion, all once no row has any
+        soonest, pick = d + 1, free
+        for m in masks:
+            count = (m & free).bit_count()
+            if 0 < count < soonest:
+                soonest, pick = count, m & free
+            elif count == soonest:
+                pick |= m & free
+        free ^= pick & -pick  # the best ranked of them
+        order.append(ranked[(pick & -pick).bit_length() - 1])
+    return order
+
+
+def _enumerate(context: FieldContext, int_rows, box: Box, order: list[int]
+               ) -> list[tuple[int, ...]]:
     """Points of the box on which every integer row is nonnegative, in lex order.
 
-    A row's value at x is V = sum_i w_i c^i with integer w_i = b_i - A_i.x,
-    and the field's kernel signs_of_int_vectors decides it at the points
-    that survive the search.  The search prunes with the kernel's brackets
-    L_i, by which 2^B V lies within err = sum_{i>=1} |w_i| of centre =
-    sum_i L_i w_i: each step fixes the next coordinate of every kept prefix
-    (the first, as many as make at most _FIRST_STEP prefixes) and drops a
-    prefix whose centre, plus the most the free coordinates can add to it
-    and the most err reaches over the box, is negative for some row.  A
+    The search fixes the coordinates in the given order (_search_order) on
+    A and the box permuted once; the points it finds are mapped back and
+    sorted.  A row's value at x is V = sum_i w_i c^i with integer w_i = b_i
+    - A_i.x, and the field's kernel signs_of_int_vectors decides it at the
+    points that survive the search, at most about _CHUNK integers a call.
+    The search prunes with the kernel's brackets L_i, by which 2^B V lies
+    within err = sum_{i>=1} |w_i| of centre = sum_i L_i w_i: each step
+    fixes the next coordinate of every kept prefix (the first, as many as
+    make at most _FIRST_STEP prefixes) and drops a prefix whose centre,
+    plus the most the free coordinates can add to it and the most err
+    reaches over the box, is negative for some row.  A
     step holds at most _CHUNK centres, one prefix's children in slices if
     need be.  The search is int64 when a magnitude bound over the box stays
     below 2^62, and Python integers (dtype object) otherwise.
     """
     a, b = int_rows  # the system's _integer_rows: A is rows x d x n, b is rows x n
     n, d, count = context.degree, box.dimension, len(b)
-    a, b = a.transpose(0, 2, 1).astype(object), b.astype(object)
+    bounds, back = [box.bounds[j] for j in order], sorted(range(d), key=order.__getitem__)
+    a, b = a[:, order].transpose(0, 2, 1).astype(object), b.astype(object)
     scale = np.array(context._kernel_brackets(), dtype=object)
     # at least 1, so that the bound also covers every coefficient array
-    reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in box.bounds], dtype=object)
+    reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in bounds], dtype=object)
     size = np.abs(b) + np.abs(a) @ reach  # the most |w_i| reaches over the box
     headroom = max((*reach, *((scale + 1) * size).sum(axis=1)), default=0)
     dtype = np.int64 if headroom < (1 << 62) else object
 
     centres = (a * scale[:, None]).sum(axis=1).astype(dtype)
     rows_a, rows_b = a.transpose(0, 2, 1).astype(dtype), b[:, None, :].astype(dtype)
-    low, high = np.array(box.bounds, dtype=np.int64).reshape(d, 2).T
+    low, high = np.array(bounds, dtype=np.int64).reshape(d, 2).T
     # column j: the most coordinates j.. can add to each centre, plus the most err reaches
     most = np.column_stack((np.maximum(-centres * low, -centres * high), size[:, 1:].sum(axis=1)))
     most = np.cumsum(most[:, ::-1], axis=1)[:, ::-1].astype(dtype)
 
-    sizes = [hi - lo + 1 for lo, hi in box.bounds]
+    sizes = [hi - lo + 1 for lo, hi in bounds]
     first = min(d, 1 + sum(math.prod(sizes[:j]) <= _FIRST_STEP for j in range(2, d + 1)))
     cuts = [0, first] + list(range(first + 1, d + 1))
     steps = []
@@ -594,13 +629,18 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
         steps.append((grid, -(centres[:, j0:j1] @ grid.astype(dtype)), most[:, j1:j1 + 1]))
 
     limit = max(1, _CHUNK // max(count, 1))
+    points_per, rows_per = max(1, _CHUNK // max(count * n, 1)), max(1, _CHUNK // n)
     result: list[tuple[int, ...]] = []
 
     def finish(xs):
         """Keep the columns of xs where every row's w = b - A x has a nonnegative sign."""
-        w = rows_b - xs.T.astype(dtype) @ rows_a
-        ok = (context.signs_of_int_vectors(w) >= 0).all(axis=0)
-        result.extend(map(tuple, xs[:, ok].T.tolist()))
+        ok = np.ones(xs.shape[1], dtype=bool)
+        for s in range(0, xs.shape[1], points_per):
+            x = xs[:, s:s + points_per].T.astype(dtype)
+            for r in range(0, count, rows_per):
+                w = rows_b[r:r + rows_per] - x @ rows_a[r:r + rows_per]
+                ok[s:s + points_per] &= (context.signs_of_int_vectors(w) >= 0).all(axis=0)
+        result.extend(map(tuple, xs[:, ok][back].T.tolist()))
 
     def descend(depth, points, values):
         """Extend the prefixes (columns of points, their centres) by step `depth`."""
@@ -623,26 +663,24 @@ def _enumerate(context: FieldContext, int_rows, box: Box) -> list[tuple[int, ...
                     finish(xs)
 
     descend(0, np.zeros((0, 1), dtype=np.int64), (b @ scale).astype(dtype)[:, None])
-    return result
+    return sorted(result)
 
 
 def _enumerate_chunk(args):
-    field, int_rows, bounds = args
-    return _enumerate(FieldContext.from_json_dict(field), int_rows, Box(bounds))
+    field, int_rows, bounds, order = args
+    return _enumerate(FieldContext.from_json_dict(field), int_rows, Box(bounds), order)
 
 
-def _enumerate_parallel(context: FieldContext, int_rows, box: Box, jobs: int
-                        ) -> list[tuple[int, ...]]:
-    """_enumerate with the first coordinate's range split across worker processes."""
-    lo0, hi0 = box.bounds[0]
+def _enumerate_parallel(context: FieldContext, int_rows, box: Box, order: list[int],
+                        jobs: int) -> list[tuple[int, ...]]:
+    """_enumerate with the first searched coordinate's range split across worker processes."""
+    first = order[0]
+    lo0, hi0 = box.bounds[first]
     span = hi0 - lo0 + 1
     jobs = min(jobs, span)
     edges = [lo0 + (span * i) // jobs for i in range(jobs)] + [hi0 + 1]
     field = context.to_json_dict()
-    tasks = [(field, int_rows, ((edges[i], edges[i + 1] - 1),) + box.bounds[1:])
-             for i in range(jobs)]
-    result: list[tuple[int, ...]] = []
+    tasks = [(field, int_rows, box.bounds[:first] + ((edges[i], edges[i + 1] - 1),)
+              + box.bounds[first + 1:], order) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_enumerate_chunk, tasks):
-            result.extend(part)
-    return result
+        return sorted(p for part in pool.map(_enumerate_chunk, tasks) for p in part)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from relaxcert import poly
 from relaxcert.construct import (composed_simplex_relaxation, pipeline_run,
                                  projected_simplex_relaxation, simplex5_relaxation)
 from relaxcert.errors import ResourceLimitError, ValidationError
-from relaxcert.field import make_context
+from relaxcert.field import FieldContext, make_context
 from relaxcert.poly import Box, LinearSystem, PointSet
 
 CTX2 = make_context(2, 2)
@@ -465,12 +466,76 @@ def test_enumerate_lex_order_and_degree_five():
     assert (1, 0) in points and (1, 1) not in points
 
 
+# rows on the trailing coordinates only: the search fixes x3, x2, x0 in its first
+# step, then x1; x0 and x1 are in no row
+_TRAILING = (LinearSystem.from_rows(CTX2, [((0, 0, 1, CTX2.element((0, 1))), 1),
+                                           ((0, 0, 0, -1), 1)], 4), Box.uniform(-2, 2, 4))
+# one row over uneven widths: the search fixes x1, x3, x0 in its first step, then x2
+_UNEVEN = (LinearSystem.from_rows(CTX2, [((1, CTX2.element((0, 1)), -1, 2), 3)], 4),
+           Box(((-3, 3), (0, 1), (-3, 3), (-1, 1))))
+
+
+def _supports(d, *rows):
+    """An integer row array (rows x d x 1) with the given coordinate supports."""
+    a = np.zeros((len(rows), d, 1), dtype=np.int64)
+    for r, support in enumerate(rows):
+        a[r, list(support), 0] = 1
+    return a
+
+
+def test_search_order_rule():
+    wide = Box(((0, 1), (0, 1), (0, 1), (-9, 9)))
+    # completion first: x3 completes its row at once, though its range is widest
+    assert poly._search_order(_supports(4, {0, 1, 2}, {3}), wide) == [3, 0, 1, 2]
+    # then the narrower range: x2 before x1, which is in more rows
+    narrow_last = Box(((0, 3), (0, 3), (0, 1)))
+    assert poly._search_order(_supports(3, {0, 1}, {0, 1}, {1, 2}), narrow_last) == [2, 1, 0]
+    # then more rows, then the lower index
+    cube = Box.uniform(0, 1, 3)
+    assert poly._search_order(_supports(3, {0, 1}, {0, 1}, {1, 2}), cube) == [1, 0, 2]
+    assert poly._search_order(_supports(3, {0, 1, 2}), cube) == [0, 1, 2]
+    # a coordinate in no row comes last, even the narrowest
+    assert poly._search_order(_supports(3, {1, 2}), Box(((0, 0), (0, 3), (0, 3)))) == [1, 2, 0]
+    # no rows: by width, then index; d = 0
+    assert poly._search_order(_supports(3), Box(((0, 3), (0, 1), (0, 1)))) == [1, 2, 0]
+    assert poly._search_order(_supports(0), Box(())) == []
+    # the oracle examples below search in a non-identity order
+    for (system, box), order in ((_TRAILING, [3, 2, 0, 1]), (_UNEVEN, [1, 3, 0, 2])):
+        assert poly._search_order(system._integer_rows[0], box) == order
+
+
+def test_enumerate_zero_dimensions():
+    assert LinearSystem(CTX2, 0, ()).enumerate_lattice_points(Box(())) == [()]
+    assert system_from([((), 1)], 0).enumerate_lattice_points(Box(())) == [()]
+    assert system_from([((), -1)], 0).enumerate_lattice_points(Box(())) == []
+
+
+@pytest.mark.parametrize("chunk", (1 << 11, 1 << 13, poly._CHUNK))
+def test_enumerate_last_step_signs_at_most_chunk_entries(chunk):
+    """The k = 5 projection (131 rows at degree 27) is signed in stacks of at most _CHUNK."""
+    run = pipeline_run(5, certify=False)
+    projection = run.mixed_system.eliminate_variable(5)
+    kernel, largest = FieldContext.signs_of_int_vectors, []
+
+    def recording(context, w):
+        largest.append(w.size)
+        return kernel(context, w)
+
+    with mock.patch.object(poly, "_CHUNK", chunk), \
+            mock.patch.object(FieldContext, "signs_of_int_vectors", recording):
+        points = projection.enumerate_lattice_points(Box.uniform(0, 1, 5))
+    assert points == list(itertools.product((0, 1), repeat=5))
+    assert 0 < max(largest) <= chunk
+
+
 def test_enumerate_parallel_matches_serial(monkeypatch):
     # two real workers even on a one-CPU host
     monkeypatch.setattr(poly.os, "cpu_count", lambda: 2)
-    # degree 2 (dim-5 block) and degree 5 (k = 3 pipeline window)
+    # degree 2 (dim-5 block), degree 5 (k = 3 pipeline window), and the searches
+    # that split x3 and x1
     for system, box in ((simplex5_relaxation().system, Box.uniform(-2, 3, 5)),
-                        (pipeline_run(3).bundle.system, Box.uniform(-1, 2, 7))):
+                        (pipeline_run(3).bundle.system, Box.uniform(-1, 2, 7)),
+                        _TRAILING, _UNEVEN):
         serial = system.enumerate_lattice_points(box)
         assert system.enumerate_lattice_points(box, jobs=2) == serial
 
@@ -500,7 +565,7 @@ def test_enumerate_jobs_clamped_and_validated(monkeypatch):
     serial = system.enumerate_lattice_points(box)
     assert system.enumerate_lattice_points(box, jobs=10 ** 6) == serial
     assert seen == [3]
-    # the split never makes more parts than the first coordinate has values
+    # the split never makes more parts than the first searched coordinate (x0) has values
     assert system.enumerate_lattice_points(Box(((0, 1),) + ((-2, 3),) * 4), jobs=3) \
         == [p for p in serial if p[0] in (0, 1)]
     assert seen == [3, 2]
@@ -582,6 +647,10 @@ _NEAR_TWO = make_context(2, Fraction((1 << 40) + 1, 1 << 38))
 @example(case=(LinearSystem.from_rows(CTX2, [((1, 0, CTX2.element((0, 1))),
                                               CTX2.element((Fraction(-9, 2), -3)))], 3),
                Box(((-3, 3), (-20, 20), (-3, 3)))), chunk=poly._CHUNK)
+# searched in a non-identity order, the first step fixing three coordinates
+@example(case=_TRAILING, chunk=poly._CHUNK)
+@example(case=_UNEVEN, chunk=poly._CHUNK)
+@example(case=_UNEVEN, chunk=3)
 # Python integers (dtype object), one prefix at a time
 @example(case=(LinearSystem.from_rows(CTX2, [((CTX2.element((1 << 61, 3)), 1, -1), 5),
                                              ((-1, CTX2.element((0, -(1 << 59))), 1), 2)], 3),
