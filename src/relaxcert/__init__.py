@@ -13,8 +13,8 @@ from .errors import (CertificationError, DegenerateSimplexError, PreconditionErr
                      ResourceLimitError, ValidationError)
 from .field import FieldContext, FieldElement, make_context
 from .lift import (AffineFunction, FacetSimplex, HeightFunction, affine_interpolant,
-                   check_upper_facet, facet_inequality_from_simplex, perturb_heights,
-                   staircase_height)
+                   check_facets, check_upper_facet, facet_inequality_from_simplex,
+                   facets_from_simplices, perturb_heights, staircase_height)
 from .poly import Box, LinearSystem, PointSet
 from .verify import (Certificate, box_check, certify_mixed,
                      recession_ray_rationality)

@@ -20,7 +20,7 @@ from .cover import build_full_cover, dominating_family
 from .errors import (CertificationError, PreconditionError, ResourceLimitError,
                      ValidationError)
 from .field import FieldContext, as_fraction, make_context
-from .lift import (HeightFunction, affine_interpolant, facet_inequality_from_simplex,
+from .lift import (HeightFunction, affine_interpolant, facets_from_simplices,
                    perturb_heights, staircase_height)
 from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet, Row
 from .verify import Certificate, certify_mixed
@@ -455,11 +455,14 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     for i in range(k):
         rows.append(Row(tuple(one if j == i else zero for j in range(k)) + (zero,), one))
         rows.append(Row(tuple(-one if j == i else zero for j in range(k)) + (zero,), zero))
-    for family in (upper, lower):
-        for facet in family.facets:
-            rebuilt = facet_inequality_from_simplex(facet.vertices, perturbed,
-                                                    facet.orientation)
-            rows.append(Row(rebuilt.coeffs + (rebuilt.y_coeff,), rebuilt.rhs))
+    index = {p: i for i, p in enumerate(cube)}
+    for family, orientation in ((upper, "upper"), (lower, "lower")):
+        rebuilt = facets_from_simplices(
+            cube, [[index[v] for v in f.vertices] for f in family.facets], perturbed, orientation)
+        if None in rebuilt:
+            raise CertificationError(f"an {orientation} cover facet is invalid under the "
+                                     "perturbed heights", stage="assembly")
+        rows.extend(Row(f.coeffs + (f.y_coeff,), f.rhs) for f in rebuilt)
     mixed = LinearSystem(ctx, k + 1, tuple(rows))
 
     certificate = None

@@ -2,8 +2,10 @@
 
 Symmetric chain decompositions realize the binomial covering optimum for
 chains; permutation-prefix facets cover the top layer of the lifted cube
-and dominating-set facets the bottom layer.  A small branch-and-bound set
-cover gives exact covering numbers on small instances.
+and dominating-set facets the bottom layer.  Each family, and the lower
+cover reflected from the upper one, is built and checked by one
+lift.facets_from_simplices call.  A small branch-and-bound set cover
+gives exact covering numbers on small instances.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .lift import (FacetSimplex, HeightFunction, _screen_facets, check_upper_facet,
-                   facet_inequality_from_simplex, staircase_height)
+from .lift import (FacetSimplex, HeightFunction, _screen_facets,
+                   facet_inequality_from_simplex, facets_from_simplices, staircase_height)
 
 Point = tuple[int, ...]
 
@@ -309,14 +311,12 @@ def dominating_facet_vertices(k: int, subset: frozenset[int]) -> tuple[Point, ..
 def _realize_family(kind: str, k: int, generators, vertex_fn,
                     heights: HeightFunction) -> CoverFamily:
     points = _cube_points(k)
-    facets = []
-    for gen in generators:
-        facet = facet_inequality_from_simplex(vertex_fn(k, gen), heights, "upper")
-        check = check_upper_facet(facet, points, heights)
-        if not check.valid:
-            raise AssertionError(
-                f"{kind} generator {gen} fails facet validation: {check}")
-        facets.append(facet)
+    index = {p: i for i, p in enumerate(points)}
+    facets = facets_from_simplices(
+        points, [[index[v] for v in vertex_fn(k, gen)] for gen in generators], heights, "upper")
+    for gen, facet in zip(generators, facets):
+        if facet is None:
+            raise AssertionError(f"{kind} generator {gen} fails facet validation")
     return CoverFamily(kind, tuple(generators), tuple(facets))
 
 
@@ -338,13 +338,6 @@ def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
     return _realize_family("dominating", k, family, dominating_facet_vertices, heights)
 
 
-def involution_image(facet: FacetSimplex, heights: HeightFunction) -> FacetSimplex:
-    """Lower facet obtained by the reflection (x, y) -> (x', 1-x_k, -y)."""
-    new_orientation = "lower" if facet.orientation == "upper" else "upper"
-    new_vertices = tuple(v[:-1] + (1 - v[-1],) for v in facet.vertices)
-    return facet_inequality_from_simplex(new_vertices, heights, new_orientation)
-
-
 def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     """Upper and lower simplicial facet covers of the lifted cube vertices.
 
@@ -363,14 +356,15 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     upper = CoverFamily("explicit",
                         perm_family.generators + dom_family.generators,
                         perm_family.facets + dom_family.facets)
-    lower_facets = tuple(involution_image(f, heights) for f in upper.facets)
-    points = set(_cube_points(k))
-    for facet in lower_facets:
-        check = check_upper_facet(facet, points, heights)
-        if not check.valid:
-            raise AssertionError(f"reflected facet invalid: {check}")
+    points = _cube_points(k)
+    index = {p: i for i, p in enumerate(points)}
+    lower_facets = tuple(facets_from_simplices(
+        points, [[index[v[:-1] + (1 - v[-1],)] for v in f.vertices] for f in upper.facets],
+        heights, "lower"))
+    if None in lower_facets:
+        raise AssertionError("a reflected facet is invalid")
     lower = CoverFamily("explicit", upper.generators, lower_facets)
-    if upper.covered_points() != points or lower.covered_points() != points:
+    if not upper.covered_points() == lower.covered_points() == set(points):
         raise AssertionError("facet families leave lifted vertices uncovered")
     return upper, lower
 

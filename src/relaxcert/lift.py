@@ -6,10 +6,11 @@ facet row serves building, screening and checking them: with A the integer
 vertex matrix and H(v) the numerator vector of h(v) over the heights'
 common denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and
 det(A) give every slack as an integer vector, and the field's kernel
-signs_of_int_vectors signs a whole stack of them at once.  The
-perturbation routine gives a chosen subset irrational height offsets
-along powers of a root of 2, keeping a given facet cover valid, which it
-re-verifies exactly.
+signs_of_int_vectors signs a whole stack of them at once.  Lists of
+candidates are built (facets_from_simplices) and lists of facets checked
+(check_facets) in such batches.  The perturbation routine gives a chosen
+subset irrational height offsets along powers of a root of 2, keeping a
+given facet cover valid, which it re-verifies exactly.
 """
 
 from __future__ import annotations
@@ -198,14 +199,15 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
 _SCREEN_ENTRIES = 1 << 13  # about the most entries one block's largest array holds
 
 
-def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
     """_facet_row on a stack of matrices [A^T | H], shape (C, k+1, 1+k+n), at once.
 
     The same fraction-free Gauss-Jordan pass runs on every matrix; one with
     no pivot left in some column is affinely dependent and is dropped, so
     every survivor has the pivot of column t in row t, with its own row
-    swaps and sign.  Returns (kept, lead, C): the survivors' indices, their
-    leads and their cofactor vectors C[:, r], oriented as by _facet_row.
+    swaps and sign.  Returns (kept, lead, C, swapped): the survivors'
+    indices, their leads, their cofactor vectors C[:, r] and whether v_0
+    and v_1 trade places, all oriented as by _facet_row.
     """
     kept, sign, k1 = np.arange(len(m)), np.ones(len(m), dtype=np.int64), m.shape[1]
     prev = np.ones(len(m), dtype=m.dtype)
@@ -221,22 +223,24 @@ def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, np.ndarr
         m = (pivot * m - m[:, :, t:t + 1] * row) // prev[:, None, None]
         m[:, t] = row[:, 0]
         prev = pivot[:, 0, 0]
-    flip = sign * np.where((sign * prev > 0) == (orientation == "upper"), 1, -1)
-    return kept, flip * prev, flip[:, None, None] * m[:, :, k1:]
+    swapped = (sign * prev > 0) != (orientation == "upper")
+    flip = sign * np.where(swapped, -1, 1)
+    return kept, flip * prev, flip[:, None, None] * m[:, :, k1:], swapped
 
 
-def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
-                   heights: HeightFunction, orientation: str) -> np.ndarray:
-    """Bool mask: is each candidate simplex a valid facet of the given orientation?
+def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
+              heights: HeightFunction, orientation: str):
+    """Yield (kept, vertices, lead, C, valid) for each block of candidate simplices.
 
-    simplices yields (k+1)-tuples of indices into points; they are read in
-    blocks whose largest array holds about _SCREEN_ENTRIES entries.  Each
-    block's rows come from _batched_rows and its slacks C_0 + sum_i p_i C_i
-    - lead * H(p), shape (C, P, n), from one matmul; the field's kernel
-    signs_of_int_vectors signs them all.  A candidate is valid iff it is
-    non-degenerate and every slack off its vertices is positive.  The
-    elimination is int64 when a bound on every product it forms stays
-    below 2^62, and Python integers (dtype object) otherwise.
+    simplices yields (k+1)-tuples of indices into points, read in blocks
+    whose largest array holds about _SCREEN_ENTRIES entries.  The kept
+    (non-degenerate) candidates' rows come from _batched_rows, their vertex
+    indices in _facet_row's order, and their slacks C_0 + sum_i p_i C_i -
+    lead * H(p) from one matmul, which signs_of_int_vectors signs at once.
+    A slack at a candidate's own vertex must be a zero vector, else
+    AssertionError; valid marks the block's facets, whose other slacks are
+    all positive.  The elimination is int64 when a bound on every product
+    it forms stays below 2^62, and Python integers (dtype object) otherwise.
     """
     if orientation not in ("upper", "lower"):
         raise ValidationError(f"unknown orientation {orientation!r}")
@@ -250,16 +254,55 @@ def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     rows = rows.astype(np.int64 if 2 * minor ** 2 < (1 << 62) else object)
     x, hp = rows[:, :k + 1], rows[:, k + 1:]
     size = max(1, _SCREEN_ENTRIES // max((k + 1) * (k + 1 + n), len(points) * n))
-    masks, simplices = [np.zeros(0, dtype=bool)], iter(simplices)
+    simplices = iter(simplices)
     while block := list(islice(simplices, size)):
         index = np.array(block, dtype=np.intp)
-        kept, lead, cofactors = _batched_rows(rows[index], orientation)
-        positive = ctx.signs_of_int_vectors(x @ cofactors - lead[:, None, None] * hp) > 0
-        np.put_along_axis(positive, index[kept], True, axis=1)  # the vertices' zero slacks
-        mask = np.zeros(len(block), dtype=bool)
-        mask[kept] = positive.all(axis=1)
-        masks.append(mask)
-    return np.concatenate(masks)
+        kept, lead, cofactors, swapped = _batched_rows(rows[index], orientation)
+        slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
+        own[swapped, :2] = own[swapped, 1::-1]
+        at = np.arange(len(own))[:, None]
+        if slacks[at, own].any():
+            raise AssertionError("facet row not tight at its own vertex")
+        positive, valid = ctx.signs_of_int_vectors(slacks) > 0, np.zeros(len(block), dtype=bool)
+        positive[at, own] = True
+        valid[kept] = positive.all(axis=1)
+        yield kept, own, lead, cofactors, valid
+
+
+def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
+                   heights: HeightFunction, orientation: str) -> np.ndarray:
+    """Bool mask: is each candidate simplex a valid facet of the given orientation?"""
+    return np.concatenate([np.zeros(0, dtype=bool), *(
+        valid for *_, valid in _screened(points, simplices, heights, orientation))])
+
+
+def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[Sequence[int]],
+                          heights: HeightFunction, orientation: str = "upper"
+                          ) -> list[FacetSimplex | None]:
+    """facet_inequality_from_simplex for each candidate (k+1)-tuple of indices into
+    points that _screened finds a valid facet, and None for the others."""
+    pts = [tuple(int(x) for x in p) for p in points]
+    heights._require_domain(pts)
+    facets: list[FacetSimplex | None] = []
+    for kept, own, lead, cofactors, valid in _screened(pts, simplices, heights, orientation):
+        block: list[FacetSimplex | None] = [None] * len(valid)
+        for i in np.flatnonzero(valid[kept]).tolist():
+            block[kept[i]] = _facet_from_row([pts[j] for j in own[i].tolist()], int(lead[i]),
+                                             cofactors[i].tolist(), heights, orientation)
+        facets += block
+    return facets
+
+
+def _facet_from_row(verts: list[Point], lead: int, cofactors: list[list[int]],
+                    heights: HeightFunction, orientation: str) -> FacetSimplex:
+    """The FacetSimplex of an oriented integer facet row; a determinant re-derives lead."""
+    ctx = heights.context
+    if determinant([[1, *v] for v in verts], ctx) != lead:  # det(A^T) = det(A)
+        raise AssertionError("vertex determinant disagrees with the facet row")
+    den = heights._numerators[0]
+    coeffs = tuple(_reduced(ctx, tuple(-x for x in c), den) for c in cofactors[1:])
+    return FacetSimplex(tuple(verts), orientation, coeffs, ctx.from_rational(lead),
+                        _reduced(ctx, tuple(cofactors[0]), den))
 
 
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
@@ -278,13 +321,7 @@ def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
     """
     verts, lead, cofactors = _facet_row([tuple(int(x) for x in v) for v in vertices],
                                         heights, orientation)
-    ctx = heights.context
-    if determinant([[1, *v] for v in verts], ctx) != lead:  # det(A^T) = det(A)
-        raise AssertionError("vertex determinant disagrees with the facet row")
-    den = heights._numerators[0]
-    coeffs = tuple(_reduced(ctx, tuple(-x for x in c), den) for c in cofactors[1:])
-    facet = FacetSimplex(tuple(verts), orientation, coeffs, ctx.from_rational(lead),
-                         _reduced(ctx, tuple(cofactors[0]), den))
+    facet = _facet_from_row(verts, lead, cofactors, heights, orientation)
     for v in verts:
         if not facet.evaluate(v, heights(v)).is_zero():
             raise AssertionError("facet inequality not tight at its own vertex")
@@ -293,36 +330,46 @@ def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
 
 def check_upper_facet(facet: FacetSimplex, points: Iterable[Sequence[int]],
                       heights: HeightFunction) -> FacetCheck:
-    """Validate a facet candidate against all lifted points of T.
+    """Validate one facet candidate against all lifted points of T: check_facets([facet])."""
+    return check_facets([facet], points, heights)[0]
 
-    Valid means: the leading determinant sign matches the orientation (it
-    does by construction), every non-vertex lifted point satisfies the
-    inequality strictly, and no extra point is tight (which would make the
-    facet non-simplicial).  Points are checked in the given order and the
-    first failure is reported.  The facet's own row is read as integer
-    vectors over one denominator (y_coeff must be rational, as it is for
-    every facet built here), and the slacks at all points are signed at
-    once by the field's kernel signs_of_int_vectors.
+
+def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]],
+                 heights: HeightFunction) -> list[FacetCheck]:
+    """Validate facet candidates against all lifted points of T.
+
+    Valid means: every non-vertex lifted point satisfies the inequality
+    strictly, and no extra point is tight (which would make the facet
+    non-simplicial); each facet's first failure in point order is reported.
+    Each facet's own row is read as integer vectors over one denominator
+    (y_coeff must be rational, as it is for every facet built here), and
+    one signs_of_int_vectors call signs every facet's slack at every point.
     """
-    ctx = heights.context
-    parts = (facet.rhs, *facet.coeffs)
-    if any(e.context != ctx for e in (facet.y_coeff, *parts)):
-        raise ValidationError("facet and heights from different field contexts")
-    y, (den, table) = facet.y_coeff.as_fraction(), heights._numerators
-    scale = math.lcm(*(e.den for e in parts))
-    # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
-    base, *rows = [[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts]
+    ctx, (den, table) = heights.context, heights._numerators
+    rows, ys = [], []
+    for facet in facets:
+        parts = (facet.rhs, *facet.coeffs)
+        if any(e.context != ctx for e in (facet.y_coeff, *parts)):
+            raise ValidationError("facet and heights from different field contexts")
+        y, scale = facet.y_coeff.as_fraction(), math.lcm(*(e.den for e in parts))
+        # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
+        rows.append([[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts])
+        ys.append(y.numerator * scale)
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
-    x = np.array(pts, dtype=object).reshape(len(pts), len(rows))
+    if not facets:
+        return []
+    rows = np.array(rows, dtype=object).reshape(len(facets), -1, ctx.degree)
+    x = np.array(pts, dtype=object).reshape(len(pts), rows.shape[1] - 1)
     hp = np.array([table[p] for p in pts], dtype=object).reshape(len(pts), ctx.degree)
-    signs = ctx.signs_of_int_vectors(
-        np.array(base, dtype=object) - x @ np.array(rows, dtype=object)
-        - y.numerator * scale * hp)
-    for point, s in zip(pts, signs.tolist()):
-        if s <= 0 and point not in facet.vertices:
-            return FacetCheck(False, point if s < 0 else None, point if s == 0 else None)
-    return FacetCheck(True)
+    signs = ctx.signs_of_int_vectors(rows[:, None, 0] - x @ rows[:, 1:]
+                                     - np.array(ys, dtype=object)[:, None, None] * hp)
+    checks = []
+    for facet, row in zip(facets, signs.tolist()):
+        p, s = next(((p, s) for p, s in zip(pts, row) if s <= 0 and p not in facet.vertices),
+                    (None, 1))
+        checks.append(FacetCheck(s > 0, p if s < 0 else None, p if s == 0 else None))
+    return checks
 
 
 def perturb_heights(points: Iterable[Sequence[int]],
@@ -337,7 +384,10 @@ def perturb_heights(points: Iterable[Sequence[int]],
     heights on `moved` together with 1 are linearly independent over Q.
     eps = 2**-t for the smallest t such that every cover facet, rebuilt
     from its vertices under the new heights, is still valid; validity is
-    re-verified exactly, by one _screen_facets call per orientation.
+    re-verified exactly, by one _screen_facets call per orientation.  A
+    cover facet that is invalid under the given heights (one check_facets
+    call) or has an affinely dependent vertex set is refused before any
+    halving.
     """
     t_points = sorted(tuple(int(x) for x in p) for p in points)
     x_set = {tuple(int(v) for v in p) for p in base}
@@ -348,8 +398,8 @@ def perturb_heights(points: Iterable[Sequence[int]],
         raise PreconditionError("base and moved sets do not partition the domain")
     if not heights.is_rational():
         raise PreconditionError("perturbation starts from rational heights")
-    for facet in cover:
-        if not check_upper_facet(facet, t_points, heights).valid:
+    for facet, check in zip(cover, check_facets(cover, t_points, heights)):
+        if not check.valid:
             raise PreconditionError(
                 f"cover facet {facet.vertices} is not valid under the given heights")
     if not y_list:

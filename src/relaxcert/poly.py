@@ -7,7 +7,8 @@ recession systems, and coordinate-subspace restriction.  Nothing here is
 ever evaluated in floating point.  Each system keeps its rows' integer
 numerators as numpy arrays (_integer_rows); one routine, _evaluate, reads
 every row's value at a batch of points from them, which the affine
-pull-back turns into new rows and membership into signed slacks.
+pull-back turns into new rows, membership into signed slacks and
+fiber_bounds into the bounds on the last variable at every point.
 Fourier-Motzkin never divides in the field: rows combine with positive
 field multipliers and are kept as primitive integer coefficient vectors;
 field division is left to the bounds, where the quotient is the answer.
@@ -178,13 +179,15 @@ class LinearSystem:
         """Membership of every point (ints, rationals or field elements).
 
         A row's slack rhs - coeffs . point is negative where the point
-        violates the row and zero where the row is tight; one _evaluate call
-        gives every slack in integer numerators, and one signs_of_int_vectors
-        call signs them all.
+        violates the row and zero where the row is tight; _evaluate gives the
+        slacks in integer numerators and signs_of_int_vectors signs them, one
+        call each per chunk of at most about _CHUNK integers.
         """
-        values, rhs, _ = self._evaluate(points)
+        per = max(1, _CHUNK // max(self.num_rows * self.context.degree, 1))
+        chunks = (self._evaluate(points[i:i + per]) for i in range(0, len(points), per))
         return [Membership(bool((s >= 0).all()), tuple(np.flatnonzero(s == 0).tolist()),
                            tuple(np.flatnonzero(s < 0).tolist()))
+                for values, rhs, _ in chunks
                 for s in self.context.signs_of_int_vectors(rhs[:, None] - values).T]
 
     def is_syntactically_infeasible(self) -> bool:
@@ -258,6 +261,56 @@ class LinearSystem:
         if lower is not None and upper is not None and (upper - lower).sign() < 0:
             return VarBounds(None, None, infeasible=True)
         return VarBounds(lower, upper)
+
+    def fiber_bounds(self, points: Sequence[Sequence[int]]) -> list[VarBounds]:
+        """restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0) for every point p.
+
+        Row r reads c y <= s, with every slack s = rhs - coeffs . (p, 0) from
+        _evaluate.  c = 0 makes the fiber infeasible where s < 0; any other c
+        bounds y by s times 1/c, a scalar or, for irrational c, its
+        multiplication matrix.  Each row meets the best bound so far in one
+        kernel call across the points, in chunks of at most about _CHUNK
+        integers, and lower > upper is infeasible.
+        """
+        ctx, n, q = self.context, self.context.degree, self.context.radicand.denominator
+        if any(len(p) != self.num_vars - 1 for p in points):
+            raise ValidationError(f"fiber points need {self.num_vars - 1} coordinates")
+        inverses = [c.inverse() if c else c for c in (row.coeffs[-1] for row in self.rows)]
+        sides = [row.coeffs[-1].sign() for row in self.rows]
+        # row r bounds y by its slack times factors[r] (by @ when 2-d) over its den times scales[r]
+        factors = [v.num[0] if v.is_rational() else ctx.multiplication_matrix(v.num).T
+                   for v in inverses]
+        scales = [v.den * (1 if v.is_rational() else q) for v in inverses]
+        most = max([1, *(int(np.abs(f).max()) * (n if np.ndim(f) else 1) for f in factors)])
+        result, per = [], max(1, _CHUNK // max(self.num_rows * n, 1))
+        for start in range(0, len(points), per):
+            values, rhs, dens = self._evaluate([(*p, 0) for p in points[start:start + per]])
+            slack, dens = rhs[:, None] - values, [d * s for d, s in zip(dens, scales)]
+            top = max(1, int(np.abs(slack).max(initial=0)))
+            # a comparison subtracts two products, each below top * most * max(dens)
+            dtype = np.int64 if 2 * top * most * max(dens, default=1) < (1 << 62) else object
+            slack = slack.astype(dtype)
+            bad = (ctx.signs_of_int_vectors(slack[np.array(sides) == 0]) < 0).any(axis=0)
+            best = {}  # side -> numerators and denominators of the best bound at each point
+            for side, factor, den, w in zip(sides, factors, dens, slack):
+                if not side:
+                    continue
+                num = w @ factor.astype(dtype) if np.ndim(factor) else w * factor
+                if side not in best:
+                    best[side] = num, np.full(len(num), den, dtype=dtype)
+                    continue
+                old, olds = best[side]
+                better = ctx.signs_of_int_vectors(num * olds[:, None] - old * den) * side < 0
+                old[better], olds[better] = num[better], den
+            if len(best) == 2:
+                (low, lows), (up, ups) = best[-1], best[1]
+                bad |= ctx.signs_of_int_vectors(up * lows[:, None] - low * ups[:, None]) < 0
+            found = {side: [_reduced(ctx, tuple(v), d) for v, d in zip(num.tolist(), den.tolist())]
+                     for side, (num, den) in best.items()}
+            result.extend(VarBounds(None, None, infeasible=True) if b else VarBounds(
+                *(found[side][i] if side in found else None for side in (-1, 1)))
+                for i, b in enumerate(bad.tolist()))
+        return result
 
     def propagated_bounds(self) -> list[VarBounds]:
         """Per-variable bounds by exact interval propagation over the rows.

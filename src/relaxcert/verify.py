@@ -3,9 +3,10 @@
 The mixed-integer check follows a double-bookkeeping discipline: per-point
 facet tightness records and independently computed fiber intervals must
 both come out right, together with an exact lattice inventory of the
-projection.  Box checks are honest finite-window checks; the unbounded
-part of any claim rests on the recorded irrational-ray reasoning, which
-the recession report makes explicit.
+projection.  Memberships and fibers are computed for all points at once
+from the system's integer rows.  Box checks are honest finite-window
+checks; the unbounded part of any claim rests on the recorded
+irrational-ray reasoning, which the recession report makes explicit.
 """
 
 from __future__ import annotations
@@ -171,9 +172,7 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
             notes=tuple(notes))
 
     fibers = []
-    for p in base_points:
-        fiber_system = system.restrict_to_subspace({i: p[i] for i in range(k)})
-        bounds = fiber_system.coordinate_bounds(0)
+    for p, bounds in zip(base_points, system.fiber_bounds(base_points)):
         if bounds.infeasible or not bounds.bounded:
             return Certificate("refuted", witness=("fiber not a point", p),
                                projection_points=tuple(lattice),

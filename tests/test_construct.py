@@ -440,6 +440,24 @@ def test_pipeline_k6_certifies():
     assert run.perturbed.context.degree == 58
 
 
+def test_pipeline_k7_certifies():
+    run = pipeline_run(7)
+    assert run.certificate.certified
+    assert run.bundle.claimed_facets == 88 == pipeline_row_count(7)
+    assert run.perturbed.context.degree == 121
+
+
+def test_pipeline_refuses_a_cover_facet_invalid_after_perturbation(monkeypatch):
+    # the rebuild screens every cover facet again under the perturbed heights
+    def no_facets(points, simplices, heights, orientation):
+        return [None for _ in simplices]
+
+    monkeypatch.setattr(construct, "facets_from_simplices", no_facets)
+    with pytest.raises(CertificationError) as caught:
+        pipeline_run(3)
+    assert caught.value.stage == "assembly"
+
+
 def test_pipeline_target_is_standard_simplex():
     run = pipeline_run(2)
     assert run.bundle.target.points == simplex_points(3).points

@@ -13,9 +13,9 @@ from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
 from relaxcert.field import FieldContext, make_context
 from relaxcert import lift
 from relaxcert.lift import (FacetCheck, FacetSimplex, HeightFunction, _batched_rows,
-                            _facet_row, affine_interpolant, check_upper_facet,
-                            facet_inequality_from_simplex, perturb_heights,
-                            staircase_height)
+                            _facet_row, affine_interpolant, check_facets, check_upper_facet,
+                            facet_inequality_from_simplex, facets_from_simplices,
+                            perturb_heights, staircase_height)
 
 CTX1 = make_context(1, 2)
 
@@ -197,11 +197,107 @@ def test_batched_rows_match_facet_row(k):
         table = heights._numerators[1]
         stack = np.array([[1, *p, *table[p]] for p in points], dtype=object)
         for dtype in (np.int64, object):
-            kept, lead, cofactors = _batched_rows(
+            kept, lead, cofactors, swapped = _batched_rows(
                 stack.astype(dtype)[np.array(candidates)], orientation)
             assert kept.tolist() == sorted(rows)
-            for i, lead_i, cof in zip(kept.tolist(), lead.tolist(), cofactors.tolist()):
+            for i, lead_i, cof, swap in zip(kept.tolist(), lead.tolist(), cofactors.tolist(),
+                                            swapped.tolist()):
                 assert (lead_i, cof) == rows[i][1:]
+                # _facet_row swaps v_0 and v_1 exactly where the batch reports it
+                assert swap == (rows[i][0][0] != points[candidates[i][0]])
+
+
+@st.composite
+def _candidate_cases(draw):
+    """Distinct points of Z^k with drawn heights and candidate index tuples,
+    repeated indices (degenerate) among them."""
+    k = draw(st.integers(2, 4))
+    ctx = make_context(draw(st.sampled_from([1, 2, 5])),
+                       draw(st.sampled_from([2, Fraction(3, 2)])))
+    points = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * k), min_size=k + 1, max_size=k + 4,
+                           unique=True))
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    heights = HeightFunction.from_pairs(
+        (p, ctx.element(draw(st.lists(value, min_size=ctx.degree, max_size=ctx.degree))))
+        for p in points)
+    index = st.integers(0, len(points) - 1)
+    simplices = draw(st.lists(st.lists(index, min_size=k + 1, max_size=k + 1), max_size=8))
+    return points, simplices, heights
+
+
+def _reference_facet(points, simplex, heights, orientation):
+    try:
+        facet = facet_inequality_from_simplex([points[i] for i in simplex], heights, orientation)
+    except DegenerateSimplexError:
+        return None
+    return facet if check_upper_facet(facet, points, heights).valid else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_candidate_cases(), orientation=st.sampled_from(["upper", "lower"]))
+def test_facets_from_simplices_match_one_at_a_time(case, orientation):
+    points, simplices, heights = case
+    built = facets_from_simplices(points, simplices, heights, orientation)
+    expected = [_reference_facet(points, s, heights, orientation) for s in simplices]
+    assert [f and f.to_json_dict() for f in built] == [f and f.to_json_dict() for f in expected]
+
+
+def test_facets_from_simplices_on_the_cube():
+    # every candidate of the 3-cube, in blocks, under staircase and irrational heights
+    points = cube(3)
+    candidates = list(combinations(range(len(points)), 4))
+    ctx = make_context(5, 2)
+    tilted = HeightFunction.from_pairs(
+        (p, staircase_height(3)(p).as_fraction() + ctx.root_power(i % 5) * Fraction(1, 64))
+        for i, p in enumerate(points))
+    for heights in (staircase_height(3), tilted):
+        for orientation in ("upper", "lower"):
+            built = facets_from_simplices(points, candidates, heights, orientation)
+            assert built == [_reference_facet(points, s, heights, orientation) for s in candidates]
+            assert any(built) and None in built
+
+
+def test_screen_refuses_a_row_not_tight_at_its_vertices(monkeypatch):
+    batched = lift._batched_rows
+
+    def corrupted(m, orientation):
+        kept, lead, cofactors, swapped = batched(m, orientation)
+        cofactors[0, 0, 0] += 1  # the first survivor's C_0
+        return kept, lead, cofactors, swapped
+
+    monkeypatch.setattr(lift, "_batched_rows", corrupted)
+    points = cube(3)
+    with pytest.raises(AssertionError, match="not tight at its own vertex"):
+        facets_from_simplices(points, [[0, 1, 5, 7]], staircase_height(3))
+    with pytest.raises(AssertionError, match="not tight at its own vertex"):
+        lift._screen_facets(points, [[0, 1, 5, 7]], staircase_height(3), "upper")
+
+
+def _evaluated_check(facet, points, heights):
+    """check_upper_facet by field arithmetic: the first non-vertex point whose slack is <= 0."""
+    for p in points:
+        s = facet.evaluate(p, heights(p)).sign()
+        if s <= 0 and p not in facet.vertices:
+            return FacetCheck(False, p if s < 0 else None, p if s == 0 else None)
+    return FacetCheck(True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_candidate_cases(), data=st.data())
+def test_check_facets_match_one_facet_checks(case, data):
+    points, simplices, heights = case
+    facets = []
+    for simplex in simplices:
+        try:
+            facets.append(facet_inequality_from_simplex(
+                [points[i] for i in simplex], heights,
+                data.draw(st.sampled_from(["upper", "lower"]))))
+        except DegenerateSimplexError:
+            pass
+    order = data.draw(st.permutations(points))
+    checks = check_facets(facets, order, heights)
+    assert checks == [check_upper_facet(f, order, heights) for f in facets]
+    assert checks == [_evaluated_check(f, order, heights) for f in facets]
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,103 @@ def test_memberships_of_an_empty_batch_and_a_wrong_length_point():
         P.memberships([(0, 0, 0, 0), (0, 0, 0)])
 
 
+@pytest.mark.parametrize("chunk", [1 << 9, 1 << 11])
+def test_memberships_and_fibers_sign_at_most_chunk_integers_per_call(chunk):
+    """The k = 3 bundle (12 rows at degree 5) at all 128 points of {0, 1}^7, and
+    its mixed system's fibers at the 8 cube points, chunked and in one chunk."""
+    run = pipeline_run(3, certify=False)
+    system, mixed = run.bundle.system, run.mixed_system
+    points = list(itertools.product((0, 1), repeat=7))
+    cube = list(itertools.product((0, 1), repeat=3))
+    kernel, largest = FieldContext.signs_of_int_vectors, []
+
+    def recording(context, w):
+        largest.append(w.size)
+        return kernel(context, w)
+
+    with mock.patch.object(FieldContext, "signs_of_int_vectors", recording):
+        whole = system.memberships(points)
+        assert largest == [system.num_rows * len(points) * 5]
+        fibers = mixed.fiber_bounds(cube)
+        with mock.patch.object(poly, "_CHUNK", chunk):
+            largest.clear()
+            assert system.memberships(points) == whole
+            assert mixed.fiber_bounds(cube) == fibers
+    assert len(largest) > 2 and max(largest) <= chunk
+    assert fibers == [mixed.restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0)
+                      for p in cube]
+
+
+# ---------------------------------------------------------------------------
+# fibers of the last variable
+# ---------------------------------------------------------------------------
+
+_FIBER_FIELDS = tuple(make_context(n, r) for n in (1, 2, 5, 27) for r in (2, Fraction(3, 2)))
+
+
+@st.composite
+def _fiber_cases(draw):
+    """A system in (x, y) and integer points x: rows bound y at a drawn height t
+    of the first point up to 0 (ties), +-1 (crossing bounds) or a drawn element,
+    with rational or irrational y coefficients, some zero (lateral rows, which
+    may go negative), some repeated times a positive rational (ties of equal rows),
+    and one side possibly missing."""
+    ctx = draw(st.sampled_from(_FIBER_FIELDS))
+    k = draw(st.integers(0, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=4))
+    height = draw(_elements(ctx))
+    at = [ctx.from_rational(x) for x in points[0]] + [height]
+    rational = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).map(
+        ctx.from_rational)
+    sides = draw(st.sampled_from(((-1, 0, 1), (0, 1), (-1, 0))))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(_scaled(_elements(ctx)), min_size=k, max_size=k))
+        last = draw(st.one_of(st.just(ctx.zero), rational, _elements(ctx)))
+        if last.sign() not in sides:
+            last = -last
+        coeffs.append(last)
+        value = sum((c * x for c, x in zip(coeffs, at)), ctx.zero)
+        rows.append((coeffs, value + draw(st.one_of(st.sampled_from((0, 0, 1, -1)),
+                                                    _elements(ctx)))))
+        if draw(st.booleans()):
+            scale = draw(st.fractions(Fraction(1, 3), 3))
+            rows.append(([c * scale for c in coeffs], rows[-1][1] * scale))
+    return LinearSystem.from_rows(ctx, rows, k + 1), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fiber_cases())
+def test_fiber_bounds_match_restriction_reference(case):
+    system, points = case
+    assert system.fiber_bounds(points) == [
+        system.restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0) for p in points]
+
+
+def test_fiber_bounds_cases():
+    # y <= x0 + 1, y >= 2 x0 - sqrt2 x1, y <= 3 + sqrt2 y (y >= -3 / (sqrt2 - 1)), x1 <= 1
+    s = sqrt2()
+    system = system_from([((-1, 0, 1), 1), ((2, -s, -1), 0), ((0, 0, 1 - s), 3),
+                          ((0, 1, 0), 1)], 3)
+    points = [(0, 0), (1, 0), (2, 0), (0, 2), (-3, 1)]
+    bounds = system.fiber_bounds(points)
+    assert bounds == [system.restrict_to_subspace({0: a, 1: b}).coordinate_bounds(0)
+                      for a, b in points]
+    lowest = CTX2.from_rational(-3) / (s - 1)
+    assert bounds[0] == poly.VarBounds(CTX2.zero, CTX2.one)
+    assert bounds[1] == poly.VarBounds(CTX2.from_rational(2), CTX2.from_rational(2))  # a point
+    assert bounds[2].infeasible  # crossing bounds: 4 <= y <= 3
+    assert bounds[3].infeasible  # the lateral row x1 <= 1 fails
+    assert bounds[4] == poly.VarBounds(lowest, CTX2.from_rational(-2))
+    # one side missing
+    upper_only = system_from([((-1, 0, 1), 1), ((0, 1, 0), 1)], 3)
+    assert upper_only.fiber_bounds([(0, 0)]) == [poly.VarBounds(None, CTX2.one)]
+    assert system_from([], 3).fiber_bounds([(0, 0)]) == [poly.VarBounds(None, None)]
+    assert system.fiber_bounds([]) == []
+    with pytest.raises(ValidationError):
+        system.fiber_bounds([(0, 0, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------

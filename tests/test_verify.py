@@ -10,7 +10,7 @@ from relaxcert.construct import (RelaxationBundle, projected_simplex_heights,
 from relaxcert.errors import ValidationError
 from relaxcert.field import make_context
 from relaxcert.lift import HeightFunction
-from relaxcert.poly import Box, LinearSystem, PointSet
+from relaxcert.poly import Box, LinearSystem, PointSet, VarBounds
 from relaxcert.verify import (box_check, certify_mixed, classify_rows,
                               recession_ray_rationality)
 
@@ -116,6 +116,28 @@ def test_certify_refutes_spurious_lattice_point():
     heights = HeightFunction.from_pairs([((0, 0), ctx.zero), ((1, 0), ctx.zero)])
     cert = certify_mixed(system, points, heights)
     assert not cert.certified
+
+
+@pytest.mark.parametrize("broken, witness", [
+    ({1: VarBounds(None, None, infeasible=True), 3: VarBounds(None, None)},
+     "fiber not a point"),
+    ({1: VarBounds(None, CTX2.one), 3: VarBounds(None, None, infeasible=True)},
+     "fiber not a point"),
+    ({1: VarBounds(CTX2.zero, CTX2.from_rational(5)), 3: VarBounds(None, None)},
+     "fiber interval differs from the height"),
+])
+def test_certify_names_the_first_bad_fiber(monkeypatch, broken, witness):
+    system, points, heights = five_row_inputs()
+    fiber_bounds = LinearSystem.fiber_bounds
+
+    def patched(self, pts):
+        return [broken.get(i, bounds) for i, bounds in enumerate(fiber_bounds(self, pts))]
+
+    monkeypatch.setattr(LinearSystem, "fiber_bounds", patched)
+    cert = certify_mixed(system, points, heights)
+    assert cert.verdict == "refuted"
+    assert cert.witness == (witness, points.points[1])
+    assert len(cert.projection_points) == 6 and not cert.fibers
 
 
 def test_certify_partial_on_cap():
