@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heights-out", dest="heights_out",
                        help="also write the certified heights")
         p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                       help=f"enumeration cap in points (default {DEFAULT_POINT_CAP})")
+                       help="cap on the points of the box whose fibers certification "
+                       f"decides (default {DEFAULT_POINT_CAP})")
         p.set_defaults(func=_cmd_build)
 
     verify = sub.add_parser("verify", help="box-check a stored system against points")

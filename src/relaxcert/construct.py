@@ -165,9 +165,9 @@ def _certified_base(eps: Fraction, cap: int) -> LinearSystem:
     """The five-row mixed system for eps, certified once per (eps, cap).
 
     Only a certified system is returned, and so cached: a refuted
-    certificate raises CertificationError and a partial one (the
-    enumeration hit the cap) ResourceLimitError; either is computed again
-    on the next call.
+    certificate raises CertificationError and a partial one (its box
+    holds more points than the cap) ResourceLimitError; either is
+    computed again on the next call.
     """
     base = projected_simplex_relaxation(eps)
     certificate = certify_mixed(base, projected_simplex_points(),

@@ -461,16 +461,6 @@ class FieldElement:
             return 0
         return self.context.sign_of_int_vector(self.num)
 
-    def rational_bounds(self, max_width: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        """Exact rational bracket [lo, hi] around the element's value."""
-        ctx = self.context
-        while True:
-            bits, lo, hi = ctx._bracket(self.num)
-            scale = self.den << bits
-            if max_width is None or Fraction(hi - lo, scale) <= max_width:
-                return Fraction(lo, scale), Fraction(hi, scale)
-            ctx._narrow(bits)
-
     def exact_floor(self) -> int:
         if self.is_rational():
             return self.num[0] // self.den

@@ -190,10 +190,6 @@ class LinearSystem:
                 for values, rhs, _ in chunks
                 for s in self.context.signs_of_int_vectors(rhs[:, None] - values).T]
 
-    def is_syntactically_infeasible(self) -> bool:
-        """True when some row reads 0 . x <= negative."""
-        return _infeasible((row.coeffs, row.rhs) for row in self.rows)
-
     # -- Fourier-Motzkin ------------------------------------------------------
 
     def eliminate_variable(self, j: int) -> "LinearSystem":

@@ -2,20 +2,22 @@
 
 The mixed-integer check follows a double-bookkeeping discipline: per-point
 facet tightness records and independently computed fiber intervals must
-both come out right, together with an exact lattice inventory of the
-projection.  Memberships and fibers are computed for all points at once
-from the system's integer rows.  Box checks are honest finite-window
-checks; the unbounded part of any claim rests on the recorded
-irrational-ray reasoning, which the recession report makes explicit.
+both come out right.  Fibers are decided in batches at every integer point
+of a box bounding the projection, whose points with a nonempty fiber are
+the projection's exact lattice inventory.  Box checks are honest
+finite-window checks; the unbounded part of any claim rests on the
+recorded irrational-ray reasoning, which the recession report makes explicit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ._linalg import kernel_basis
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .field import FieldElement
 from .lift import HeightFunction
 from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet
@@ -24,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .construct import RelaxationBundle
 
 Point = tuple[int, ...]
+_FIBER_BATCH = 1 << 14  # box points per fiber_bounds call in certify_mixed
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,9 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
     The last variable is the continuous coordinate.  Checks, in order:
     row classification; per lifted point, satisfaction of every row plus
     tightness of at least one upper and one lower row; equality of the
-    projection's lattice points (within exact coordinate bounds) with the
-    point set; and per point, that the fiber interval of the continuous
-    coordinate collapses to the stated height.
+    projection's lattice points, the points of a box (at most cap of them,
+    else partial) with a nonempty fiber, with the point set; and per
+    point, that the fiber interval collapses to the stated height.
     """
     if isinstance(points, PointSet):
         base_points = points.points
@@ -136,14 +139,10 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
     projection = system.eliminate_variable(k)
     # the single-variable rows (a pipeline's box rows) often bound every coordinate alone
     single = tuple(row for row in projection.rows if sum(map(bool, row.coeffs)) == 1)
-    propagated = LinearSystem(projection.context, k, single).propagated_bounds()
-    if not all(bounds.bounded for bounds in propagated):
-        propagated = projection.propagated_bounds()
-    box_bounds = []
-    for j in range(k):
-        bounds = propagated[j]
+    ranges = []
+    for j, bounds in enumerate(LinearSystem(projection.context, k, single).propagated_bounds()):
         if not bounds.bounded:
-            # propagation could not prove a bound; decide exactly
+            # the single-variable rows leave a side open; decide exactly
             bounds = projection.coordinate_bounds(j)
         if bounds.infeasible:
             return Certificate("refuted", witness=("projection infeasible", j),
@@ -154,17 +153,26 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
                 "refuted",
                 witness=("projection unbounded", j, direction),
                 coverage=tuple(coverage), notes=tuple(notes))
-        box_bounds.append((bounds.lower.exact_ceil(), bounds.upper.exact_floor()))
-    box = Box(tuple(box_bounds))
-    notes.append(f"projection enumerated inside the derived box {box}")
-    try:
-        lattice = projection.enumerate_lattice_points(box, cap=cap)
-    except ResourceLimitError as exc:
-        return Certificate("partial", witness=str(exc), coverage=tuple(coverage),
-                           notes=tuple(notes + ["projection enumeration hit the cap"]))
-    if set(lattice) != set(base_points):
-        spurious = sorted(set(lattice) - set(base_points))
-        missing = sorted(set(base_points) - set(lattice))
+        ranges.append(range(bounds.lower.exact_ceil(), bounds.upper.exact_floor() + 1))
+    volume = math.prod(map(len, ranges))
+    notes.append("fibers decided at every point of the derived box "
+                 + ",".join(f"{r.start}:{r.stop - 1}" for r in ranges))
+    if volume > cap:
+        return Certificate("partial", coverage=tuple(coverage),
+                           witness=f"box holds {volume} lattice points, above the cap of {cap}",
+                           notes=tuple(notes + ["box points above the cap"]))
+    # the projection's lattice points are the box points with a nonempty fiber
+    lattice, at_base, base_set = [], {}, set(base_points)
+    box_points = itertools.product(*ranges)
+    while chunk := list(itertools.islice(box_points, _FIBER_BATCH)):
+        for p, bounds in zip(chunk, system.fiber_bounds(chunk)):
+            if not bounds.infeasible:
+                lattice.append(p)
+            if p in base_set:
+                at_base[p] = bounds
+    if set(lattice) != base_set:
+        spurious = sorted(set(lattice) - base_set)
+        missing = sorted(base_set - set(lattice))
         return Certificate(
             "refuted",
             witness=("projection lattice mismatch", spurious, missing),
@@ -172,7 +180,8 @@ def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int
             notes=tuple(notes))
 
     fibers = []
-    for p, bounds in zip(base_points, system.fiber_bounds(base_points)):
+    for p in base_points:
+        bounds = at_base[p]
         if bounds.infeasible or not bounds.bounded:
             return Certificate("refuted", witness=("fiber not a point", p),
                                projection_points=tuple(lattice),

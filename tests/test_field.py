@@ -249,14 +249,6 @@ def test_exact_floor_and_ceil():
     assert elem(0, 2).exact_floor() == 2        # 2 sqrt2 ~ 2.83
 
 
-def test_rational_bounds_bracket_value():
-    a = elem(1, 1)  # 1 + sqrt2
-    lo, hi = a.rational_bounds(max_width=Fraction(1, 10 ** 9))
-    # lo <= 1 + sqrt2 <= hi, checked rationally: (lo-1)^2 <= 2 <= (hi-1)^2
-    assert 1 <= lo and (lo - 1) ** 2 <= 2 <= (hi - 1) ** 2
-    assert hi - lo <= Fraction(1, 10 ** 9)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -469,11 +461,6 @@ def test_signs_floors_and_bounds_match_mpmath(degree, data):
         value = sum(_mpf(v) * c ** i for i, v in enumerate(element.coeffs))
         assert element.sign() == int(mpmath.sign(value))
         assert element.exact_floor() == int(mpmath.floor(value))
-        width = Fraction(1, 10 ** data.draw(st.integers(0, 40)))
-        lo, hi = element.rational_bounds(max_width=width)
-        tolerance = mpmath.mpf(10) ** -150
-        assert lo <= hi and hi - lo <= width
-        assert _mpf(lo) - tolerance <= value <= _mpf(hi) + tolerance
     lo, hi = ctx.isolating_interval
     assert 0 < lo and lo ** degree < radicand < hi ** degree
 

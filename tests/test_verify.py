@@ -1,16 +1,19 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaxcert.construct import (RelaxationBundle, projected_simplex_heights,
+from relaxcert.construct import (RelaxationBundle, pipeline_run, projected_simplex_heights,
                                  projected_simplex_points,
                                  projected_simplex_relaxation, simplex5_relaxation,
                                  stretched_simplex_relaxation)
 from relaxcert.errors import ValidationError
 from relaxcert.field import make_context
 from relaxcert.lift import HeightFunction
-from relaxcert.poly import Box, LinearSystem, PointSet, VarBounds
+from relaxcert.poly import Box, LinearSystem, PointSet, Row, VarBounds
 from relaxcert.verify import (box_check, certify_mixed, classify_rows,
                               recession_ray_rationality)
 
@@ -118,12 +121,15 @@ def test_certify_refutes_spurious_lattice_point():
     assert not cert.certified
 
 
+_P = projected_simplex_points().points
+
+
 @pytest.mark.parametrize("broken, witness", [
-    ({1: VarBounds(None, None, infeasible=True), 3: VarBounds(None, None)},
+    ({_P[1]: VarBounds(None, None), _P[3]: VarBounds(None, CTX2.one)},
      "fiber not a point"),
-    ({1: VarBounds(None, CTX2.one), 3: VarBounds(None, None, infeasible=True)},
+    ({_P[1]: VarBounds(None, CTX2.one), _P[3]: VarBounds(None, None)},
      "fiber not a point"),
-    ({1: VarBounds(CTX2.zero, CTX2.from_rational(5)), 3: VarBounds(None, None)},
+    ({_P[1]: VarBounds(CTX2.zero, CTX2.from_rational(5)), _P[3]: VarBounds(None, None)},
      "fiber interval differs from the height"),
 ])
 def test_certify_names_the_first_bad_fiber(monkeypatch, broken, witness):
@@ -131,7 +137,7 @@ def test_certify_names_the_first_bad_fiber(monkeypatch, broken, witness):
     fiber_bounds = LinearSystem.fiber_bounds
 
     def patched(self, pts):
-        return [broken.get(i, bounds) for i, bounds in enumerate(fiber_bounds(self, pts))]
+        return [broken.get(p, bounds) for p, bounds in zip(pts, fiber_bounds(self, pts))]
 
     monkeypatch.setattr(LinearSystem, "fiber_bounds", patched)
     cert = certify_mixed(system, points, heights)
@@ -140,10 +146,129 @@ def test_certify_names_the_first_bad_fiber(monkeypatch, broken, witness):
     assert len(cert.projection_points) == 6 and not cert.fibers
 
 
+def test_certify_reads_an_empty_fiber_at_x_as_a_missing_point(monkeypatch):
+    system, points, heights = five_row_inputs()
+    fiber_bounds = LinearSystem.fiber_bounds
+
+    def patched(self, pts):
+        return [VarBounds(None, None, infeasible=True) if p in (_P[1], _P[3]) else bounds
+                for p, bounds in zip(pts, fiber_bounds(self, pts))]
+
+    monkeypatch.setattr(LinearSystem, "fiber_bounds", patched)
+    cert = certify_mixed(system, points, heights)
+    assert cert.witness == ("projection lattice mismatch", [], sorted((_P[1], _P[3])))
+    assert set(cert.projection_points) == set(_P) - {_P[1], _P[3]} and not cert.fibers
+
+
 def test_certify_partial_on_cap():
     system, points, heights = five_row_inputs()
     cert = certify_mixed(system, points, heights, cap=3)
     assert cert.verdict == "partial"
+    assert cert.witness == "box holds 18 lattice points, above the cap of 3"
+
+
+def test_certify_never_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_mixed enumerated lattice points")
+
+    monkeypatch.setattr(LinearSystem, "enumerate_lattice_points", refuse)
+    for eps, verdict in (("1/8", "certified"), ("1/2", "refuted")):
+        system, points, heights = five_row_inputs(Fraction(eps))
+        assert certify_mixed(system, points, heights).verdict == verdict
+    assert pipeline_run(3).certificate.certified
+
+
+# ---------------------------------------------------------------------------
+# oracle: the box's fibers against the enumerated projection
+# ---------------------------------------------------------------------------
+
+def _enumerated_route(system, base_points, heights):
+    """Reference (verdict, witness, projection_points) for certify_mixed.
+
+    It enumerates the Fourier-Motzkin projection eliminate_variable(k)
+    inside the box (from the single-variable rows, then bound propagation
+    over all rows, then coordinate_bounds), and decides each fiber at X by
+    restricting the system to the point.
+    """
+    k = system.num_vars - 1
+    upper, lower, _ = classify_rows(system)
+    if not upper or not lower:
+        return "refuted", "no upper or no lower rows", None
+    lifted = system.memberships([p + (heights(p),) for p in base_points])
+    for p, membership in zip(base_points, lifted):
+        if not membership.inside:
+            return "refuted", ("lifted point violates rows", p, membership.violated_rows), None
+        tight = set(membership.tight_rows)
+        if not tight & set(upper) or not tight & set(lower):
+            return "refuted", ("lifted point missing a tight upper or lower row", p), None
+    projection = system.eliminate_variable(k)
+    single = tuple(row for row in projection.rows if sum(map(bool, row.coeffs)) == 1)
+    propagated = LinearSystem(projection.context, k, single).propagated_bounds()
+    if not all(bounds.bounded for bounds in propagated):
+        propagated = projection.propagated_bounds()
+    box = []
+    for j, bounds in enumerate(propagated):
+        if not bounds.bounded:
+            bounds = projection.coordinate_bounds(j)
+        if bounds.infeasible:
+            return "refuted", ("projection infeasible", j), None
+        if not bounds.bounded:
+            direction = "below" if bounds.lower is None else "above"
+            return "refuted", ("projection unbounded", j, direction), None
+        box.append((bounds.lower.exact_ceil(), bounds.upper.exact_floor()))
+    lattice = tuple(projection.enumerate_lattice_points(Box(tuple(box))))
+    if set(lattice) != set(base_points):
+        return "refuted", ("projection lattice mismatch", sorted(set(lattice) - set(base_points)),
+                           sorted(set(base_points) - set(lattice))), lattice
+    for p in base_points:
+        bounds = system.restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0)
+        if bounds.infeasible or not bounds.bounded:
+            return "refuted", ("fiber not a point", p), lattice
+        if bounds.lower != heights(p) or bounds.upper != heights(p):
+            return "refuted", ("fiber interval differs from the height", p), lattice
+    return "certified", None, lattice
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_input(name):
+    if name.startswith("dim5"):
+        system, points, heights = five_row_inputs(Fraction(name.split()[1]))
+        return system, points.points, heights
+    run = pipeline_run(int(name.split()[1]), certify=False)
+    return run.mixed_system, tuple(sorted(run.perturbed.domain)), run.perturbed
+
+
+@st.composite
+def _mixed_cases(draw):
+    """A certified or refuted mixed system, as built or after one mutation."""
+    system, points, heights = _oracle_input(draw(st.sampled_from(
+        ("dim5 1/8", "dim5 1/2", "dim5 1/5", "pipeline 2", "pipeline 3"))))
+    ctx, rows = system.context, list(system.rows)
+    i = draw(st.integers(0, len(rows) - 1))
+    delta = ctx.from_rational(draw(st.fractions(0, 2, max_denominator=4).filter(bool)))
+    mutation = draw(st.sampled_from(("none", "drop", "move", "cut", "loosen")))
+    if mutation == "drop":
+        del rows[i]
+    elif mutation == "move":
+        rows[i] = Row(rows[i].coeffs, rows[i].rhs + delta * draw(st.sampled_from((1, -1))))
+    elif mutation == "loosen":
+        rows[i] = Row(rows[i].coeffs, rows[i].rhs + delta)
+    elif mutation == "cut":
+        # a y-free row a . x <= a . p - delta cuts p off
+        p = draw(st.sampled_from(points))
+        a = draw(st.lists(st.integers(-2, 2), min_size=len(p), max_size=len(p)).filter(any))
+        rows.append(Row(tuple(map(ctx.from_rational, a)) + (ctx.zero,),
+                        ctx.from_rational(sum(u * v for u, v in zip(a, p))) - delta))
+    return LinearSystem(ctx, system.num_vars, tuple(rows)), points, heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mixed_cases())
+def test_box_fibers_match_the_enumerated_projection(case):
+    system, points, heights = case
+    cert = certify_mixed(system, points, heights)
+    assert (cert.verdict, cert.witness, cert.projection_points) == \
+        _enumerated_route(system, points, heights)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +287,6 @@ def test_box_check_is_representation_independent():
     # row more) yields the same window inventory
     bundle = simplex5_relaxation()
     ctx = bundle.system.context
-    from relaxcert.poly import Row
     extra = Row((ctx.one,) + (ctx.zero,) * 4, ctx.from_rational(5))
     bigger = LinearSystem(ctx, 5, bundle.system.rows + (extra,))
     alt = RelaxationBundle(bigger, bundle.target, {"construction": "alt"},
