@@ -20,8 +20,7 @@ from .cover import build_full_cover, dominating_family
 from .errors import (CertificationError, PreconditionError, ResourceLimitError,
                      ValidationError)
 from .field import FieldContext, as_fraction, make_context
-from .lift import (HeightFunction, affine_interpolant, facets_from_simplices,
-                   perturb_heights, staircase_height)
+from .lift import HeightFunction, affine_interpolant, perturb_heights, staircase_height
 from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet, Row
 from .verify import Certificate, certify_mixed
 
@@ -429,8 +428,9 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
 
     Stages: split the cube into base and moved points; build the staircase
     heights and the upper/lower facet covers; perturb the moved heights
-    into an irrational family while re-verifying the cover; assemble the
-    mixed system from 2k box rows plus the cover facets; certify it; then
+    into an irrational family, which rebuilds the cover facets under them;
+    assemble the mixed system from 2k box rows plus those rebuilt facets,
+    upper then lower; certify it; then
     pull it back, in one affine substitution, under the shear that
     subtracts the affine interpolant of the base heights composed with the
     block that folds the moved points into extra coordinates.  Row count
@@ -446,8 +446,8 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     cube = sorted(set(split.base.points) | set(split.moved.points))
     heights = staircase_height(k)
     upper, lower = build_full_cover(k)
-    perturbed, eps = perturb_heights(cube, split.base.points, split.moved.points,
-                                     heights, upper.facets + lower.facets)
+    perturbed, eps, facets = perturb_heights(cube, split.base.points, split.moved.points,
+                                             heights, upper.facets + lower.facets)
     ctx = perturbed.context
     zero, one = ctx.zero, ctx.one
 
@@ -455,14 +455,7 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     for i in range(k):
         rows.append(Row(tuple(one if j == i else zero for j in range(k)) + (zero,), one))
         rows.append(Row(tuple(-one if j == i else zero for j in range(k)) + (zero,), zero))
-    index = {p: i for i, p in enumerate(cube)}
-    for family, orientation in ((upper, "upper"), (lower, "lower")):
-        rebuilt = facets_from_simplices(
-            cube, [[index[v] for v in f.vertices] for f in family.facets], perturbed, orientation)
-        if None in rebuilt:
-            raise CertificationError(f"an {orientation} cover facet is invalid under the "
-                                     "perturbed heights", stage="assembly")
-        rows.extend(Row(f.coeffs + (f.y_coeff,), f.rhs) for f in rebuilt)
+    rows.extend(Row(f.coeffs + (f.y_coeff,), f.rhs) for f in facets)
     mixed = LinearSystem(ctx, k + 1, tuple(rows))
 
     certificate = None

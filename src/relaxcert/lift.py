@@ -2,15 +2,17 @@
 
 A height function lifts points of T into R^(k+1); the simplicial upper and
 lower facets of the lifted hull carry inequalities in (x, y).  One integer
-facet row serves building, screening and checking them: with A the integer
-vertex matrix and H(v) the numerator vector of h(v) over the heights'
-common denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and
-det(A) give every slack as an integer vector, and the field's kernel
+facet row serves building and screening them: with A the integer vertex
+matrix and H(v) the numerator vector of h(v) over the heights' common
+denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and det(A)
+give every slack as an integer vector, and the field's kernel
 signs_of_int_vectors signs a whole stack of them at once.  Lists of
-candidates are built (facets_from_simplices) and lists of facets checked
-(check_facets) in such batches.  The perturbation routine gives a chosen
-subset irrational height offsets along powers of a root of 2, keeping a
-given facet cover valid, which it re-verifies exactly.
+candidates are built in such batches (facets_from_simplices); lists of
+facets are checked as the rows of one LinearSystem, whose memberships
+sign every row at every lifted point (check_facets).  The perturbation
+routine gives a chosen subset irrational height offsets along powers of a
+root of 2 and rebuilds a given facet cover under them, halving the
+offsets until every rebuilt facet is valid.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from ._linalg import _fraction_free, determinant
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
 from .field import FieldContext, FieldElement, _reduced, make_context
+from .poly import LinearSystem, Row
 
 Point = tuple[int, ...]
 
@@ -341,53 +344,48 @@ def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]]
     Valid means: every non-vertex lifted point satisfies the inequality
     strictly, and no extra point is tight (which would make the facet
     non-simplicial); each facet's first failure in point order is reported.
-    Each facet's own row is read as integer vectors over one denominator
-    (y_coeff must be rational, as it is for every facet built here), and
-    one signs_of_int_vectors call signs every facet's slack at every point.
+    The facets are the rows coeffs . x + y_coeff * y <= rhs of one
+    LinearSystem, and one memberships call signs every row at every
+    lifted point (p, h(p)).
     """
-    ctx, (den, table) = heights.context, heights._numerators
-    rows, ys = [], []
+    ctx = heights.context
     for facet in facets:
-        parts = (facet.rhs, *facet.coeffs)
-        if any(e.context != ctx for e in (facet.y_coeff, *parts)):
+        if any(e.context != ctx for e in (facet.y_coeff, facet.rhs, *facet.coeffs)):
             raise ValidationError("facet and heights from different field contexts")
-        y, scale = facet.y_coeff.as_fraction(), math.lcm(*(e.den for e in parts))
-        # times scale * y.denominator * D > 0, the slack is base - p.rows - y.numerator scale H(p)
-        rows.append([[x * (scale // e.den) * y.denominator * den for x in e.num] for e in parts])
-        ys.append(y.numerator * scale)
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
     if not facets:
         return []
-    rows = np.array(rows, dtype=object).reshape(len(facets), -1, ctx.degree)
-    x = np.array(pts, dtype=object).reshape(len(pts), rows.shape[1] - 1)
-    hp = np.array([table[p] for p in pts], dtype=object).reshape(len(pts), ctx.degree)
-    signs = ctx.signs_of_int_vectors(rows[:, None, 0] - x @ rows[:, 1:]
-                                     - np.array(ys, dtype=object)[:, None, None] * hp)
-    checks = []
-    for facet, row in zip(facets, signs.tolist()):
-        p, s = next(((p, s) for p, s in zip(pts, row) if s <= 0 and p not in facet.vertices),
-                    (None, 1))
-        checks.append(FacetCheck(s > 0, p if s < 0 else None, p if s == 0 else None))
-    return checks
+    system = LinearSystem(ctx, len(facets[0].coeffs) + 1,
+                          tuple(Row((*f.coeffs, f.y_coeff), f.rhs) for f in facets))
+    first: dict[int, FacetCheck] = {}
+    for p, m in zip(pts, system.memberships([(*p, heights(p)) for p in pts])):
+        failed = [(r, FacetCheck(False, p)) for r in m.violated_rows]
+        failed += [(r, FacetCheck(False, None, p)) for r in m.tight_rows]
+        for r, check in failed:
+            if p not in facets[r].vertices:
+                first.setdefault(r, check)
+    return [first.get(r, FacetCheck(True)) for r in range(len(facets))]
 
 
 def perturb_heights(points: Iterable[Sequence[int]],
                     base: Iterable[Sequence[int]],
                     moved: Iterable[Sequence[int]],
                     heights: HeightFunction,
-                    cover: Sequence[FacetSimplex]) -> tuple[HeightFunction, Fraction]:
+                    cover: Sequence[FacetSimplex]
+                    ) -> tuple[HeightFunction, Fraction, tuple[FacetSimplex, ...]]:
     """Add independent irrational offsets on `moved`, preserving a facet cover.
 
     The j-th point of `moved` (in lexicographic order, counted from 1)
     receives offset eps * c**j with c = 2**(1/(len(moved)+1)), so the new
     heights on `moved` together with 1 are linearly independent over Q.
     eps = 2**-t for the smallest t such that every cover facet, rebuilt
-    from its vertices under the new heights, is still valid; validity is
-    re-verified exactly, by one _screen_facets call per orientation.  A
-    cover facet that is invalid under the given heights (one check_facets
-    call) or has an affinely dependent vertex set is refused before any
-    halving.
+    from its vertices under the new heights by one facets_from_simplices
+    call per orientation, is still valid.  Returns (heights, eps, facets),
+    the rebuilt facets in the order of `cover`; with nothing to move, the
+    given heights, 0 and the cover itself.  A cover facet that is invalid
+    under the given heights (one check_facets call) or has an affinely
+    dependent vertex set is refused before any halving.
     """
     t_points = sorted(tuple(int(x) for x in p) for p in points)
     x_set = {tuple(int(v) for v in p) for p in base}
@@ -403,7 +401,7 @@ def perturb_heights(points: Iterable[Sequence[int]],
             raise PreconditionError(
                 f"cover facet {facet.vertices} is not valid under the given heights")
     if not y_list:
-        return heights, Fraction(0)
+        return heights, Fraction(0), tuple(cover)
 
     degree = len(y_list) + 1
     ctx = make_context(degree, 2)
@@ -420,14 +418,17 @@ def perturb_heights(points: Iterable[Sequence[int]],
 
     offsets = {p: j + 1 for j, p in enumerate(y_list)}
     index, sides = {p: i for i, p in enumerate(t_points)}, {}
-    for facet in cover:  # affine dependence does not depend on the heights: refuse it now
+    for at, facet in enumerate(cover):  # refuse affine dependence now: heights cannot mend it
         _facet_row(facet.vertices, heights, facet.orientation)
-        sides.setdefault(facet.orientation, []).append([index[v] for v in facet.vertices])
+        sides.setdefault(facet.orientation, {})[at] = [index[v] for v in facet.vertices]
     for t in range(64):
         eps = Fraction(1, 1 << t)
-        candidate = build(eps)
-        if all(_screen_facets(t_points, s, candidate, o).all() for o, s in sides.items()):
-            return candidate, eps
+        candidate, rebuilt = build(eps), {}
+        for orientation, side in sides.items():
+            rebuilt.update(zip(side, facets_from_simplices(t_points, side.values(), candidate,
+                                                           orientation)))
+        if None not in rebuilt.values():
+            return candidate, eps, tuple(rebuilt[at] for at in range(len(cover)))
     raise ArithmeticError("no perturbation size accepted after 64 halvings")
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -723,6 +722,7 @@ def _enumerate_chunk(args):
 def _enumerate_parallel(context: FieldContext, int_rows, box: Box, order: list[int],
                         jobs: int) -> list[tuple[int, ...]]:
     """_enumerate with the first searched coordinate's range split across worker processes."""
+    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
     first = order[0]
     lo0, hi0 = box.bounds[first]
     span = hi0 - lo0 + 1

@@ -200,6 +200,16 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert module("build", "dim5", "--eps", "abc").returncode == 2
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported by the parallel enumerator alone, which only --jobs > 1 reaches
+    code = ("import sys, relaxcert.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def _verify_error(capsys, system, points, box="-2:3"):
     rc = run(["verify", "--system", str(system), "--points", str(points), f"--box={box}"])
     err = capsys.readouterr().err

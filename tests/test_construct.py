@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaxcert import construct, cover
+from relaxcert import construct, cover, lift
 from relaxcert._linalg import determinant
 from relaxcert.construct import (RelaxationBundle,
                                  composed_simplex_relaxation, cube_simplex_split,
@@ -447,15 +447,19 @@ def test_pipeline_k7_certifies():
     assert run.perturbed.context.degree == 121
 
 
-def test_pipeline_refuses_a_cover_facet_invalid_after_perturbation(monkeypatch):
-    # the rebuild screens every cover facet again under the perturbed heights
-    def no_facets(points, simplices, heights, orientation):
-        return [None for _ in simplices]
+def test_pipeline_screens_the_perturbed_cover_once_per_orientation(monkeypatch):
+    # perturb_heights builds the cover rows, and pipeline_run takes them as they are
+    screened, calls = lift._screened, []
 
-    monkeypatch.setattr(construct, "facets_from_simplices", no_facets)
-    with pytest.raises(CertificationError) as caught:
-        pipeline_run(3)
-    assert caught.value.stage == "assembly"
+    def counting(points, simplices, heights, orientation):
+        calls.append((heights, orientation))
+        return screened(points, simplices, heights, orientation)
+
+    monkeypatch.setattr(lift, "_screened", counting)
+    for k in (3, 4):
+        calls.clear()
+        run = pipeline_run(k)
+        assert sorted(o for h, o in calls if h is run.perturbed) == ["lower", "upper"]
 
 
 def test_pipeline_target_is_standard_simplex():

@@ -355,6 +355,28 @@ def test_check_of_vertices_only_or_no_points_is_valid():
         assert check_upper_facet(facet, cube(3), heights).valid
 
 
+def test_check_accepts_a_row_scaled_by_an_irrational_factor():
+    # 1 + sqrt2 > 0 scales every slack without changing its sign
+    ctx = make_context(2, 2)
+    points = cube(2)
+    h = HeightFunction.from_pairs(
+        (p, staircase_height(2)(p).as_fraction() + ctx.root_power(1) * p[0]) for p in points)
+    scale = ctx.one + ctx.root_power(1)
+    for simplex in combinations(points, 3):
+        for orientation in ("upper", "lower"):
+            facet = facet_inequality_from_simplex(simplex, h, orientation)
+            scaled = FacetSimplex(facet.vertices, orientation,
+                                  tuple(c * scale for c in facet.coeffs),
+                                  facet.y_coeff * scale, facet.rhs * scale)
+            expected = check_upper_facet(facet, points, h)
+            assert check_upper_facet(scaled, points, h) == expected
+            assert _evaluated_check(scaled, points, h) == expected
+    facet = facet_inequality_from_simplex(points[:3], h, "upper")
+    scaled = FacetSimplex(facet.vertices, "upper", tuple(c * scale for c in facet.coeffs),
+                          facet.y_coeff * scale, facet.rhs * scale)
+    assert check_upper_facet(scaled, points, h) == FacetCheck(False, violated_at=(1, 1))
+
+
 def test_facet_row_refuses_vertices_outside_the_heights():
     h = staircase_height(2)
     with pytest.raises(ValidationError, match=r"point \(2, 0\) lies outside the heights' domain"):
@@ -414,7 +436,7 @@ def test_perturb_keeps_base_and_shifts_moved():
     moved = sorted(set(points) - set(base))
     h = staircase_height(3)
     cover = build_cover_k3()
-    perturbed, eps = perturb_heights(points, base, moved, h, cover)
+    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
     assert eps > 0
     ctx = perturbed.context
     assert ctx.degree == len(moved) + 1 == 5
@@ -430,8 +452,8 @@ def test_perturb_values_independent_over_q():
     points = cube(3)
     base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     moved = sorted(set(points) - set(base))
-    perturbed, _ = perturb_heights(points, base, moved, staircase_height(3),
-                                   build_cover_k3())
+    perturbed, _, _ = perturb_heights(points, base, moved, staircase_height(3),
+                                      build_cover_k3())
     # coefficient vectors of 1 and the moved heights must have full rank
     vectors = [tuple(perturbed(p).coeffs) for p in moved]
     vectors.append((Fraction(1),) + (Fraction(0),) * 4)
@@ -447,7 +469,7 @@ def test_perturb_halved_eps_still_valid():
     moved = sorted(set(points) - set(base))
     h = staircase_height(3)
     cover = build_cover_k3()
-    perturbed, eps = perturb_heights(points, base, moved, h, cover)
+    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
     ctx = perturbed.context
     half = HeightFunction.from_pairs(
         (p, ctx.from_rational(h(p).as_fraction())
@@ -461,9 +483,11 @@ def test_perturb_halved_eps_still_valid():
 def test_perturb_empty_moved_set_is_identity():
     points = [(0, 0), (1, 0), (0, 1)]
     h = rational_heights([(p, 1) for p in points])
-    perturbed, eps = perturb_heights(points, points, [], h, [])
-    assert eps == 0
+    perturbed, eps, facets = perturb_heights(points, points, [], h, [])
+    assert eps == 0 and facets == ()
     assert all(perturbed(p) == h(p) for p in points)
+    cover = [facet_inequality_from_simplex(points, h, "upper")]
+    assert perturb_heights(points, points, [], h, cover) == (h, 0, tuple(cover))
 
 
 def test_perturb_rejects_invalid_cover():
@@ -477,15 +501,21 @@ def test_perturb_rejects_invalid_cover():
         perturb_heights(points, base, moved, h, [bad])
 
 
-def test_perturb_halves_until_both_orientations_hold():
-    # (1, 1) sits 1/100 below the plane of the other three corners; its offset
-    # eps * sqrt2 must stay under 1/100 for both cover facets, so eps = 2^-8
+def _halving_case():
+    """(points, base, moved, heights, cover) on the 2-cube that perturbs with eps = 2^-8."""
     points = cube(2)
     base, moved = points[:3], points[3:]
     h = rational_heights([(p, 0) for p in base] + [((1, 1), Fraction(-1, 100))])
     cover = [facet_inequality_from_simplex(base, h, "upper"),
              facet_inequality_from_simplex([(0, 0), (1, 0), (1, 1)], h, "lower")]
-    perturbed, eps = perturb_heights(points, base, moved, h, cover)
+    return points, base, moved, h, cover
+
+
+def test_perturb_halves_until_both_orientations_hold():
+    # (1, 1) sits 1/100 below the plane of the other three corners; its offset
+    # eps * sqrt2 must stay under 1/100 for both cover facets, so eps = 2^-8
+    points, base, moved, h, cover = _halving_case()
+    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
     assert eps == Fraction(1, 256)
     ctx = perturbed.context
     for scale, valid in ((1, True), (2, False)):
@@ -495,6 +525,25 @@ def test_perturb_halves_until_both_orientations_hold():
         rebuilt = [facet_inequality_from_simplex(f.vertices, shifted, f.orientation)
                    for f in cover]
         assert all(check_upper_facet(f, points, shifted).valid for f in rebuilt) == valid
+
+
+def test_perturb_returns_the_cover_rebuilt_under_its_heights():
+    points = cube(3)
+    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    k3 = (points, base, sorted(set(points) - set(base)), staircase_height(3), build_cover_k3())
+    halving = _halving_case()
+    # the square's other two facets, valid for as long, make the orientations alternate
+    # along the cover: the facets come back in cover order, not grouped by orientation
+    cube2, h = halving[0], halving[3]
+    halving[4].extend([facet_inequality_from_simplex(cube2[1:], h, "upper"),
+                       facet_inequality_from_simplex([(0, 0), (0, 1), (1, 1)], h, "lower")])
+    for points, base, moved, h, cover in (k3, halving):
+        perturbed, eps, facets = perturb_heights(points, base, moved, h, cover)
+        index = {p: i for i, p in enumerate(points)}
+        expected = [facets_from_simplices(points, [[index[v] for v in f.vertices]], perturbed,
+                                          f.orientation)[0] for f in cover]
+        assert [f.to_json_dict() for f in facets] == [f.to_json_dict() for f in expected]
+    assert eps == Fraction(1, 256)  # the halving case
 
 
 def test_perturb_refuses_dependent_cover_facet_before_halving(monkeypatch):
@@ -511,7 +560,7 @@ def test_perturb_refuses_dependent_cover_facet_before_halving(monkeypatch):
     def no_halving(*args):
         raise AssertionError("a halving ran before the degenerate facet was refused")
 
-    monkeypatch.setattr(lift, "_screen_facets", no_halving)
+    monkeypatch.setattr(lift, "facets_from_simplices", no_halving)
     with pytest.raises(DegenerateSimplexError):
         perturb_heights(points, base, moved, h, build_cover_k3() + (flat,))
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import random
@@ -655,7 +656,7 @@ def test_enumerate_jobs_clamped_and_validated(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(poly, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(poly.os, "cpu_count", lambda: 3)
     system = simplex5_relaxation().system
     box = Box.uniform(-2, 3, 5)
