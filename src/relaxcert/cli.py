@@ -5,7 +5,7 @@ against stored point sets on finite boxes, run the mixed-integer
 certification, emit facet-cover reports, and tabulate facet-count bounds.
 All artifacts are exact JSON or CSV; identical arguments and seeds yield
 byte-identical files.  Exit codes: 0 certified/pass, 1 refuted/fail
-(witness on stderr), 2 usage or resource errors.
+(witness on stderr), 2 usage or resource errors and partial certificates.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _cmd_build(args) -> int:
     if args.what in ("dim5", "xa") and (args.mixed_out or args.heights_out):
         from .construct import (projected_simplex_heights, projected_simplex_relaxation)
         mixed = projected_simplex_relaxation(as_fraction(args.eps))
-        heights = projected_simplex_heights(mixed.context)
+        heights = projected_simplex_heights()
     if args.mixed_out:
         if mixed is None:
             raise ValidationError(f"build {args.what} has no mixed system to write")
@@ -134,21 +134,15 @@ def _cmd_verify(args) -> int:
 def _cmd_certify_mixed(args) -> int:
     system = _load_system(args.system)
     heights = _load_json(args.heights, None, HeightFunction.from_json_dict)
-    points = PointSet(len(heights.domain[0]), heights.domain)
-    certificate = certify_mixed(system, points, heights, cap=args.cap)
+    certificate = certify_mixed(system, heights, cap=args.cap)
     _print_provenance({"construction": "certify-mixed",
                        "field_degree": system.context.degree,
                        "verdict": certificate.verdict})
     if args.out:
         _write_json(args.out, certificate.to_json_dict())
-    if certificate.certified:
-        print("certified")
-        return 0
-    if certificate.verdict == "partial":
-        print(f"partial: {certificate.witness}", file=sys.stderr)
-        return 2
-    print(f"refuted: {certificate.witness}", file=sys.stderr)
-    return 1
+    certificate.require_certified(f"mixed certificate of {args.system}", stage="mixed-system")
+    print("certified")
+    return 0
 
 
 def _cmd_cover(args) -> int:
@@ -200,11 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="construct a relaxation and write it as JSON")
     build_sub = build.add_subparsers(dest="what", required=True)
-    for name, extra in (("dim5", ()), ("xa", ("a",)), ("corollary", ("d",)),
+    for name, extra in (("dim5", ("eps",)), ("xa", ("a", "eps")), ("corollary", ("d", "eps")),
                         ("pipeline", ("k",))):
         p = build_sub.add_parser(name)
-        p.add_argument("--eps", default=str(DEFAULT_EPS),
-                       help="rational parameter for the five-row block (default 1/8)")
+        if "eps" in extra:
+            p.add_argument("--eps", default=str(DEFAULT_EPS),
+                           help="rational parameter for the five-row block (default 1/8)")
         if "a" in extra:
             p.add_argument("--a", type=int, required=True,
                            help="positive stretch factor of the last generator")

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import build_full_cover, dominating_family
-from .errors import (CertificationError, PreconditionError, ResourceLimitError,
-                     ValidationError)
+from .errors import CertificationError, PreconditionError, ValidationError
 from .field import FieldContext, as_fraction, make_context
 from .lift import HeightFunction, affine_interpolant, perturb_heights, staircase_height
 from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet, Row
@@ -98,9 +97,9 @@ def projected_simplex_points() -> PointSet:
                     label="projected_simplex_base")
 
 
-def projected_simplex_heights(eps_context: FieldContext | None = None) -> HeightFunction:
+def projected_simplex_heights() -> HeightFunction:
     """Continuous coordinates of the projected 5-simplex over Q[sqrt2]."""
-    ctx = eps_context if eps_context is not None else make_context(2, 2)
+    ctx = make_context(2, 2)
     minus_inv_sqrt2 = ctx.element((0, Fraction(-1, 2)))
     values = {
         (0, 0, 0): ctx.zero,
@@ -110,8 +109,7 @@ def projected_simplex_heights(eps_context: FieldContext | None = None) -> Height
         (1, 0, 1): ctx.one,
         (0, 1, 1): minus_inv_sqrt2,
     }
-    base = projected_simplex_points()
-    return HeightFunction(base.points, values)
+    return HeightFunction(projected_simplex_points().points, values)
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +161,13 @@ def _pullback_matrix(ctx: FieldContext, a: int):
 def _certified_base(eps: Fraction, cap: int) -> LinearSystem:
     """The five-row mixed system for eps, certified once per (eps, cap).
 
-    Only a certified system is returned, and so cached: a refuted
-    certificate raises CertificationError and a partial one (its box
-    holds more points than the cap) ResourceLimitError; either is
-    computed again on the next call.
+    Only a certified system is returned, and so cached: require_certified
+    raises on a refuted (stage "mixed-system") or partial certificate,
+    which is computed again on the next call.
     """
     base = projected_simplex_relaxation(eps)
-    certificate = certify_mixed(base, projected_simplex_points(),
-                                projected_simplex_heights(base.context), cap=cap)
-    if certificate.verdict == "partial":
-        raise ResourceLimitError(
-            f"mixed certificate for eps={eps} is partial: {certificate.witness}")
-    if not certificate.certified:
-        raise CertificationError(
-            f"mixed certificate failed for eps={eps}: {certificate.witness}",
-            stage="mixed-system")
+    certify_mixed(base, projected_simplex_heights(), cap=cap).require_certified(
+        f"mixed certificate for eps={eps}", stage="mixed-system")
     return base
 
 
@@ -430,11 +420,11 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     heights and the upper/lower facet covers; perturb the moved heights
     into an irrational family, which rebuilds the cover facets under them;
     assemble the mixed system from 2k box rows plus those rebuilt facets,
-    upper then lower; certify it; then
-    pull it back, in one affine substitution, under the shear that
-    subtracts the affine interpolant of the base heights composed with the
-    block that folds the moved points into extra coordinates.  Row count
-    is 2k plus twice the cover size.
+    upper then lower; certify it against the perturbed heights, refused
+    at stage "mixed-certificate"; then pull it back, in one affine
+    substitution, under the shear that subtracts the affine interpolant of
+    the base heights composed with the block that folds the moved points
+    into extra coordinates.  Row count is 2k plus twice the cover size.
     """
     if k < 2:
         raise ValidationError("pipeline needs k >= 2")
@@ -443,10 +433,9 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
             "full certification is supported for k <= 7; pass certify=False "
             "to build an uncertified system")
     split = cube_simplex_split(k)
-    cube = sorted(set(split.base.points) | set(split.moved.points))
     heights = staircase_height(k)
     upper, lower = build_full_cover(k)
-    perturbed, eps, facets = perturb_heights(cube, split.base.points, split.moved.points,
+    perturbed, eps, facets = perturb_heights(split.base.points, split.moved.points,
                                              heights, upper.facets + lower.facets)
     ctx = perturbed.context
     zero, one = ctx.zero, ctx.one
@@ -460,11 +449,8 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
 
     certificate = None
     if certify:
-        certificate = certify_mixed(mixed, PointSet(k, tuple(cube)), perturbed, cap=cap)
-        if not certificate.certified:
-            raise CertificationError(
-                f"mixed certificate failed at k={k}: {certificate.witness}",
-                stage="mixed-certificate")
+        certificate = certify_mixed(mixed, perturbed, cap=cap)
+        certificate.require_certified(f"mixed certificate at k={k}", stage="mixed-certificate")
 
     # one pull-back composes the shear (x, y) -> (x, y + f(x)), which removes the
     # rational affine part f of the heights, with the block (u, v) -> (u + sum

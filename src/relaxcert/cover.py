@@ -100,18 +100,12 @@ def symmetric_chain_cover(n: int) -> list[Chain]:
     return chains
 
 
-def chains_to_permutations(chains: Sequence[Chain], n: int | None = None
-                           ) -> tuple[tuple[int, ...], ...]:
-    """Extend each chain to a full chain and read it as a permutation.
+def chains_to_permutations(chains: Sequence[Chain], n: int) -> tuple[tuple[int, ...], ...]:
+    """Extend each chain to a full chain of subsets of [n] and read it as a permutation.
 
     Gaps are filled by inserting the smallest missing element first; every
     subset covered by the input is then a prefix set of some permutation.
     """
-    if n is None:
-        n = 0
-        for chain in chains:
-            for subset in chain.subsets:
-                n = max(n, max(subset, default=0))
     covered = set()
     for chain in chains:
         covered.update(chain.subsets)

@@ -368,38 +368,50 @@ def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]]
     return [first.get(r, FacetCheck(True)) for r in range(len(facets))]
 
 
-def perturb_heights(points: Iterable[Sequence[int]],
-                    base: Iterable[Sequence[int]],
+def perturb_heights(base: Iterable[Sequence[int]],
                     moved: Iterable[Sequence[int]],
                     heights: HeightFunction,
                     cover: Sequence[FacetSimplex]
                     ) -> tuple[HeightFunction, Fraction, tuple[FacetSimplex, ...]]:
     """Add independent irrational offsets on `moved`, preserving a facet cover.
 
-    The j-th point of `moved` (in lexicographic order, counted from 1)
-    receives offset eps * c**j with c = 2**(1/(len(moved)+1)), so the new
-    heights on `moved` together with 1 are linearly independent over Q.
-    eps = 2**-t for the smallest t such that every cover facet, rebuilt
-    from its vertices under the new heights by one facets_from_simplices
-    call per orientation, is still valid.  Returns (heights, eps, facets),
-    the rebuilt facets in the order of `cover`; with nothing to move, the
-    given heights, 0 and the cover itself.  A cover facet that is invalid
-    under the given heights (one check_facets call) or has an affinely
-    dependent vertex set is refused before any halving.
+    The domain is sorted(base | moved).  The j-th point of sorted `moved`
+    (from 1) receives offset eps * c**j with c = 2**(1/(len(moved)+1)), so
+    the new heights on `moved` together with 1 are linearly independent
+    over Q.  eps = 2**-t for the smallest t such that every cover facet,
+    rebuilt from its vertices under the new heights by one
+    facets_from_simplices call per orientation, is still valid.  Returns
+    (heights, eps, facets), the rebuilt facets in the order of `cover`;
+    with nothing to move, the given heights, 0 and the cover itself.  The
+    first cover facet whose vertices span no valid facet under the given
+    heights (one _screen_facets call per orientation) is refused before
+    any halving: DegenerateSimplexError if they are affinely dependent,
+    else PreconditionError.
     """
-    t_points = sorted(tuple(int(x) for x in p) for p in points)
     x_set = {tuple(int(v) for v in p) for p in base}
     y_list = sorted(tuple(int(v) for v in p) for p in moved)
     if x_set & set(y_list):
         raise PreconditionError("base and moved point sets overlap")
-    if x_set | set(y_list) != set(t_points):
-        raise PreconditionError("base and moved sets do not partition the domain")
+    t_points = sorted(x_set.union(y_list))
+    vertices = {v for facet in cover for v in facet.vertices}
+    heights._require_domain([*t_points, *vertices])
     if not heights.is_rational():
         raise PreconditionError("perturbation starts from rational heights")
-    for facet, check in zip(cover, check_facets(cover, t_points, heights)):
-        if not check.valid:
-            raise PreconditionError(
-                f"cover facet {facet.vertices} is not valid under the given heights")
+    if stray := vertices.difference(t_points):
+        raise PreconditionError(f"cover vertex {min(stray)} is neither a base nor a moved point")
+    if bad := [f.vertices for f in cover if len(f.vertices) != len(t_points[0]) + 1]:
+        raise DegenerateSimplexError(f"cover facet {bad[0]} needs {len(t_points[0]) + 1} vertices")
+    index, sides = {p: i for i, p in enumerate(t_points)}, {}
+    for at, facet in enumerate(cover):
+        sides.setdefault(facet.orientation, {})[at] = [index[v] for v in facet.vertices]
+    refused = []
+    for orientation, side in sides.items():
+        valid = _screen_facets(t_points, side.values(), heights, orientation)
+        refused += [at for at, ok in zip(side, valid) if not ok]
+    if refused:
+        facet = cover[min(refused)]
+        _facet_row(facet.vertices, heights, facet.orientation)  # an affinely dependent set raises
+        raise PreconditionError(f"cover facet {facet.vertices} is invalid under the given heights")
     if not y_list:
         return heights, Fraction(0), tuple(cover)
 
@@ -417,10 +429,6 @@ def perturb_heights(points: Iterable[Sequence[int]],
         return HeightFunction.from_pairs(pairs)
 
     offsets = {p: j + 1 for j, p in enumerate(y_list)}
-    index, sides = {p: i for i, p in enumerate(t_points)}, {}
-    for at, facet in enumerate(cover):  # refuse affine dependence now: heights cannot mend it
-        _facet_row(facet.vertices, heights, facet.orientation)
-        sides.setdefault(facet.orientation, {})[at] = [index[v] for v in facet.vertices]
     for t in range(64):
         eps = Fraction(1, 1 << t)
         candidate, rebuilt = build(eps), {}

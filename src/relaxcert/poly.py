@@ -276,7 +276,7 @@ class LinearSystem:
         factors = [v.num[0] if v.is_rational() else ctx.multiplication_matrix(v.num).T
                    for v in inverses]
         scales = [v.den * (1 if v.is_rational() else q) for v in inverses]
-        most = max([1, *(int(np.abs(f).max()) * (n if np.ndim(f) else 1) for f in factors)])
+        most = max([1, *(int(np.abs(f).max()) * n if np.ndim(f) else abs(f) for f in factors)])
         result, per = [], max(1, _CHUNK // max(self.num_rows * n, 1))
         for start in range(0, len(points), per):
             values, rhs, dens = self._evaluate([(*p, 0) for p in points[start:start + per]])

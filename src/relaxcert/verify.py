@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ._linalg import kernel_basis
-from .errors import ValidationError
+from .errors import CertificationError, ResourceLimitError, ValidationError
 from .field import FieldElement
 from .lift import HeightFunction
-from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet
+from .poly import Box, DEFAULT_POINT_CAP, LinearSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construct import RelaxationBundle
@@ -58,6 +58,13 @@ class Certificate:
     def certified(self) -> bool:
         return self.verdict == "certified"
 
+    def require_certified(self, subject: str, stage: str) -> None:
+        """Raise ResourceLimitError if partial, CertificationError at stage if refuted."""
+        if self.verdict == "partial":
+            raise ResourceLimitError(f"{subject} is partial: {self.witness}")
+        if not self.certified:
+            raise CertificationError(f"{subject} failed: {self.witness}", stage=stage)
+
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -87,29 +94,25 @@ def classify_rows(system: LinearSystem) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(upper), tuple(lower), tuple(lateral)
 
 
-def certify_mixed(system: LinearSystem, points: PointSet | Sequence[Sequence[int]],
-                  heights: HeightFunction, cap: int = DEFAULT_POINT_CAP) -> Certificate:
+def certify_mixed(system: LinearSystem, heights: HeightFunction,
+                  cap: int = DEFAULT_POINT_CAP) -> Certificate:
     """Exactly certify that the system's mixed-integer points are the lifted set.
 
-    The last variable is the continuous coordinate.  Checks, in order:
-    row classification; per lifted point, satisfaction of every row plus
+    The last variable is the continuous coordinate, and the point set X is
+    the heights' domain, in its order.  Checks, in order: row
+    classification; per lifted point, satisfaction of every row plus
     tightness of at least one upper and one lower row; equality of the
     projection's lattice points, the points of a box (at most cap of them,
-    else partial) with a nonempty fiber, with the point set; and per
-    point, that the fiber interval collapses to the stated height.
+    else partial) with a nonempty fiber, with X; and per point, that the
+    fiber interval collapses to the stated height.
     """
-    if isinstance(points, PointSet):
-        base_points = points.points
-    else:
-        base_points = tuple(tuple(int(x) for x in p) for p in points)
+    base_points = heights.domain
     k = system.num_vars - 1
     if k < 1:
         raise ValidationError("mixed system needs at least one integer variable")
     for p in base_points:
         if len(p) != k:
             raise ValidationError(f"point {p} does not match {k} integer variables")
-    if set(base_points) != set(heights.domain):
-        raise ValidationError("height domain differs from the target point set")
 
     notes = ["rows classified by the sign of the continuous coordinate",
              "tightness and fibers are double bookkeeping for the same criterion"]

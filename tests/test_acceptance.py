@@ -42,8 +42,7 @@ def report(number, message, started, budget):
 def test_criterion_01_mixed_certificate_replication():
     started = time.time()
     system = projected_simplex_relaxation(Fraction(1, 8))
-    cert = certify_mixed(system, projected_simplex_points(),
-                         projected_simplex_heights(system.context))
+    cert = certify_mixed(system, projected_simplex_heights())
     assert cert.certified
     fibers = {f.point: (f.lower, f.upper) for f in cert.fibers}
     zero, one = CTX2.zero, CTX2.one

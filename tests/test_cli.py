@@ -125,10 +125,11 @@ def test_resource_error_exit_two(tmp_path, capsys):
 
 
 def test_build_corollary_honours_cap(tmp_path, capsys):
-    # the cap bounds the enumeration that certifies each dim-5 block, as for dim5;
-    # hitting it leaves the certificate partial, a resource error and not a refutation
+    # the cap bounds the box that certifies each dim-5 block, as for dim5, and the
+    # pipeline's 2^k box; hitting it leaves the certificate partial, a resource error
+    # and not a refutation
     out = tmp_path / "c11.json"
-    for what in (["dim5"], ["corollary", "--d", "11"]):
+    for what in (["dim5"], ["corollary", "--d", "11"], ["pipeline", "--k", "4"]):
         assert run(["build", *what, "--cap", "10", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "above the cap of 10" in err
@@ -148,6 +149,29 @@ def test_partial_and_refuted_dim5_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run(["build", "dim5", "--eps", "1/2", "--out", str(tmp_path / "r.json")]) == 1
     assert "refuted (mixed-system)" in capsys.readouterr().err
+
+
+def test_certify_mixed_reports_partial_and_refuted(tmp_path, capsys):
+    mixed, heights = tmp_path / "mixed.json", tmp_path / "heights.json"
+    assert run(["build", "dim5", "--out", str(tmp_path / "dim5.json"), "--mixed-out",
+                str(mixed), "--heights-out", str(heights)]) == 0
+    capsys.readouterr()
+    certify = ["certify-mixed", "--system", str(mixed), "--heights", str(heights)]
+    assert run([*certify, "--cap", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mixed certificate of {mixed} is partial: box holds")
+    data = read_json(mixed)
+    del data["rows"][0]
+    mixed.write_text(json.dumps(data))
+    assert run(certify) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"refuted (mixed-system): mixed certificate of {mixed} failed: ")
+
+
+def test_build_pipeline_has_no_eps(tmp_path, capsys):
+    out = tmp_path / "p2.json"
+    assert run(["build", "pipeline", "--k", "2", "--eps", "1/2", "--out", str(out)]) == 2
+    assert "--eps" in capsys.readouterr().err and not out.exists()
 
 
 def test_verify_jobs_below_one_exit_two(tmp_path, capsys):

@@ -426,6 +426,13 @@ def test_pipeline_rejects_large_k_when_certifying():
         pipeline_relaxation(8)
 
 
+def test_pipeline_partial_under_the_cap_is_a_resource_error():
+    # the k = 4 box holds 16 points; a partial certificate is not a refutation
+    with pytest.raises(ResourceLimitError, match=r"at k=4 is partial: box holds 16 lattice "
+                                                 r"points, above the cap of 10"):
+        pipeline_run(4, cap=10)
+
+
 def test_pipeline_k5_certifies():
     run = pipeline_run(5)
     assert run.certificate.certified

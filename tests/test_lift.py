@@ -395,7 +395,18 @@ def test_perturb_refuses_cover_facet_with_vertex_outside_the_heights():
     base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     moved = sorted(set(points) - set(base))
     with pytest.raises(ValidationError, match=r"point \(1, 1, 1\) lies outside"):
-        perturb_heights(points, base, moved, h, [facet])
+        perturb_heights(base, moved, h, [facet])
+
+
+def test_perturb_refuses_cover_facet_with_vertex_outside_base_and_moved():
+    # the heights know (1, 1, 1), but base and moved leave it out of the domain
+    h = staircase_height(3)
+    facet = facet_inequality_from_simplex(
+        [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)], h, "upper")
+    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    moved = sorted(set(cube(3)[:-1]) - set(base))
+    with pytest.raises(PreconditionError, match=r"cover vertex \(1, 1, 1\)"):
+        perturb_heights(base, moved, h, [facet])
 
 
 def test_heights_from_different_contexts_refused():
@@ -436,7 +447,7 @@ def test_perturb_keeps_base_and_shifts_moved():
     moved = sorted(set(points) - set(base))
     h = staircase_height(3)
     cover = build_cover_k3()
-    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
+    perturbed, eps, _ = perturb_heights(base, moved, h, cover)
     assert eps > 0
     ctx = perturbed.context
     assert ctx.degree == len(moved) + 1 == 5
@@ -452,7 +463,7 @@ def test_perturb_values_independent_over_q():
     points = cube(3)
     base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     moved = sorted(set(points) - set(base))
-    perturbed, _, _ = perturb_heights(points, base, moved, staircase_height(3),
+    perturbed, _, _ = perturb_heights(base, moved, staircase_height(3),
                                       build_cover_k3())
     # coefficient vectors of 1 and the moved heights must have full rank
     vectors = [tuple(perturbed(p).coeffs) for p in moved]
@@ -469,7 +480,7 @@ def test_perturb_halved_eps_still_valid():
     moved = sorted(set(points) - set(base))
     h = staircase_height(3)
     cover = build_cover_k3()
-    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
+    perturbed, eps, _ = perturb_heights(base, moved, h, cover)
     ctx = perturbed.context
     half = HeightFunction.from_pairs(
         (p, ctx.from_rational(h(p).as_fraction())
@@ -483,11 +494,11 @@ def test_perturb_halved_eps_still_valid():
 def test_perturb_empty_moved_set_is_identity():
     points = [(0, 0), (1, 0), (0, 1)]
     h = rational_heights([(p, 1) for p in points])
-    perturbed, eps, facets = perturb_heights(points, points, [], h, [])
+    perturbed, eps, facets = perturb_heights(points, [], h, [])
     assert eps == 0 and facets == ()
     assert all(perturbed(p) == h(p) for p in points)
     cover = [facet_inequality_from_simplex(points, h, "upper")]
-    assert perturb_heights(points, points, [], h, cover) == (h, 0, tuple(cover))
+    assert perturb_heights(points, [], h, cover) == (h, 0, tuple(cover))
 
 
 def test_perturb_rejects_invalid_cover():
@@ -498,7 +509,7 @@ def test_perturb_rejects_invalid_cover():
     bad = facet_inequality_from_simplex(
         [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)], h, "lower")
     with pytest.raises(PreconditionError):
-        perturb_heights(points, base, moved, h, [bad])
+        perturb_heights(base, moved, h, [bad])
 
 
 def _halving_case():
@@ -515,7 +526,7 @@ def test_perturb_halves_until_both_orientations_hold():
     # (1, 1) sits 1/100 below the plane of the other three corners; its offset
     # eps * sqrt2 must stay under 1/100 for both cover facets, so eps = 2^-8
     points, base, moved, h, cover = _halving_case()
-    perturbed, eps, _ = perturb_heights(points, base, moved, h, cover)
+    perturbed, eps, _ = perturb_heights(base, moved, h, cover)
     assert eps == Fraction(1, 256)
     ctx = perturbed.context
     for scale, valid in ((1, True), (2, False)):
@@ -538,7 +549,7 @@ def test_perturb_returns_the_cover_rebuilt_under_its_heights():
     halving[4].extend([facet_inequality_from_simplex(cube2[1:], h, "upper"),
                        facet_inequality_from_simplex([(0, 0), (0, 1), (1, 1)], h, "lower")])
     for points, base, moved, h, cover in (k3, halving):
-        perturbed, eps, facets = perturb_heights(points, base, moved, h, cover)
+        perturbed, eps, facets = perturb_heights(base, moved, h, cover)
         index = {p: i for i, p in enumerate(points)}
         expected = [facets_from_simplices(points, [[index[v] for v in f.vertices]], perturbed,
                                           f.orientation)[0] for f in cover]
@@ -562,13 +573,24 @@ def test_perturb_refuses_dependent_cover_facet_before_halving(monkeypatch):
 
     monkeypatch.setattr(lift, "facets_from_simplices", no_halving)
     with pytest.raises(DegenerateSimplexError):
-        perturb_heights(points, base, moved, h, build_cover_k3() + (flat,))
+        perturb_heights(base, moved, h, build_cover_k3() + (flat,))
+
+
+def test_perturb_refuses_cover_facet_with_the_wrong_vertex_count():
+    h = staircase_height(3)
+    base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    moved = sorted(set(cube(3)) - set(base))
+    one = h.context.one
+    short = FacetSimplex(tuple(base[:3]), "upper", (h.context.zero,) * 3, one, one * 100)
+    for cover in ((short,), build_cover_k3() + (short,)):
+        with pytest.raises(DegenerateSimplexError, match="needs 4 vertices"):
+            perturb_heights(base, moved, h, cover)
 
 
 def test_perturb_rejects_bad_partition():
     points = cube(2)
     with pytest.raises(PreconditionError):
-        perturb_heights(points, points[:2], points[1:], staircase_height(2), [])
+        perturb_heights(points[:2], points[1:], staircase_height(2), [])
 
 
 # ---------------------------------------------------------------------------

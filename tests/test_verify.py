@@ -22,7 +22,7 @@ CTX2 = make_context(2, 2)
 
 def five_row_inputs(eps=Fraction(1, 8)):
     system = projected_simplex_relaxation(eps)
-    return system, projected_simplex_points(), projected_simplex_heights(system.context)
+    return system, projected_simplex_points(), projected_simplex_heights()
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,8 @@ def five_row_inputs(eps=Fraction(1, 8)):
 # ---------------------------------------------------------------------------
 
 def test_certify_five_row_system():
-    system, points, heights = five_row_inputs()
-    cert = certify_mixed(system, points, heights)
+    system, _, heights = five_row_inputs()
+    cert = certify_mixed(system, heights)
     assert cert.certified
     assert len(cert.projection_points) == 6
     minus_inv = CTX2.element((0, Fraction(-1, 2)))
@@ -53,18 +53,18 @@ def test_certify_row_classification():
 
 
 def test_certify_coverage_records():
-    system, points, heights = five_row_inputs()
-    cert = certify_mixed(system, points, heights)
+    system, _, heights = five_row_inputs()
+    cert = certify_mixed(system, heights)
     for record in cert.coverage:
         assert record.tight_upper and record.tight_lower
 
 
 def test_deleting_any_row_breaks_certification():
-    system, points, heights = five_row_inputs()
+    system, _, heights = five_row_inputs()
     for drop in range(5):
         rows = tuple(r for i, r in enumerate(system.rows) if i != drop)
         smaller = LinearSystem(system.context, 4, rows)
-        cert = certify_mixed(smaller, points, heights)
+        cert = certify_mixed(smaller, heights)
         assert not cert.certified, f"row {drop} seems redundant"
 
 
@@ -88,15 +88,16 @@ def test_certify_shift_invariance():
             (p, heights(p) - ctx.from_rational(
                 sum(c * x for c, x in zip(coeffs, p)) + offset))
             for p in points.points)
-        cert = certify_mixed(sheared, points, new_heights)
+        cert = certify_mixed(sheared, new_heights)
         assert cert.certified
         assert set(cert.projection_points) == points.as_set()
 
 
-def test_certify_mismatched_heights_domain():
-    system, points, heights = five_row_inputs()
-    with pytest.raises(ValidationError):
-        certify_mixed(system, PointSet(3, ((0, 0, 0),)), heights)
+def test_certify_refuses_heights_of_another_dimension():
+    system, _, _ = five_row_inputs()
+    heights = HeightFunction.from_pairs([((0, 0), CTX2.zero), ((1, 0), CTX2.zero)])
+    with pytest.raises(ValidationError, match=r"point \(0, 0\) does not match 3 integer"):
+        certify_mixed(system, heights)
 
 
 def test_certify_refutes_spurious_lattice_point():
@@ -115,9 +116,8 @@ def test_certify_refutes_spurious_lattice_point():
     rows.append(((ctx.zero, ctx.zero, ctx.one), ctx.one))
     rows.append(((ctx.zero, ctx.zero, -ctx.one), ctx.zero))
     system = LinearSystem.from_rows(ctx, rows, 3)
-    points = PointSet(2, ((0, 0), (1, 0)))
     heights = HeightFunction.from_pairs([((0, 0), ctx.zero), ((1, 0), ctx.zero)])
-    cert = certify_mixed(system, points, heights)
+    cert = certify_mixed(system, heights)
     assert not cert.certified
 
 
@@ -140,14 +140,14 @@ def test_certify_names_the_first_bad_fiber(monkeypatch, broken, witness):
         return [broken.get(p, bounds) for p, bounds in zip(pts, fiber_bounds(self, pts))]
 
     monkeypatch.setattr(LinearSystem, "fiber_bounds", patched)
-    cert = certify_mixed(system, points, heights)
+    cert = certify_mixed(system, heights)
     assert cert.verdict == "refuted"
     assert cert.witness == (witness, points.points[1])
     assert len(cert.projection_points) == 6 and not cert.fibers
 
 
 def test_certify_reads_an_empty_fiber_at_x_as_a_missing_point(monkeypatch):
-    system, points, heights = five_row_inputs()
+    system, _, heights = five_row_inputs()
     fiber_bounds = LinearSystem.fiber_bounds
 
     def patched(self, pts):
@@ -155,14 +155,14 @@ def test_certify_reads_an_empty_fiber_at_x_as_a_missing_point(monkeypatch):
                 for p, bounds in zip(pts, fiber_bounds(self, pts))]
 
     monkeypatch.setattr(LinearSystem, "fiber_bounds", patched)
-    cert = certify_mixed(system, points, heights)
+    cert = certify_mixed(system, heights)
     assert cert.witness == ("projection lattice mismatch", [], sorted((_P[1], _P[3])))
     assert set(cert.projection_points) == set(_P) - {_P[1], _P[3]} and not cert.fibers
 
 
 def test_certify_partial_on_cap():
-    system, points, heights = five_row_inputs()
-    cert = certify_mixed(system, points, heights, cap=3)
+    system, _, heights = five_row_inputs()
+    cert = certify_mixed(system, heights, cap=3)
     assert cert.verdict == "partial"
     assert cert.witness == "box holds 18 lattice points, above the cap of 3"
 
@@ -173,8 +173,8 @@ def test_certify_never_enumerates(monkeypatch):
 
     monkeypatch.setattr(LinearSystem, "enumerate_lattice_points", refuse)
     for eps, verdict in (("1/8", "certified"), ("1/2", "refuted")):
-        system, points, heights = five_row_inputs(Fraction(eps))
-        assert certify_mixed(system, points, heights).verdict == verdict
+        system, _, heights = five_row_inputs(Fraction(eps))
+        assert certify_mixed(system, heights).verdict == verdict
     assert pipeline_run(3).certificate.certified
 
 
@@ -266,7 +266,7 @@ def _mixed_cases(draw):
 @given(case=_mixed_cases())
 def test_box_fibers_match_the_enumerated_projection(case):
     system, points, heights = case
-    cert = certify_mixed(system, points, heights)
+    cert = certify_mixed(system, heights)
     assert (cert.verdict, cert.witness, cert.projection_points) == \
         _enumerated_route(system, points, heights)
 
