@@ -268,8 +268,8 @@ class FieldContext:
     # -- identity and serialization ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldContext)
-                and self.degree == other.degree and self.radicand == other.radicand)
+        return self is other or (isinstance(other, FieldContext) and self.degree == other.degree
+                                 and self.radicand == other.radicand)
 
     def __hash__(self) -> int:
         return hash((self.degree, self.radicand))

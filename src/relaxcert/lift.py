@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,36 +199,44 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
     return verts, s * sign * d, [[s * sign * x for x in row[k + 1:]] for row in m]
 
 
-_SCREEN_ENTRIES = 1 << 13  # about the most entries one block's largest array holds
+_SCREEN_ENTRIES = 1 << 14  # about the most entries one block's largest array holds
 
 
 def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
     """_facet_row on a stack of matrices [A^T | H], shape (C, k+1, 1+k+n), at once.
 
-    The same fraction-free Gauss-Jordan pass runs on every matrix; one with
-    no pivot left in some column is affinely dependent and is dropped, so
-    every survivor has the pivot of column t in row t, with its own row
-    swaps and sign.  Returns (kept, lead, C, swapped): the survivors'
-    indices, their leads, their cofactor vectors C[:, r] and whether v_0
-    and v_1 trade places, all oriented as by _facet_row.
+    The same fraction-free Gauss-Jordan pass runs on one candidate-last copy w,
+    shape (k+1, 1+k+n, C), in a few long vector operations per step.  Column 0
+    of every matrix is all ones, as _screened builds the rows (1, p, H(p)), so
+    step 0 (pivot 1 over a previous pivot 1) is w[1:] -= w[:1].  Step t swaps
+    rows only where the pivot is zero and updates only the columns right of t.
+    A matrix with no pivot left in some column is affinely dependent: it is
+    zeroed, gets unit pivots from then on and is dropped at the end.  Returns
+    (kept, lead, C, swapped), oriented as by _facet_row: the survivors'
+    indices, leads, cofactor vectors C[:, r] and whether v_0 and v_1 trade
+    places, each survivor with its own row swaps and sign.
     """
-    kept, sign, k1 = np.arange(len(m)), np.ones(len(m), dtype=np.int64), m.shape[1]
-    prev = np.ones(len(m), dtype=m.dtype)
-    for t in range(k1):
-        nonzero = m[:, t:, t] != 0
-        full = nonzero.any(axis=1)
-        m, kept, sign, prev = m[full], kept[full], sign[full], prev[full]
-        at, p = np.arange(len(m)), t + nonzero[full].argmax(axis=1)
-        m[at, t], m[at, p] = m[at, p], m[at, t]
-        sign[p != t] *= -1
-        row = m[:, t:t + 1]
-        pivot = row[:, :, t:t + 1]
-        m = (pivot * m - m[:, :, t:t + 1] * row) // prev[:, None, None]
-        m[:, t] = row[:, 0]
-        prev = pivot[:, 0, 0]
+    w = m.transpose(1, 2, 0).copy()  # a copy even for one candidate: m is left as it was
+    w[1:] -= w[:1]
+    sign, prev, k1 = np.ones(len(m), dtype=np.int64), np.ones(len(m), m.dtype), len(w)
+    for t in range(1, k1):
+        if len(zero := np.flatnonzero(w[t, t] == 0)):
+            below = w[t:, t, zero] != 0
+            has, p = below.any(axis=0), t + below.argmax(axis=0)
+            swap, p, dead = zero[has], p[has], zero[~has]
+            w[t][:, swap], w[p, :, swap] = w[p, :, swap].T, w[t][:, swap].T
+            w[:, :, dead] = np.eye(*w.shape[:2], dtype=np.int64)[:, :, None]
+            sign[swap], sign[dead], prev[dead] = -sign[swap], 0, 1  # sign 0 marks the dropped
+        pivot, row, right = w[t, t].copy(), w[t, t + 1:].copy(), w[:, t + 1:]
+        right *= pivot
+        right -= w[:, t, None] * row
+        if t > 1:  # the pivot of step 0 is 1
+            right //= prev
+        w[t, t + 1:], prev = row, pivot
+    sign, prev = sign[kept := np.flatnonzero(sign)], prev[kept]
     swapped = (sign * prev > 0) != (orientation == "upper")
     flip = sign * np.where(swapped, -1, 1)
-    return kept, flip * prev, flip[:, None, None] * m[:, :, k1:], swapped
+    return kept, flip * prev, flip[:, None, None] * w[:, k1:, kept].transpose(2, 0, 1), swapped
 
 
 def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
@@ -236,14 +244,17 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     """Yield (kept, vertices, lead, C, valid) for each block of candidate simplices.
 
     simplices yields (k+1)-tuples of indices into points, read in blocks
-    whose largest array holds about _SCREEN_ENTRIES entries.  The kept
-    (non-degenerate) candidates' rows come from _batched_rows, their vertex
-    indices in _facet_row's order, and their slacks C_0 + sum_i p_i C_i -
-    lead * H(p) from one matmul, which signs_of_int_vectors signs at once.
-    A slack at a candidate's own vertex must be a zero vector, else
-    AssertionError; valid marks the block's facets, whose other slacks are
-    all positive.  The elimination is int64 when a bound on every product
-    it forms stays below 2^62, and Python integers (dtype object) otherwise.
+    whose largest array holds about _SCREEN_ENTRIES entries; before its
+    elimination, a block with a candidate of another length raises
+    DegenerateSimplexError, one with an index outside range(len(points))
+    ValidationError.  The kept (non-degenerate) candidates' rows come from
+    _batched_rows, their vertex indices in _facet_row's order, and their
+    slacks C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
+    signs_of_int_vectors signs at once.  A slack at a candidate's own
+    vertex must be a zero vector, else AssertionError; valid marks the
+    block's facets, whose other slacks are all positive.  The elimination
+    is int64 when a bound on every product it forms stays below 2^62, and
+    Python integers (dtype object) otherwise.
     """
     if orientation not in ("upper", "lower"):
         raise ValidationError(f"unknown orientation {orientation!r}")
@@ -259,7 +270,11 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     size = max(1, _SCREEN_ENTRIES // max((k + 1) * (k + 1 + n), len(points) * n))
     simplices = iter(simplices)
     while block := list(islice(simplices, size)):
-        index = np.array(block, dtype=np.intp)
+        if bad := set(map(len, block)) - {k + 1}:
+            raise DegenerateSimplexError(f"need exactly {k + 1} vertices, got {min(bad)}")
+        index = np.fromiter(chain.from_iterable(block), np.intp).reshape(-1, k + 1)
+        if index.min() < 0 or index.max() >= len(points):
+            raise ValidationError(f"candidate vertex index outside range({len(points)})")
         kept, lead, cofactors, swapped = _batched_rows(rows[index], orientation)
         slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
         own[swapped, :2] = own[swapped, 1::-1]

@@ -180,6 +180,35 @@ def random_heights(points, degree, seed):
                          for _ in range(degree)])) for p in points)
 
 
+def _check_batched_rows(points, candidates, heights, orientation):
+    """_batched_rows on a stack of the candidates, in int64 and in object, against
+    _facet_row one candidate at a time; returns the kept indices."""
+    rows = {}
+    for i, candidate in enumerate(candidates):
+        try:
+            rows[i] = _facet_row([points[j] for j in candidate], heights, orientation)
+        except DegenerateSimplexError:
+            pass
+    k, n, table = len(points[0]), heights.context.degree, heights._numerators[1]
+    stack = np.array([[1, *p, *table[p]] for p in points], dtype=object)
+    for dtype in (np.int64, object):
+        m = stack.astype(dtype)[np.array(candidates)]
+        before = m.copy()
+        kept, lead, cofactors, swapped = _batched_rows(m, orientation)
+        assert np.array_equal(m, before)
+        assert [a.dtype for a in (kept, lead, cofactors, swapped)] == \
+            [np.dtype(np.intp), np.dtype(dtype), np.dtype(dtype), np.dtype(bool)]
+        assert lead.shape == swapped.shape == kept.shape
+        assert cofactors.shape == (len(kept), k + 1, n)
+        assert kept.tolist() == sorted(rows)
+        for i, lead_i, cof, swap in zip(kept.tolist(), lead.tolist(), cofactors.tolist(),
+                                        swapped.tolist()):
+            assert (lead_i, cof) == rows[i][1:]
+            # _facet_row swaps v_0 and v_1 exactly where the batch reports it
+            assert swap == (rows[i][0][0] != points[candidates[i][0]])
+    return kept.tolist()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_batched_rows_match_facet_row(k):
     # every candidate of the k-cube at once, against the one-candidate pass
@@ -188,23 +217,30 @@ def test_batched_rows_match_facet_row(k):
     cases = [(staircase_height(k), "upper"), (staircase_height(k), "lower"),
              (random_heights(points, 2, k), "upper"), (random_heights(points, 5, k), "lower")]
     for heights, orientation in cases:
-        rows = {}
-        for i, candidate in enumerate(candidates):
-            try:
-                rows[i] = _facet_row([points[j] for j in candidate], heights, orientation)
-            except DegenerateSimplexError:
-                pass
-        table = heights._numerators[1]
-        stack = np.array([[1, *p, *table[p]] for p in points], dtype=object)
-        for dtype in (np.int64, object):
-            kept, lead, cofactors, swapped = _batched_rows(
-                stack.astype(dtype)[np.array(candidates)], orientation)
-            assert kept.tolist() == sorted(rows)
-            for i, lead_i, cof, swap in zip(kept.tolist(), lead.tolist(), cofactors.tolist(),
-                                            swapped.tolist()):
-                assert (lead_i, cof) == rows[i][1:]
-                # _facet_row swaps v_0 and v_1 exactly where the batch reports it
-                assert swap == (rows[i][0][0] != points[candidates[i][0]])
+        _check_batched_rows(points, candidates, heights, orientation)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_rows_drop_candidates_degenerate_at_each_step(k):
+    points = cube(k)
+    zero, unit = (0,) * k, [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    degenerate = []
+    for t in range(1, k + 1):
+        # 0 and e_1 .. e_(t-1) span the first t columns of [1 | p]; x_t is 0 throughout
+        verts = [zero, *unit[:t - 1], *unit[t:], zero]
+        a = np.array([[1, *v] for v in verts])
+        assert np.linalg.matrix_rank(a[:, :t]) == t == np.linalg.matrix_rank(a[:, :t + 1])
+        degenerate.append([points.index(v) for v in verts])
+    survivors = [c for c in combinations(range(len(points)), k + 1)
+                 if np.linalg.matrix_rank(np.array([[1, *points[j]] for j in c])) == k + 1][:k]
+    mixed = [c for pair in zip(survivors, degenerate) for c in pair]
+    for heights in (staircase_height(k), random_heights(points, 2, k)):
+        for orientation in ("upper", "lower"):
+            assert _check_batched_rows(points, mixed, heights, orientation) == \
+                list(range(0, 2 * k, 2))
+            assert _check_batched_rows(points, degenerate, heights, orientation) == []
+            assert _check_batched_rows(points, survivors[:1], heights, orientation) == [0]
+            assert _check_batched_rows(points, degenerate[-1:], heights, orientation) == []
 
 
 @st.composite
@@ -223,6 +259,16 @@ def _candidate_cases(draw):
     index = st.integers(0, len(points) - 1)
     simplices = draw(st.lists(st.lists(index, min_size=k + 1, max_size=k + 1), max_size=8))
     return points, simplices, heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_candidate_cases(), orientation=st.sampled_from(["upper", "lower"]))
+def test_batched_rows_match_facet_row_on_drawn_candidates(case, orientation):
+    # drawn points of [-1, 2]^k, in any order, give pivots that sorted 0/1-cube
+    # candidates never do (every step-1 pivot of those is 1)
+    points, simplices, heights = case
+    if simplices:
+        _check_batched_rows(points, simplices, heights, orientation)
 
 
 def _reference_facet(points, simplex, heights, orientation):
@@ -255,6 +301,20 @@ def test_facets_from_simplices_on_the_cube():
             built = facets_from_simplices(points, candidates, heights, orientation)
             assert built == [_reference_facet(points, s, heights, orientation) for s in candidates]
             assert any(built) and None in built
+
+
+@pytest.mark.parametrize("simplices, error", [
+    ([(0, 1, 2)], DegenerateSimplexError),
+    ([(0, 1, 2, 4), (0, 1, 2)], DegenerateSimplexError),
+    ([(0, 1, 2, 99)], ValidationError),
+    ([(0, 1, 2, -1)], ValidationError)])
+def test_screen_refuses_malformed_candidates(simplices, error):
+    heights = staircase_height(3)
+    points = sorted(heights.domain)
+    with pytest.raises(error):
+        facets_from_simplices(points, simplices, heights)
+    with pytest.raises(error):
+        lift._screen_facets(points, simplices, heights, "lower")
 
 
 def test_screen_refuses_a_row_not_tight_at_its_vertices(monkeypatch):
