@@ -71,8 +71,6 @@ def simplex_points(d: int) -> PointSet:
     points = [tuple([0] * d)]
     for i in range(d):
         points.append(tuple(1 if j == i else 0 for j in range(d)))
-    if d == 0:
-        return PointSet(0, (tuple(),), label="Delta_0")
     return PointSet(d, tuple(points), label=f"Delta_{d}")
 
 
@@ -215,20 +213,10 @@ def simplex5_relaxation(eps: Fraction | int | str = DEFAULT_EPS,
 # free joins
 # ---------------------------------------------------------------------------
 
-def delta0_bundle(context: FieldContext | None = None) -> RelaxationBundle:
-    """The zero-dimensional simplex {()} with its one-row relaxation 0 <= 1."""
-    ctx = context if context is not None else make_context(2, 2)
-    system = LinearSystem(ctx, 0, (Row(tuple(), ctx.one),))
-    return RelaxationBundle(system, PointSet(0, (tuple(),), label="Delta_0"),
-                            {"construction": "delta0"}, Box(tuple()))
-
-
 def standard_simplex_bundle(d: int, context: FieldContext | None = None) -> RelaxationBundle:
     """The d+1 row system -x_i <= 0, sum x_i <= 1 for the standard simplex."""
     if d < 0:
         raise ValidationError("dimension must be nonnegative")
-    if d == 0:
-        return delta0_bundle(context)
     ctx = context if context is not None else make_context(2, 2)
     zero, one = ctx.zero, ctx.one
     rows = []
@@ -467,7 +455,7 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
 
     d = (1 << k) - 1
     target = simplex_points(d)
-    if not all(m.inside for m in final.memberships(target.points)):
+    if (final.memberships(target.points) < 0).any():
         raise CertificationError("a target point violates the assembled system",
                                  stage="assembly")
     provenance = {

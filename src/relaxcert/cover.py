@@ -388,9 +388,7 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
     k = len(pts[0])
     if any(len(p) != k for p in pts):
         raise ValidationError(f"points of mixed dimension; the first has dimension {k}")
-    for p in pts:
-        if p not in heights.values:
-            raise ValidationError(f"point {p} lies outside the heights' domain")
+    heights._require_domain(pts)
     candidates = math.comb(len(pts), k + 1)
     if candidates > _ENUMERATION_CANDIDATE_GUARD:
         raise ResourceLimitError(

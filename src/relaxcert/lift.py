@@ -361,7 +361,7 @@ def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]]
     non-simplicial); each facet's first failure in point order is reported.
     The facets are the rows coeffs . x + y_coeff * y <= rhs of one
     LinearSystem, and one memberships call signs every row at every
-    lifted point (p, h(p)).
+    lifted point (p, h(p)): a sign <= 0 off the facet's own vertices fails.
     """
     ctx = heights.context
     for facet in facets:
@@ -369,18 +369,17 @@ def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]]
             raise ValidationError("facet and heights from different field contexts")
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
-    if not facets:
-        return []
+    if not facets or not pts:
+        return [FacetCheck(True) for _ in facets]
     system = LinearSystem(ctx, len(facets[0].coeffs) + 1,
                           tuple(Row((*f.coeffs, f.y_coeff), f.rhs) for f in facets))
-    first: dict[int, FacetCheck] = {}
-    for p, m in zip(pts, system.memberships([(*p, heights(p)) for p in pts])):
-        failed = [(r, FacetCheck(False, p)) for r in m.violated_rows]
-        failed += [(r, FacetCheck(False, None, p)) for r in m.tight_rows]
-        for r, check in failed:
-            if p not in facets[r].vertices:
-                first.setdefault(r, check)
-    return [first.get(r, FacetCheck(True)) for r in range(len(facets))]
+    signs = system.memberships([(*p, heights(p)) for p in pts])
+    own = np.array([[p in f.vertices for f in facets] for p in pts])
+    failed = (signs <= 0) & ~own
+    return [FacetCheck(True) if not failed[i, r]
+            else FacetCheck(False, pts[i]) if signs[i, r] < 0
+            else FacetCheck(False, None, pts[i])
+            for r, i in enumerate(failed.argmax(axis=0).tolist())]
 
 
 def perturb_heights(base: Iterable[Sequence[int]],

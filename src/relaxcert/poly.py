@@ -171,23 +171,24 @@ class LinearSystem:
     # -- membership ---------------------------------------------------------
 
     def contains(self, point: Sequence) -> Membership:
-        """Membership of one point: memberships([point])[0]."""
-        return self.memberships([point])[0]
+        """Membership of one point, read from memberships([point])[0]."""
+        s = self.memberships([point])[0]
+        return Membership(bool((s >= 0).all()), tuple(np.flatnonzero(s == 0).tolist()),
+                          tuple(np.flatnonzero(s < 0).tolist()))
 
-    def memberships(self, points: Sequence[Sequence]) -> list[Membership]:
-        """Membership of every point (ints, rationals or field elements).
-
-        A row's slack rhs - coeffs . point is negative where the point
-        violates the row and zero where the row is tight; _evaluate gives the
-        slacks in integer numerators and signs_of_int_vectors signs them, one
-        call each per chunk of at most about _CHUNK integers.
+    def memberships(self, points: Sequence[Sequence]) -> np.ndarray:
+        """Entry [i, r] is the sign of rhs_r - coeffs_r . points[i], in an int64 array
+        of shape (len(points), num_rows): -1 where the point violates row r, 0 where
+        the row is tight, +1 where it holds strictly.  Points hold ints, rationals or
+        field elements.  _evaluate gives the slacks in integer numerators and
+        signs_of_int_vectors signs them, one call each per chunk of at most about
+        _CHUNK integers.
         """
         per = max(1, _CHUNK // max(self.num_rows * self.context.degree, 1))
         chunks = (self._evaluate(points[i:i + per]) for i in range(0, len(points), per))
-        return [Membership(bool((s >= 0).all()), tuple(np.flatnonzero(s == 0).tolist()),
-                           tuple(np.flatnonzero(s < 0).tolist()))
-                for values, rhs, _ in chunks
-                for s in self.context.signs_of_int_vectors(rhs[:, None] - values).T]
+        return np.concatenate([np.zeros((0, self.num_rows), dtype=np.int64), *(
+            self.context.signs_of_int_vectors(rhs[:, None] - values).T
+            for values, rhs, _ in chunks)])
 
     # -- Fourier-Motzkin ------------------------------------------------------
 

@@ -116,28 +116,29 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
 
     notes = ["rows classified by the sign of the continuous coordinate",
              "tightness and fibers are double bookkeeping for the same criterion"]
+    # a refutation carries the coverage and the projection's points once its stage has them
+    coverage, lattice = (), None
+
+    def refuted(witness) -> Certificate:
+        return Certificate("refuted", witness=witness, projection_points=lattice,
+                           coverage=coverage, notes=tuple(notes))
+
     upper, lower, lateral = classify_rows(system)
     if not upper or not lower:
-        return Certificate("refuted", witness="no upper or no lower rows",
-                           notes=tuple(notes))
+        return refuted("no upper or no lower rows")
 
-    coverage = []
-    lifted = system.memberships([tuple(p) + (heights(p),) for p in base_points])
-    for p, membership in zip(base_points, lifted):
-        if not membership.inside:
-            return Certificate(
-                "refuted",
-                witness=("lifted point violates rows", p, membership.violated_rows),
-                notes=tuple(notes))
-        tight = set(membership.tight_rows)
-        tight_upper = tuple(i for i in upper if i in tight)
-        tight_lower = tuple(i for i in lower if i in tight)
+    records = []
+    signs = system.memberships([tuple(p) + (heights(p),) for p in base_points])
+    for p, s in zip(base_points, signs.tolist()):
+        if -1 in s:
+            return refuted(("lifted point violates rows", p,
+                            tuple(r for r, v in enumerate(s) if v < 0)))
+        tight_upper = tuple(i for i in upper if not s[i])
+        tight_lower = tuple(i for i in lower if not s[i])
         if not tight_upper or not tight_lower:
-            return Certificate(
-                "refuted",
-                witness=("lifted point missing a tight upper or lower row", p),
-                notes=tuple(notes))
-        coverage.append(CoverageRecord(p, tight_upper, tight_lower))
+            return refuted(("lifted point missing a tight upper or lower row", p))
+        records.append(CoverageRecord(p, tight_upper, tight_lower))
+    coverage = tuple(records)
 
     projection = system.eliminate_variable(k)
     # the single-variable rows (a pipeline's box rows) often bound every coordinate alone
@@ -148,58 +149,44 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
             # the single-variable rows leave a side open; decide exactly
             bounds = projection.coordinate_bounds(j)
         if bounds.infeasible:
-            return Certificate("refuted", witness=("projection infeasible", j),
-                               coverage=tuple(coverage), notes=tuple(notes))
+            return refuted(("projection infeasible", j))
         if not bounds.bounded:
-            direction = "below" if bounds.lower is None else "above"
-            return Certificate(
-                "refuted",
-                witness=("projection unbounded", j, direction),
-                coverage=tuple(coverage), notes=tuple(notes))
+            return refuted(("projection unbounded", j,
+                            "below" if bounds.lower is None else "above"))
         ranges.append(range(bounds.lower.exact_ceil(), bounds.upper.exact_floor() + 1))
     volume = math.prod(map(len, ranges))
     notes.append("fibers decided at every point of the derived box "
                  + ",".join(f"{r.start}:{r.stop - 1}" for r in ranges))
     if volume > cap:
-        return Certificate("partial", coverage=tuple(coverage),
+        return Certificate("partial", coverage=coverage,
                            witness=f"box holds {volume} lattice points, above the cap of {cap}",
                            notes=tuple(notes + ["box points above the cap"]))
     # the projection's lattice points are the box points with a nonempty fiber
-    lattice, at_base, base_set = [], {}, set(base_points)
+    found, at_base, base_set = [], {}, set(base_points)
     box_points = itertools.product(*ranges)
     while chunk := list(itertools.islice(box_points, _FIBER_BATCH)):
         for p, bounds in zip(chunk, system.fiber_bounds(chunk)):
             if not bounds.infeasible:
-                lattice.append(p)
+                found.append(p)
             if p in base_set:
                 at_base[p] = bounds
+    lattice = tuple(found)
     if set(lattice) != base_set:
-        spurious = sorted(set(lattice) - base_set)
-        missing = sorted(base_set - set(lattice))
-        return Certificate(
-            "refuted",
-            witness=("projection lattice mismatch", spurious, missing),
-            projection_points=tuple(lattice), coverage=tuple(coverage),
-            notes=tuple(notes))
+        return refuted(("projection lattice mismatch", sorted(set(lattice) - base_set),
+                        sorted(base_set - set(lattice))))
 
     fibers = []
     for p in base_points:
         bounds = at_base[p]
         if bounds.infeasible or not bounds.bounded:
-            return Certificate("refuted", witness=("fiber not a point", p),
-                               projection_points=tuple(lattice),
-                               coverage=tuple(coverage), notes=tuple(notes))
+            return refuted(("fiber not a point", p))
         h = heights(p)
         if bounds.lower != h or bounds.upper != h:
-            return Certificate(
-                "refuted",
-                witness=("fiber interval differs from the height", p),
-                projection_points=tuple(lattice), coverage=tuple(coverage),
-                notes=tuple(notes))
+            return refuted(("fiber interval differs from the height", p))
         fibers.append(FiberRecord(p, bounds.lower, bounds.upper))
 
-    return Certificate("certified", projection_points=tuple(lattice),
-                       fibers=tuple(fibers), coverage=tuple(coverage),
+    return Certificate("certified", projection_points=lattice,
+                       fibers=tuple(fibers), coverage=coverage,
                        notes=tuple(notes))
 
 

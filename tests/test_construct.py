@@ -10,7 +10,7 @@ from relaxcert import construct, cover, lift
 from relaxcert._linalg import determinant
 from relaxcert.construct import (RelaxationBundle,
                                  composed_simplex_relaxation, cube_simplex_split,
-                                 delta0_bundle, free_join_compose, pipeline_cover_sizes,
+                                 free_join_compose, pipeline_cover_sizes,
                                  pipeline_relaxation, pipeline_row_count, pipeline_run,
                                  projected_simplex_relaxation, relaxation_bound_table,
                                  simplex5_relaxation, simplex_points,
@@ -123,7 +123,7 @@ def test_join_of_segments():
 
 def test_pyramid_join_adds_one_row():
     base = segment_bundle()
-    pyramid = free_join_compose(base, delta0_bundle())
+    pyramid = free_join_compose(base, standard_simplex_bundle(0))
     assert pyramid.claimed_facets == base.claimed_facets + 1
     points = pyramid.system.enumerate_lattice_points(Box.uniform(-2, 2, 2))
     assert set(points) == {(0, 0), (1, 0), (0, 1)}

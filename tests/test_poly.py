@@ -152,14 +152,30 @@ def _batch_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=_batch_cases())
 def test_memberships_match_row_slack_reference(case):
-    """One batched call gives every point's inside, tight and violated rows."""
+    """One batched call gives every point's tight and violated rows in its sign row."""
     system, points = case
-    assert system.memberships(points) == [_row_slack_membership(system, p) for p in points]
+    signs = system.memberships(points)
+    assert len(signs) == len(points)
+    for s, p in zip(signs, points):
+        expected = _row_slack_membership(system, p)
+        assert tuple(np.flatnonzero(s == 0)) == expected.tight_rows
+        assert tuple(np.flatnonzero(s < 0)) == expected.violated_rows
+
+
+def test_memberships_are_one_int64_sign_matrix():
+    """Entry [i, r] is the sign of row r's slack at point i: -1, 0 or +1."""
+    P = projected_simplex_relaxation(Fraction(1, 8))
+    points = [(0, 0, 0, 0), (1, 0, 1, 1), (2, 0, 0, 0), (0, 0, 0, 1)]
+    signs = P.memberships(points)
+    assert signs.dtype == np.int64 and signs.shape == (len(points), P.num_rows)
+    assert signs.tolist() == [[0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 0, -1],
+                              [-1, -1, 1, 1, 1]]
 
 
 def test_memberships_of_an_empty_batch_and_a_wrong_length_point():
     P = projected_simplex_relaxation(Fraction(1, 8))
-    assert P.memberships([]) == []
+    empty = P.memberships([])
+    assert empty.shape == (0, P.num_rows) and empty.dtype == np.int64
     with pytest.raises(ValidationError):
         P.memberships([(0, 0, 0, 0), (0, 0, 0)])
 
@@ -184,7 +200,7 @@ def test_memberships_and_fibers_sign_at_most_chunk_integers_per_call(chunk):
         fibers = mixed.fiber_bounds(cube)
         with mock.patch.object(poly, "_CHUNK", chunk):
             largest.clear()
-            assert system.memberships(points) == whole
+            assert np.array_equal(system.memberships(points), whole)
             assert mixed.fiber_bounds(cube) == fibers
     assert len(largest) > 2 and max(largest) <= chunk
     assert fibers == [mixed.restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0)

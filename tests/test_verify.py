@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -160,6 +161,88 @@ def test_certify_reads_an_empty_fiber_at_x_as_a_missing_point(monkeypatch):
     assert set(cert.projection_points) == set(_P) - {_P[1], _P[3]} and not cert.fibers
 
 
+@functools.cache
+def _k3_inputs():
+    run = pipeline_run(3, certify=False)
+    return run.mixed_system, run.perturbed
+
+
+def _dropped(system, *drop):
+    return LinearSystem(system.context, system.num_vars,
+                        tuple(r for i, r in enumerate(system.rows) if i not in drop))
+
+
+def _lowered(system, i):
+    rows = list(system.rows)
+    rows[i] = Row(rows[i].coeffs, rows[i].rhs - 1)
+    return LinearSystem(system.context, system.num_vars, tuple(rows))
+
+
+def _box_bounds(monkeypatch, bounds):
+    """Leave every coordinate to coordinate_bounds, which answers bounds."""
+    monkeypatch.setattr(LinearSystem, "propagated_bounds",
+                        lambda self: [VarBounds(None, None)] * self.num_vars)
+    monkeypatch.setattr(LinearSystem, "coordinate_bounds", lambda self, j: bounds)
+
+
+def _fiber_at(monkeypatch, point, bounds):
+    fiber_bounds = LinearSystem.fiber_bounds
+    monkeypatch.setattr(LinearSystem, "fiber_bounds", lambda self, pts: [
+        bounds if p == point else b for p, b in zip(pts, fiber_bounds(self, pts))])
+
+
+def _dim5(eps="1/8"):
+    system, _, heights = five_row_inputs(Fraction(eps))
+    return system, heights
+
+
+_EMPTY = VarBounds(None, None, infeasible=True)
+
+
+@pytest.mark.parametrize("inputs, mutate, patch, witness, stage", [
+    (_dim5, lambda s: _dropped(s, 3, 4), None, "no upper or no lower rows", "rows"),
+    (_dim5, lambda s: _lowered(s, 0), None, "lifted point violates rows", "rows"),
+    (_dim5, lambda s: _dropped(s, 0), None,
+     "lifted point missing a tight upper or lower row", "rows"),
+    (_k3_inputs, lambda s: _lowered(s, 6), None, "lifted point violates rows", "rows"),
+    (_k3_inputs, lambda s: _dropped(s, 6), None,
+     "lifted point missing a tight upper or lower row", "rows"),
+    (_dim5, None, lambda mp: _box_bounds(mp, _EMPTY), "projection infeasible", "box"),
+    (_dim5, None, lambda mp: _box_bounds(mp, VarBounds(CTX2.zero, None)),
+     "projection unbounded", "box"),
+    (_k3_inputs, None, lambda mp: _box_bounds(mp, VarBounds(None, None)),
+     "projection unbounded", "box"),
+    (lambda: _dim5("1/2"), None, None, "projection lattice mismatch", "fibers"),
+    (_k3_inputs, None, lambda mp: _fiber_at(mp, (1, 0, 1), _EMPTY),
+     "projection lattice mismatch", "fibers"),
+    (_dim5, None, lambda mp: _fiber_at(mp, _P[4], VarBounds(None, CTX2.one)),
+     "fiber not a point", "fibers"),
+    (_k3_inputs, None, lambda mp: _fiber_at(mp, (0, 1, 1), VarBounds(
+        _k3_inputs()[1].context.zero, _k3_inputs()[1].context.one)),
+     "fiber interval differs from the height", "fibers"),
+])
+def test_refutations_carry_the_fields_of_their_stage(monkeypatch, inputs, mutate, patch,
+                                                     witness, stage):
+    """A refutation at the rows keeps no coverage; one at the box keeps the full
+    coverage; one at the fibers keeps it and the projection's points."""
+    system, heights = inputs()
+    if mutate is not None:
+        system = mutate(system)
+    if patch is not None:
+        patch(monkeypatch)
+    cert = certify_mixed(system, heights)
+    assert cert.verdict == "refuted"
+    assert (cert.witness if isinstance(cert.witness, str) else cert.witness[0]) == witness
+    json.dumps(cert.to_json_dict())  # Python ints throughout
+    if stage == "rows":
+        assert cert.coverage == () and cert.projection_points is None
+        return
+    assert [c.point for c in cert.coverage] == list(heights.domain)
+    assert all(c.tight_upper and c.tight_lower for c in cert.coverage)
+    assert (cert.projection_points is None) == (stage == "box")
+    assert not cert.fibers
+
+
 def test_certify_partial_on_cap():
     system, _, heights = five_row_inputs()
     cert = certify_mixed(system, heights, cap=3)
@@ -194,8 +277,8 @@ def _enumerated_route(system, base_points, heights):
     upper, lower, _ = classify_rows(system)
     if not upper or not lower:
         return "refuted", "no upper or no lower rows", None
-    lifted = system.memberships([p + (heights(p),) for p in base_points])
-    for p, membership in zip(base_points, lifted):
+    for p in base_points:
+        membership = system.contains(p + (heights(p),))
         if not membership.inside:
             return "refuted", ("lifted point violates rows", p, membership.violated_rows), None
         tight = set(membership.tight_rows)
