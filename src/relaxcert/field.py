@@ -388,8 +388,9 @@ class FieldElement:
             return NotImplemented
         ctx = self.context
         n, den = ctx.degree, self.den * other.den
-        if n == 1:
-            return _reduced(ctx, (self.num[0] * other.num[0],), den)
+        for x, y in ((self, other), (other, self)):
+            if not any(y.num[1:]):  # a rational y scales x's numerators: no convolution, no fold
+                return _reduced(ctx, tuple(v * y.num[0] for v in x.num), den)
         prod = [0] * (2 * n - 1)
         terms = [(j, b) for j, b in enumerate(other.num) if b]
         for i, a in enumerate(self.num):

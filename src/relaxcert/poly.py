@@ -9,13 +9,14 @@ numerators as numpy arrays (_integer_rows); one routine, _evaluate, reads
 every row's value at a batch of points from them, which the affine
 pull-back turns into new rows, membership into signed slacks and
 fiber_bounds into the bounds on the last variable at every point.
-Fourier-Motzkin never divides in the field: rows combine with positive
-field multipliers and are kept as primitive integer coefficient vectors;
-field division is left to the bounds, where the quotient is the answer.
-One enumerator serves every field: a vectorized branch and bound, which
-branches first on the coordinates that complete rows soonest, prunes the
-prefixes that no completion satisfies, and the field's kernel
-signs_of_int_vectors decides every row at the points that remain.
+Fourier-Motzkin runs on the same arrays in blocks of about _CHUNK
+integers, combining rows with positive multipliers (scalars for a
+rational pivot column) into primitive integer coefficient vectors; no
+field division happens before the bounds.  One enumerator serves every
+field: a vectorized branch and bound, which branches first on the
+coordinates that complete rows soonest, prunes the prefixes that no
+completion satisfies, and the field's kernel signs_of_int_vectors
+decides every row at the points that remain.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -203,13 +203,13 @@ class LinearSystem:
         """
         if not 0 <= j < self.num_vars:
             raise ValidationError(f"variable index {j} out of range")
-        tracked = [(row.coeffs, row.rhs, frozenset((i,))) for i, row in enumerate(self.rows)]
-        survivors = _eliminate_tracked(tracked, j, level=1)
+        w, e, history = _tracked(self)
+        w, e, _ = _eliminate(self.context, w, e, history, j, 1,
+                             self.context.signs_of_int_vectors(w[:, j]))
         names = None
         if self.names is not None:
             names = self.names[:j] + self.names[j + 1:]
-        return LinearSystem(self.context, self.num_vars - 1,
-                            tuple(Row(c, r) for c, r, _ in survivors), names)
+        return LinearSystem(self.context, self.num_vars - 1, _field_rows(self.context, w, e), names)
 
     def coordinate_bounds(self, j: int) -> VarBounds:
         """Best bounds on variable j obtained by eliminating all others.
@@ -222,33 +222,24 @@ class LinearSystem:
         """
         if not 0 <= j < self.num_vars:
             raise ValidationError(f"variable index {j} out of range")
-        tracked = [(row.coeffs, row.rhs, frozenset((i,))) for i, row in enumerate(self.rows)]
-        remaining = self.num_vars
-        target = j
-        level = 1
-        while remaining > 1:
-            if _infeasible(tracked):
+        ctx, (w, e, history), target, level = self.context, _tracked(self), j, 1
+        while True:
+            constant = ~w[:, :-1].any(axis=(1, 2))
+            if constant.any() and (ctx.signs_of_int_vectors(w[constant, -1]) < 0).any():
                 return VarBounds(None, None, infeasible=True)
-            best, best_cost = None, None
-            for v in range(remaining):
-                if v == target:
-                    continue
-                pos = sum(1 for c, _, _ in tracked if c[v].sign() > 0)
-                neg = sum(1 for c, _, _ in tracked if c[v].sign() < 0)
-                cost = pos * neg - pos - neg
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = v, cost
-            tracked = _eliminate_tracked(tracked, best, level)
+            if w.shape[1] == 2:
+                break
+            signs = ctx.signs_of_int_vectors(w[:, :-1])
+            pos, neg = (signs > 0).sum(axis=0), (signs < 0).sum(axis=0)
+            cost = (pos * neg - pos - neg).tolist()
+            best = min((v for v in range(len(cost)) if v != target), key=cost.__getitem__)
+            w, e, history = _eliminate(ctx, w, e, history, best, level, signs[:, best])
             level += 1
-            remaining -= 1
-            if best < target:
-                target -= 1
-        if _infeasible(tracked):
-            return VarBounds(None, None, infeasible=True)
+            target -= best < target
         lower = upper = None
-        for coeffs, rhs, _ in tracked:
+        for cw, rw, d in zip(w[:, 0].tolist(), w[:, 1].tolist(), e.tolist()):
             # c x <= rhs improves a bound b on x iff rhs - c b < 0 (see propagated_bounds)
-            c = coeffs[0]
+            c, rhs = _reduced(ctx, tuple(cw), d), _reduced(ctx, tuple(rw), d)
             s = c.sign()
             if s > 0 and (upper is None or (rhs - c * upper).sign() < 0):
                 upper = rhs / c
@@ -373,10 +364,18 @@ class LinearSystem:
         elif len(shift) != self.num_vars:
             raise ValidationError("shift vector has the wrong length")
         values, rhs, dens = self._evaluate([*zip(*matrix), shift])
-        ctx = self.context
-        return LinearSystem(ctx, new_dim, tuple(
+        values[:, -1] = rhs - values[:, -1]  # each new row's coefficients, then its rhs
+        # each row over its least denominator, as _integer_rows would rebuild it; a zero
+        # row is divided by 1, as its den may not fit int64
+        content = np.gcd.reduce(values, axis=(1, 2), initial=0).tolist()
+        gs = [math.gcd(c, d) for c, d in zip(content, dens)]
+        values //= np.array([g if c else 1 for g, c in zip(gs, content)], dtype=values.dtype
+                            )[:, None, None]
+        a, b, ctx = values[:, :-1], values[:, -1], self.context
+        dens = [d // g for d, g in zip(dens, gs)]
+        return _seeded(LinearSystem(ctx, new_dim, tuple(
             Row(tuple(_reduced(ctx, tuple(v), den) for v in coeffs), _reduced(ctx, tuple(t), den))
-            for coeffs, t, den in zip(values[:, :-1].tolist(), (rhs - values[:, -1]).tolist(), dens)))
+            for coeffs, t, den in zip(a.tolist(), b.tolist(), dens))), a, b, dens)
 
     @cached_property
     def _integer_rows(self) -> tuple[np.ndarray, np.ndarray, list[int], int]:
@@ -389,12 +388,9 @@ class LinearSystem:
             a.append([e.num if e.den == den else [x * (den // e.den) for x in e.num]
                       for e in row.coeffs])
             b.append([x * (den // row.rhs.den) for x in row.rhs.num])
-        a = np.array(a, dtype=object).reshape(len(dens), self.num_vars, n)
-        b = np.array(b, dtype=object).reshape(len(dens), n)
-        top = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a, b))
-        if top < (1 << 62):
-            a, b = a.astype(np.int64), b.astype(np.int64)
-        return a, b, dens, top
+        return _seeded(self, np.array(a, dtype=object).reshape(len(dens), self.num_vars, n),
+                       np.array(b, dtype=object).reshape(len(dens), n), dens
+                       ).__dict__["_integer_rows"]
 
     def _evaluate(self, columns: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """(values, rhs, dens): the numerators of sum_j coeffs_j * columns[c][j] in
@@ -440,24 +436,21 @@ class LinearSystem:
                             self.names)
 
     def restrict_to_subspace(self, fixed: dict[int, int]) -> "LinearSystem":
-        """Substitute integer constants for the given variables."""
+        """Substitute integer constants for the given variables, then normalize and
+        deduplicate the rows."""
         for idx in fixed:
             if not 0 <= idx < self.num_vars:
                 raise ValidationError(f"variable index {idx} out of range")
         keep = [i for i in range(self.num_vars) if i not in fixed]
-        new_rows = []
-        for row in self.rows:
-            rhs = row.rhs
-            for idx, value in fixed.items():
-                c = row.coeffs[idx]
-                if not c.is_zero() and value:
-                    rhs = rhs - c * value
-            new_rows.append((tuple(row.coeffs[i] for i in keep), rhs, frozenset()))
+        w, e, history = _tracked(self)
+        w, e = _fit(max(_top(w), _top(e)) * (1 + sum(map(abs, fixed.values()))), w, e)
+        rhs = w[:, -1] - np.array(list(fixed.values()), dtype=w.dtype) @ w[:, list(fixed)]
+        w, e, _ = _deduplicated(self.context, *_normalized(
+            self.context, np.concatenate((w[:, keep], rhs[:, None]), axis=1), e, history))
         names = None
         if self.names is not None:
             names = tuple(self.names[i] for i in keep)
-        rows = tuple(Row(c, r) for c, r, _ in _cleanup_tracked(new_rows))
-        return LinearSystem(self.context, len(keep), rows, names)
+        return LinearSystem(self.context, len(keep), _field_rows(self.context, w, e), names)
 
     # -- lattice point enumeration ----------------------------------------------
 
@@ -511,89 +504,115 @@ class LinearSystem:
 
 
 # -----------------------------------------------------------------------------
-# row cleanup and tracked elimination
+# Fourier-Motzkin on integer rows
 # -----------------------------------------------------------------------------
 
-def _normalize_row(coeffs, rhs):
-    """(coeffs, rhs) scaled to the primitive integer coefficient vector, or None.
+def _top(x: np.ndarray) -> int:
+    return int(np.abs(x).max(initial=0))
 
-    The one positive scale is the lcm of the coefficient denominators over
-    the gcd of every coefficient numerator, so rows that are positive
-    rational multiples of each other get equal coefficient vectors.
-    Returns None for constant rows 0 <= nonnegative; keeps infeasible
-    constant rows so infeasibility is reported, never hidden.
+
+def _fit(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as int64 when bound < 2**62, as Python integers otherwise."""
+    return [x.astype(np.int64 if bound < (1 << 62) else object, copy=False) for x in arrays]
+
+
+def _seeded(system: LinearSystem, a, b, dens) -> LinearSystem:
+    """system with _integer_rows set to (a, b, dens, top) as a rebuild gives them."""
+    top = max(_top(a), _top(b))
+    system.__dict__["_integer_rows"] = (*_fit(top, a, b), dens, top)
+    return system
+
+
+def _tracked(system: LinearSystem):
+    """(w, e, history): row r reads w[r, :-1] . x <= w[r, -1] over e[r] > 0, the system's
+    _integer_rows, and history[r] marks the original rows it combines, here r alone."""
+    a, b, dens, top = system._integer_rows
+    return (*_fit(max(top, *dens, 0), np.concatenate((a, b[:, None]), axis=1),
+                  np.array(dens, dtype=object)), np.eye(len(dens), dtype=bool))
+
+
+def _field_rows(context: FieldContext, w, e) -> tuple[Row, ...]:
+    """The Rows of normalized integer rows: primitive coefficients, rhs w[:, -1] / e."""
+    return tuple(Row(tuple(FieldElement(context, tuple(c), 1) for c in (coeffs // d).tolist()),
+                     _reduced(context, tuple(rhs), d))
+                 for coeffs, rhs, d in zip(w[:, :-1], w[:, -1].tolist(), e.tolist()))
+
+
+def _normalized(context: FieldContext, w, e, history):
+    """Rows with coefficient content h > 0 as (w / g, h / g), g = gcd(h, rhs content),
+    so w[:, :-1] / e is primitive; constant rows dropped unless infeasible."""
+    den = np.gcd.reduce(w[:, :-1], axis=(1, 2), initial=0)
+    constant = den == 0
+    if constant.any():
+        live = ~constant
+        live[constant] = context.signs_of_int_vectors(w[constant, -1]) < 0
+        w, e, history, den = w[live], e[live], history[live], den[live]
+        den = np.where(den == 0, e, den)
+    g = np.gcd(den, np.gcd.reduce(w[:, -1], axis=1))
+    return w // g[:, None, None], den // g, history
+
+
+def _deduplicated(context: FieldContext, w, e, history):
+    """Of normalized rows with equal primitive coefficient vectors (the keys, formed
+    about _CHUNK integers at a time) the one with the least rhs, on a tie the shorter
+    history, at the place of the first: a tournament, one kernel call a round."""
+    per, groups = max(1, _CHUNK // max(w[:1, :-1].size, 1)), {}
+    ids = np.array([groups.setdefault(repr(key.tolist()) if key.dtype == object else bytes(key),
+                                      len(groups)) for s in range(0, len(w), per)
+                    for key in w[s:s + per, :-1] // e[s:s + per, None, None]], dtype=np.int64)
+    if len(groups) == len(ids):
+        return w, e, history
+    # best[first[g] + i] is the least of the group's rows i.., step apart after each round
+    best, size = np.argsort(ids, kind="stable"), np.bincount(ids)
+    first = np.cumsum(size) - size
+    offset, span = np.arange(len(ids)) - np.repeat(first, size), np.repeat(size, size)
+    rhs, den = _fit(2 * _top(w[:, -1]) * _top(e), w[:, -1], e)
+    length, step = history.sum(axis=1), 1
+    while step < size.max():
+        at = np.flatnonzero((offset % (2 * step) == 0) & (offset + step < span))
+        old, new = best[at], best[at + step]
+        s = context.signs_of_int_vectors(rhs[new] * den[old, None] - rhs[old] * den[new, None])
+        better = (s < 0) | ((s == 0) & (length[new] < length[old]))
+        best[at[better]] = new[better]
+        step *= 2
+    keep = best[first]
+    return w[keep], e[keep], history[keep]
+
+
+def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side):
+    """One Fourier-Motzkin step on integer rows (_tracked), whose column j has the
+    signs `side`, normalized and deduplicated.
+
+    Each upper row u and lower row l of variable j combine as (-l_j) u + u_j l over
+    e_u e_l: scalars when column j is rational, else multiplication matrices, which
+    put a factor q on the row and its e.  A pair whose history holds more than
+    level + 1 original rows is redundant after `level` eliminations (Chernikov).
+    Blocks of about _CHUNK integers, carried rows first, are cleaned up alone, then merged.
     """
-    if all(c.is_zero() for c in coeffs):
-        return None if rhs.sign() >= 0 else (coeffs, rhs)
-    den = math.lcm(*(c.den for c in coeffs))
-    g = math.gcd(*(v for c in coeffs for v in c.num))
-    if den == 1 and g == 1:
-        return coeffs, rhs
-    ctx = rhs.context
-    return (tuple(FieldElement(ctx, tuple(v * (den // c.den) // g for v in c.num), 1)
-                  for c in coeffs), rhs * Fraction(den, g))
-
-
-_TrackedRow = tuple  # (coeffs, rhs, history frozenset of original row indices)
-
-
-def _infeasible(rows) -> bool:
-    """True when some (coeffs, rhs, ...) row reads 0 . x <= negative."""
-    return any(all(c.is_zero() for c in coeffs) and rhs.sign() < 0
-               for coeffs, rhs, *_ in rows)
-
-
-def _cleanup_tracked(rows) -> list[_TrackedRow]:
-    """Normalize, drop vacuous rows, and deduplicate equal coefficient vectors.
-
-    Of rows with equal coefficient vectors the one with the least rhs stays,
-    at the place of the first.
-    """
-    best: dict[tuple, _TrackedRow] = {}
-    for coeffs, rhs, history in rows:
-        norm = _normalize_row(coeffs, rhs)
-        if norm is None:
-            continue
-        coeffs, rhs = norm
-        kept = best.get(coeffs)
-        if kept is not None:
-            cmp = (rhs - kept[1]).sign()
-            if cmp > 0 or (cmp == 0 and len(history) >= len(kept[2])):
-                continue
-        best[coeffs] = (coeffs, rhs, history)
-    return list(best.values())
-
-
-def _eliminate_tracked(rows, j: int, level: int) -> list[_TrackedRow]:
-    """One Fourier-Motzkin step on history-tracked rows.
-
-    A combined row whose history holds more than level+1 original rows is
-    redundant for the projection after `level` eliminations and is
-    dropped; the remaining rows describe the projection exactly.
-    """
-    uppers, lowers, carried = [], [], []
-    for row in rows:
-        coeffs, rhs, history = row
-        s = coeffs[j].sign()
-        if s > 0:
-            uppers.append(row)
-        elif s < 0:
-            lowers.append(row)
+    n, p, q = context.degree, context.radicand.numerator, context.radicand.denominator
+    up, low, flat = (side > 0).nonzero()[0], (side < 0).nonzero()[0], side == 0
+    iu, il = np.repeat(up, len(low)), np.tile(low, len(up))
+    rational = not w[:, j, 1:].any()
+    w, e = _fit(2 * max(_top(w), _top(e)) ** 2 * (1 if rational else n * max(p, q)), w, e)
+    pivot, rest = w[:, j], np.concatenate((w[:, :j], w[:, j + 1:]), axis=1)
+    parts, per = [], max(1, _CHUNK // ((rest.shape[1] + (0 if rational else n)) * n))
+    for s in range(0, max(len(iu), 1), per):
+        u, l = iu[s:s + per], il[s:s + per]
+        fits = (history[u] | history[l]).sum(axis=1) <= level + 1
+        u, l = u[fits], l[fits]
+        if rational:
+            rows = rest[u] * -pivot[l, :1, None] + rest[l] * pivot[u, :1, None]
         else:
-            carried.append((coeffs[:j] + coeffs[j + 1:], rhs, history))
-    limit = level + 1
-    combined = []
-    for uc, ur, uh in uppers:
-        for lc, lr, lh in lowers:
-            history = uh | lh
-            if len(history) > limit:
-                continue
-            # (-l_j) u + u_j l: both multipliers are positive and x_j cancels
-            a, b = -lc[j], uc[j]
-            coeffs = tuple(x * a + y * b for x, y in zip(uc[:j] + uc[j + 1:],
-                                                         lc[:j] + lc[j + 1:]))
-            combined.append((coeffs, ur * a + lr * b, history))
-    return _cleanup_tracked(carried + combined)
+            rows = (rest[u] @ context.multiplication_matrix(-pivot[l]).transpose(0, 2, 1)
+                    + rest[l] @ context.multiplication_matrix(pivot[u]).transpose(0, 2, 1))
+        block = rows, e[u] * e[l] * (1 if rational else q), history[u] | history[l]
+        if s == 0:
+            block = [np.concatenate(x) for x in zip((rest[flat], e[flat], history[flat]), block)]
+        parts.append(_deduplicated(context, *_normalized(context, *block)))
+    if len(parts) == 1:
+        return parts[0]
+    parts = [np.concatenate(x) for x in zip(*parts)]  # and the blocks are freed
+    return _deduplicated(context, *parts)
 
 
 # -----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from relaxcert.errors import ValidationError
 from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, MAX_JSON_DEGREE, FieldContext,
                              FieldElement,
-                             _int_nth_root, make_context)
+                             _int_nth_root, _reduced, make_context)
 
 
 def sqrt2_ctx():
@@ -410,6 +410,36 @@ def test_representation_matches_fraction_reference(degree, data):
             assert a * c < b * c
         elif c.sign() < 0:
             assert a * c > b * c
+
+
+def _convolution(x, y):
+    """x * y by the dense convolution and the fold c**n = p/q, whatever the factors."""
+    ctx = x.context
+    n, p, q = ctx.degree, ctx.radicand.numerator, ctx.radicand.denominator
+    prod = [0] * (2 * n)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            prod[i + j] += a * b
+    return _reduced(ctx, tuple(q * lo + p * hi for lo, hi in zip(prod[:n], prod[n:])),
+                    x.den * y.den * q)
+
+
+@pytest.mark.parametrize("degree", [2, 5, 12, 27])
+@pytest.mark.parametrize("radicand", [2, Fraction(3, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rational_factor_product_matches_convolution(degree, radicand, data):
+    """A rational factor on either side scales the other's numerators, and the
+    product is the convolution's, in canonical form."""
+    ctx = make_context(degree, radicand)
+    value = st.one_of(st.just(Fraction(0)), st.integers(-(1 << 70), 1 << 70).map(Fraction),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=1 << 20))
+    full = ctx.element(data.draw(st.lists(value, min_size=degree, max_size=degree)))
+    rational = ctx.from_rational(data.draw(value))
+    for x, y in ((full, rational), (rational, full), (rational, rational), (full, full)):
+        product = x * y
+        _canonical(product, degree)
+        assert product == _convolution(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from relaxcert import poly
 from relaxcert.construct import (composed_simplex_relaxation, pipeline_run,
                                  projected_simplex_relaxation, simplex5_relaxation)
 from relaxcert.errors import ResourceLimitError, ValidationError
-from relaxcert.field import FieldContext, make_context
-from relaxcert.poly import Box, LinearSystem, PointSet
+from relaxcert.field import FieldContext, FieldElement, make_context
+from relaxcert.poly import Box, LinearSystem, PointSet, Row, VarBounds
 
 CTX2 = make_context(2, 2)
 CTX1 = make_context(1, 2)
@@ -283,6 +283,295 @@ def test_fiber_bounds_cases():
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
+
+# The field-element reference: what eliminate_variable, coordinate_bounds and
+# restrict_to_subspace computed one element at a time before the integer kernel.
+
+def _normalize_row(coeffs, rhs):
+    """(coeffs, rhs) scaled to the primitive integer coefficient vector, or None.
+
+    The one positive scale is the lcm of the coefficient denominators over
+    the gcd of every coefficient numerator, so rows that are positive
+    rational multiples of each other get equal coefficient vectors.
+    Returns None for constant rows 0 <= nonnegative; keeps infeasible
+    constant rows so infeasibility is reported, never hidden.
+    """
+    if all(c.is_zero() for c in coeffs):
+        return None if rhs.sign() >= 0 else (coeffs, rhs)
+    den = math.lcm(*(c.den for c in coeffs))
+    g = math.gcd(*(v for c in coeffs for v in c.num))
+    if den == 1 and g == 1:
+        return coeffs, rhs
+    ctx = rhs.context
+    return (tuple(FieldElement(ctx, tuple(v * (den // c.den) // g for v in c.num), 1)
+                  for c in coeffs), rhs * Fraction(den, g))
+
+
+def _infeasible(rows) -> bool:
+    """True when some (coeffs, rhs, ...) row reads 0 . x <= negative."""
+    return any(all(c.is_zero() for c in coeffs) and rhs.sign() < 0
+               for coeffs, rhs, *_ in rows)
+
+
+def _cleanup_tracked(rows):
+    """Normalize, drop vacuous rows, and deduplicate equal coefficient vectors.
+
+    Of rows with equal coefficient vectors the one with the least rhs stays,
+    at the place of the first.
+    """
+    best = {}
+    for coeffs, rhs, history in rows:
+        norm = _normalize_row(coeffs, rhs)
+        if norm is None:
+            continue
+        coeffs, rhs = norm
+        kept = best.get(coeffs)
+        if kept is not None:
+            cmp = (rhs - kept[1]).sign()
+            if cmp > 0 or (cmp == 0 and len(history) >= len(kept[2])):
+                continue
+        best[coeffs] = (coeffs, rhs, history)
+    return list(best.values())
+
+
+def _eliminate_tracked(rows, j, level):
+    """One Fourier-Motzkin step on history-tracked (coeffs, rhs, history) rows.
+
+    A combined row whose history holds more than level+1 original rows is
+    redundant for the projection after `level` eliminations and is
+    dropped; the remaining rows describe the projection exactly.
+    """
+    uppers, lowers, carried = [], [], []
+    for row in rows:
+        coeffs, rhs, history = row
+        s = coeffs[j].sign()
+        if s > 0:
+            uppers.append(row)
+        elif s < 0:
+            lowers.append(row)
+        else:
+            carried.append((coeffs[:j] + coeffs[j + 1:], rhs, history))
+    combined = []
+    for uc, ur, uh in uppers:
+        for lc, lr, lh in lowers:
+            history = uh | lh
+            if len(history) > level + 1:
+                continue
+            # (-l_j) u + u_j l: both multipliers are positive and x_j cancels
+            a, b = -lc[j], uc[j]
+            coeffs = tuple(x * a + y * b for x, y in zip(uc[:j] + uc[j + 1:],
+                                                         lc[:j] + lc[j + 1:]))
+            combined.append((coeffs, ur * a + lr * b, history))
+    return _cleanup_tracked(carried + combined)
+
+
+def _tracked_rows(system):
+    return [(row.coeffs, row.rhs, frozenset((i,))) for i, row in enumerate(system.rows)]
+
+
+def _field_eliminate(system, j):
+    """eliminate_variable on field elements."""
+    rows = _eliminate_tracked(_tracked_rows(system), j, level=1)
+    return tuple(Row(c, r) for c, r, _ in rows)
+
+
+def _field_coordinate_bounds(system, j):
+    """coordinate_bounds on field elements."""
+    tracked = _tracked_rows(system)
+    remaining, target, level = system.num_vars, j, 1
+    while remaining > 1:
+        if _infeasible(tracked):
+            return VarBounds(None, None, infeasible=True)
+        best, best_cost = None, None
+        for v in range(remaining):
+            if v == target:
+                continue
+            pos = sum(1 for c, _, _ in tracked if c[v].sign() > 0)
+            neg = sum(1 for c, _, _ in tracked if c[v].sign() < 0)
+            cost = pos * neg - pos - neg
+            if best_cost is None or cost < best_cost:
+                best, best_cost = v, cost
+        tracked = _eliminate_tracked(tracked, best, level)
+        level += 1
+        remaining -= 1
+        if best < target:
+            target -= 1
+    if _infeasible(tracked):
+        return VarBounds(None, None, infeasible=True)
+    lower = upper = None
+    for coeffs, rhs, _ in tracked:
+        c = coeffs[0]
+        s = c.sign()
+        if s > 0 and (upper is None or (rhs - c * upper).sign() < 0):
+            upper = rhs / c
+        elif s < 0 and (lower is None or (rhs - c * lower).sign() < 0):
+            lower = rhs / c
+    if lower is not None and upper is not None and (upper - lower).sign() < 0:
+        return VarBounds(None, None, infeasible=True)
+    return VarBounds(lower, upper)
+
+
+def _field_restrict(system, fixed):
+    """restrict_to_subspace on field elements."""
+    keep = [i for i in range(system.num_vars) if i not in fixed]
+    rows = []
+    for row in system.rows:
+        rhs = row.rhs
+        for idx, value in fixed.items():
+            c = row.coeffs[idx]
+            if not c.is_zero() and value:
+                rhs = rhs - c * value
+        rows.append((tuple(row.coeffs[i] for i in keep), rhs, frozenset()))
+    return tuple(Row(c, r) for c, r, _ in _cleanup_tracked(rows))
+
+
+def _rebuilt(system):
+    """A copy of system whose _integer_rows are built afresh from its rows."""
+    return LinearSystem(system.context, system.num_vars, system.rows, system.names)
+
+
+def _same_integer_rows(system):
+    """The system's (seeded) _integer_rows equal a rebuild: arrays, dtype, dens and top."""
+    (a, b, dens, top), (a2, b2, dens2, top2) = system._integer_rows, _rebuilt(system)._integer_rows
+    return (a.dtype == a2.dtype and b.dtype == b2.dtype and a.shape == a2.shape
+            and b.shape == b2.shape and (a == a2).all() and (b == b2).all()
+            and dens == dens2 and top == top2)
+
+
+_FM_FIELDS = tuple(make_context(n, r) for n, r in
+                   ((1, 2), (2, 2), (2, Fraction(3, 2)), (5, 2), (5, Fraction(3, 2))))
+
+
+@st.composite
+def _fm_cases(draw):
+    """(system, j, fixed): rows with duplicate, positively scaled, dominated and
+    dominating copies, vacuous and infeasible constant rows, and rows scaled by
+    2**50 to 2**62, which take the kernel from int64 to Python integers; column
+    j is rational or not.  Four variables let coordinate_bounds drop pairs by
+    their history at level 2 and 3."""
+    ctx = draw(st.sampled_from(_FM_FIELDS))
+    num_vars = draw(st.integers(1, 4))
+    j = draw(st.integers(0, num_vars - 1))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    rational_pivot = draw(st.booleans())
+
+    def element(rational=False):
+        size = 1 if rational else ctx.degree
+        return ctx.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * (rng.random() < 0.7)
+                            for _ in range(size)])
+    rows = [([element(rational_pivot and v == j) for v in range(num_vars)], element())
+            for _ in range(draw(st.integers(1, 9)))]
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs, rhs = rows[rng.randrange(len(rows))]
+        kind = rng.randrange(5)
+        if kind == 0:
+            row = coeffs, rhs
+        elif kind == 1:
+            scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            row = [c * scale for c in coeffs], rhs * scale
+        elif kind == 2:
+            row = coeffs, rhs + rng.choice((-2, -1, Fraction(1, 3), 1)) * rng.choice((1, element()))
+        elif kind == 3:
+            row = [ctx.zero] * num_vars, element()
+        else:
+            scale = rng.randint(1 << 50, 1 << 62)
+            row = [c * scale for c in coeffs], rhs * scale
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    fixed = {v: rng.randint(-3, 3) for v in range(num_vars) if rng.random() < 0.5}
+    return LinearSystem.from_rows(ctx, rows, num_vars), j, fixed
+
+
+# two rows on each side of x0 and x1 in three variables: eliminating x1 then x2
+# for coordinate_bounds(0) drops the level-2 pairs whose four rows are disjoint
+_CHERNIKOV = system_from([((1, 1, 1), 4), ((1, 1, -1), 3), ((-1, -1, 2), 1), ((-1, -1, -2), 1),
+                          ((1, -1, 1), 2), ((-1, 1, 1), 2), ((0, 1, -1), sqrt2()),
+                          ((0, -1, 1), 1)], 3)
+_HUGE = system_from([((1 << 61, CTX2.element((3, 1 << 60))), 1 << 62),
+                     ((-(1 << 60), 1), CTX2.element((1, -(1 << 61)))),
+                     ((-1, -(1 << 61)), 5), ((0, 0), -3), ((0, 0), 7)], 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fm_cases())
+@example(case=(_CHERNIKOV, 1, {0: 1}))
+@example(case=(_HUGE, 0, {1: -2}))
+@example(case=(projected_simplex_relaxation(Fraction(1, 8)), 3, {0: 1, 2: 1}))
+def test_eliminate_variable_matches_field_reference(case):
+    """The integer kernel returns the reference's rows, in its order, and seeds the
+    projection's _integer_rows as a rebuild would build them."""
+    system, j, _ = case
+    projected = system.eliminate_variable(j)
+    assert projected.rows == _field_eliminate(system, j)
+    assert _same_integer_rows(projected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fm_cases())
+@example(case=(_CHERNIKOV, 0, {}))
+@example(case=(_HUGE, 0, {}))
+@example(case=(_HUGE, 1, {}))
+def test_coordinate_bounds_matches_field_reference(case):
+    system, j, _ = case
+    assert system.coordinate_bounds(j) == _field_coordinate_bounds(system, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fm_cases())
+@example(case=(_HUGE, 0, {0: 3, 1: -1}))
+def test_restrict_to_subspace_matches_field_reference(case):
+    system, _, fixed = case
+    restricted = system.restrict_to_subspace(fixed)
+    assert restricted.rows == _field_restrict(system, fixed)
+    assert _same_integer_rows(restricted)
+
+
+@pytest.mark.parametrize("rows, drops", [
+    # one row duplicated; the second step drops pairs by the history rule
+    ([((2, -2, 0, -2), 2), ((1, 1, 1, -1), -1), ((1, -2, 1, 1), 3), ((-2, 1, 0, -1), 3),
+      ((-2, 0, -2, -2), -1), ((2, -2, 1, -1), 2), ((1, 1, 1, -1), -1)], True),
+    # a later row of equal rhs and shorter history replaces an earlier one
+    ([((0, 1, 1, 1), 1), ((1, 1, 0, 1), 2), ((0, -1, 1, 0), 2), ((0, 1, 0, 0), 1),
+      ((0, 1, 1, 0), 0), ((-1, -1, -1, -1), 0), ((1, 0, 1, 0), 0)], False)])
+def test_kernel_keeps_the_reference_rows_and_histories_step_by_step(rows, drops):
+    """Eliminating x0 twice from four variables, the kernel keeps the reference's rows
+    with the same histories: ties, the history-length tie-break and the pairs the
+    history rule drops all match."""
+    system = system_from(rows, 4)
+    w, e, history = poly._tracked(system)
+    tracked = _tracked_rows(system)
+    for level in (1, 2):
+        w, e, history = poly._eliminate(CTX2, w, e, history, 0, level,
+                                        CTX2.signs_of_int_vectors(w[:, 0]))
+        tracked = _eliminate_tracked(tracked, 0, level)
+        assert poly._field_rows(CTX2, w, e) == tuple(Row(c, r) for c, r, _ in tracked)
+        assert [frozenset(np.flatnonzero(h).tolist()) for h in history] == [
+            h for _, _, h in tracked]
+    weaker = _eliminate_tracked(_eliminate_tracked(_tracked_rows(system), 0, 1), 0, 3)
+    assert (len(tracked) < len(weaker)) == drops
+
+
+_BENCH_EPS = ("1/8", "1/9", "1/10", "1/12", "1/16", "1/32", "1/64", "1/100",
+              "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "3/16", "5/32", "2/9")
+
+
+@pytest.mark.parametrize("eps", _BENCH_EPS)
+def test_dim5_fourier_motzkin_matches_field_reference(eps):
+    system = projected_simplex_relaxation(eps)
+    projection = system.eliminate_variable(3)
+    assert projection.rows == _field_eliminate(system, 3)
+    for j in range(3):
+        assert projection.coordinate_bounds(j) == _field_coordinate_bounds(projection, j)
+    for j in range(4):
+        assert system.coordinate_bounds(j) == _field_coordinate_bounds(system, j)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_pipeline_elimination_matches_field_reference(k):
+    mixed = pipeline_run(k, certify=False).mixed_system
+    projection = mixed.eliminate_variable(k)
+    assert projection.rows == _field_eliminate(mixed, k)
+    assert _same_integer_rows(projection)
+
 
 def test_eliminate_pair_example():
     # x4 <= x1 and x4 >= -x3/sqrt2 combine into -x1 - x3/sqrt2 <= 0
@@ -886,7 +1175,27 @@ def test_substitute_affine_matches_field_reference(data):
     matrix = data.draw(st.lists(st.lists(entry, min_size=new_dim, max_size=new_dim),
                                 min_size=num_vars, max_size=num_vars))
     shift = data.draw(st.lists(entry, min_size=num_vars, max_size=num_vars))
-    assert system.substitute_affine(matrix, shift) == _field_substitute(system, matrix, shift)
+    pulled = system.substitute_affine(matrix, shift)
+    assert pulled == _field_substitute(system, matrix, shift)
+    assert _same_integer_rows(pulled)
+
+
+def test_substitute_affine_seeds_the_rebuilt_integer_rows():
+    """The pull-back's _integer_rows, seeded from its own numerators, equal a rebuild:
+    for an empty system, for numerators that need Python integers, for a row that
+    pulls back to zero over a denominator above 2**63, and for a pipeline."""
+    matrix, shift = [(1, sqrt2(), 0), (Fraction(1, 2), 0, 3)], (1, -2)
+    big = system_from([((CTX2.element((1 << 70, 3)), Fraction(1, 3)), Fraction(5, 7)),
+                       ((0, 0), 0), ((1, -1), CTX2.element((0, Fraction(1, 1 << 66))))], 2)
+    vanishing = system_from([((Fraction(1, 1 << 70), Fraction(-1, 1 << 70)), 0),
+                             ((1, 0), 1)], 2)
+    cases = [(LinearSystem(CTX2, 2, ()), matrix, shift, np.int64),
+             (big, matrix, shift, object), (vanishing, [(1,), (1,)], (0, 0), np.int64)]
+    for system, m, s, dtype in cases:
+        pulled = system.substitute_affine(m, s)
+        assert pulled == _field_substitute(system, m, s)
+        assert _same_integer_rows(pulled) and pulled._integer_rows[0].dtype == dtype
+    assert _same_integer_rows(pipeline_run(3, certify=False).bundle.system)
 
 
 def test_substitute_shape_mismatch():
