@@ -12,6 +12,7 @@ pulled back once per (a, eps, cap).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,9 +340,7 @@ def cube_simplex_split(k: int) -> CubeSimplexSplit:
     if k < 2:
         raise ValidationError("construction needs k >= 2")
     d = (1 << k) - 1
-    heavy = sorted(tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
-                   for mask in range(1 << k)
-                   if bin(mask).count("1") >= 2)
+    heavy = [b for b in itertools.product((0, 1), repeat=k) if sum(b) >= 2]
     m = d - k
     assert len(heavy) == m
     columns = [tuple([0] * d)]

@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
@@ -56,14 +56,6 @@ class CoverFamily:
         for facet in self.facets:
             points.update(facet.vertices)
         return frozenset(points)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "generators": [sorted(g) if isinstance(g, frozenset) else list(g)
-                           for g in self.generators],
-            "facets": [f.to_json_dict() for f in self.facets],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +250,6 @@ def _randomized_dominating(n: int, seed: int | None, require_empty: bool) -> set
 # facet families on the lifted cube
 # ---------------------------------------------------------------------------
 
-def _cube_points(k: int) -> list[Point]:
-    return sorted(tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
-                  for mask in range(1 << k))
-
-
 def _unit(k: int, index: int) -> tuple[int, ...]:
     """Unit vector with a 1 at 1-based position index."""
     return tuple(1 if i == index - 1 else 0 for i in range(k))
@@ -304,7 +291,7 @@ def dominating_facet_vertices(k: int, subset: frozenset[int]) -> tuple[Point, ..
 
 def _realize_family(kind: str, k: int, generators, vertex_fn,
                     heights: HeightFunction) -> CoverFamily:
-    points = _cube_points(k)
+    points = list(product((0, 1), repeat=k))
     index = {p: i for i, p in enumerate(points)}
     facets = facets_from_simplices(
         points, [[index[v] for v in vertex_fn(k, gen)] for gen in generators], heights, "upper")
@@ -350,7 +337,7 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     upper = CoverFamily("explicit",
                         perm_family.generators + dom_family.generators,
                         perm_family.facets + dom_family.facets)
-    points = _cube_points(k)
+    points = list(product((0, 1), repeat=k))
     index = {p: i for i, p in enumerate(points)}
     lower_facets = tuple(facets_from_simplices(
         points, [[index[v[:-1] + (1 - v[-1],)] for v in f.vertices] for f in upper.facets],

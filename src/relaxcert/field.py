@@ -203,9 +203,8 @@ class FieldContext:
             return np.sign(w[..., 0]).astype(np.int64)
         brackets = self._kernel_brackets()
         top = max(int(w.max(initial=0)), -int(w.min(initial=0)))
-        dtype = np.int64 if top * (sum(brackets) + self.degree) < (1 << 62) else object
-        flat = w.reshape(-1, self.degree).astype(dtype, copy=False)
-        centre, err = flat @ np.array(brackets, dtype=dtype), np.abs(flat[:, 1:]).sum(axis=1)
+        flat, = _fit(top * (sum(brackets) + self.degree), w.reshape(-1, self.degree))
+        centre, err = flat @ np.array(brackets, dtype=flat.dtype), np.abs(flat[:, 1:]).sum(axis=1)
         signs = (centre > err).astype(np.int64) - (centre < -err)
         for i in np.flatnonzero((signs == 0) & (err > 0)):
             signs[i] = self.sign_of_int_vector(flat[i].tolist())
@@ -532,6 +531,12 @@ class FieldElement:
     @staticmethod
     def from_json_list(context: FieldContext, data: Sequence[str]) -> "FieldElement":
         return context.element(data)
+
+
+def _fit(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as int64 when bound < 2**62, as Python integers otherwise: every
+    exact integer kernel picks its dtype here, from a bound on what it computes."""
+    return [x.astype(np.int64 if bound < (1 << 62) else object, copy=False) for x in arrays]
 
 
 def _reduced(context: FieldContext, num: tuple[int, ...], den: int) -> FieldElement:

@@ -21,14 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import poly
 from ._linalg import _fraction_free, determinant
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
-from .field import FieldContext, FieldElement, _reduced, make_context
+from .field import FieldContext, FieldElement, _fit, _reduced, make_context
 from .poly import LinearSystem, Row
 
 Point = tuple[int, ...]
@@ -44,6 +45,8 @@ class HeightFunction:
     def __post_init__(self):
         if not self.domain:
             raise ValidationError("a height function needs at least one point")
+        if len(set(map(len, self.domain))) > 1:
+            raise ValidationError("domain points of different dimensions")
         for p in self.domain:
             if p not in self.values:
                 raise ValidationError(f"no height for domain point {p}")
@@ -158,14 +161,9 @@ def staircase_height(k: int) -> HeightFunction:
     if k < 2:
         raise ValidationError("staircase heights need dimension k >= 2")
     ctx = make_context(1, 2)
-    pairs = []
-    for mask in range(1 << k):
-        point = tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
-        base = sum(point[:-1]) ** 2
-        value = (2 * point[-1] - 1) * base
-        pairs.append((point, ctx.from_rational(value)))
-    pairs.sort(key=lambda pv: pv[0])
-    return HeightFunction.from_pairs(pairs)
+    return HeightFunction.from_pairs(
+        (p, ctx.from_rational((2 * p[-1] - 1) * sum(p[:-1]) ** 2))
+        for p in product((0, 1), repeat=k))
 
 
 def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
@@ -199,26 +197,23 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
     return verts, s * sign * d, [[s * sign * x for x in row[k + 1:]] for row in m]
 
 
-_SCREEN_ENTRIES = 1 << 14  # about the most entries one block's largest array holds
+def _batched_rows(w: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
+    """_facet_row on a stack of matrices [A^T | H] at once, eliminated in place.
 
-
-def _batched_rows(m: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
-    """_facet_row on a stack of matrices [A^T | H], shape (C, k+1, 1+k+n), at once.
-
-    The same fraction-free Gauss-Jordan pass runs on one candidate-last copy w,
-    shape (k+1, 1+k+n, C), in a few long vector operations per step.  Column 0
-    of every matrix is all ones, as _screened builds the rows (1, p, H(p)), so
-    step 0 (pivot 1 over a previous pivot 1) is w[1:] -= w[:1].  Step t swaps
-    rows only where the pivot is zero and updates only the columns right of t.
+    w is the stack candidate-last and contiguous, shape (k+1, 1+k+n, C),
+    and the same fraction-free Gauss-Jordan pass overwrites it in a few long
+    vector operations per step.  Column 0 of every matrix is all ones, as
+    _screened builds the rows (1, p, H(p)), so step 0 (pivot 1 over a
+    previous pivot 1) is w[1:] -= w[:1].  Step t swaps rows only where the
+    pivot is zero and updates only the columns right of t.
     A matrix with no pivot left in some column is affinely dependent: it is
     zeroed, gets unit pivots from then on and is dropped at the end.  Returns
     (kept, lead, C, swapped), oriented as by _facet_row: the survivors'
     indices, leads, cofactor vectors C[:, r] and whether v_0 and v_1 trade
     places, each survivor with its own row swaps and sign.
     """
-    w = m.transpose(1, 2, 0).copy()  # a copy even for one candidate: m is left as it was
     w[1:] -= w[:1]
-    sign, prev, k1 = np.ones(len(m), dtype=np.int64), np.ones(len(m), m.dtype), len(w)
+    sign, prev, k1 = np.ones(w.shape[-1], dtype=np.int64), np.ones(w.shape[-1], w.dtype), len(w)
     for t in range(1, k1):
         if len(zero := np.flatnonzero(w[t, t] == 0)):
             below = w[t:, t, zero] != 0
@@ -243,8 +238,9 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
               heights: HeightFunction, orientation: str):
     """Yield (kept, vertices, lead, C, valid) for each block of candidate simplices.
 
-    simplices yields (k+1)-tuples of indices into points, read in blocks
-    whose largest array holds about _SCREEN_ENTRIES entries; before its
+    simplices yields (k+1)-tuples of indices into points, k the heights'
+    dimension, read in blocks whose largest array holds about poly._CHUNK
+    entries, the budget every exact kernel shares; before its
     elimination, a block with a candidate of another length raises
     DegenerateSimplexError, one with an index outside range(len(points))
     ValidationError.  The kept (non-degenerate) candidates' rows come from
@@ -258,16 +254,16 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     """
     if orientation not in ("upper", "lower"):
         raise ValidationError(f"unknown orientation {orientation!r}")
-    ctx, table = heights.context, heights._numerators[1]
-    k, n = len(points[0]), ctx.degree
-    rows = np.array([[1, *p, *table[p]] for p in points], dtype=object)
-    reach, top = np.abs(rows[:, :k + 1]).max(), max(1, np.abs(rows[:, k + 1:]).max())
+    ctx, table, k = heights.context, heights._numerators[1], heights.dimension
+    n = ctx.degree
+    rows = np.array([[1, *p, *table[p]] for p in points], dtype=object).reshape(-1, k + 1 + n)
+    reach, top = np.abs(rows[:, :k + 1]).max(initial=1), np.abs(rows[:, k + 1:]).max(initial=1)
     # every minor of a stack, hence every entry of its elimination, has at most one H
     # column; the slacks, at most (1 + k reach + top) minor, stay below the bound too
     minor = math.factorial(k + 1) * reach ** k * max(reach, top)
-    rows = rows.astype(np.int64 if 2 * minor ** 2 < (1 << 62) else object)
+    rows, = _fit(2 * minor ** 2, rows)
     x, hp = rows[:, :k + 1], rows[:, k + 1:]
-    size = max(1, _SCREEN_ENTRIES // max((k + 1) * (k + 1 + n), len(points) * n))
+    size = max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), len(points) * n))
     simplices = iter(simplices)
     while block := list(islice(simplices, size)):
         if bad := set(map(len, block)) - {k + 1}:
@@ -275,7 +271,9 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
         index = np.fromiter(chain.from_iterable(block), np.intp).reshape(-1, k + 1)
         if index.min() < 0 or index.max() >= len(points):
             raise ValidationError(f"candidate vertex index outside range({len(points)})")
-        kept, lead, cofactors, swapped = _batched_rows(rows[index], orientation)
+        # the gathered stack is freed before the elimination, which runs on its copy
+        kept, lead, cofactors, swapped = _batched_rows(
+            rows[index].transpose(1, 2, 0).copy(), orientation)
         slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
         own[swapped, :2] = own[swapped, 1::-1]
         at = np.arange(len(own))[:, None]
@@ -298,7 +296,8 @@ def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[S
                           heights: HeightFunction, orientation: str = "upper"
                           ) -> list[FacetSimplex | None]:
     """facet_inequality_from_simplex for each candidate (k+1)-tuple of indices into
-    points that _screened finds a valid facet, and None for the others."""
+    points that _screened finds a valid facet, and None for the others; k is the
+    heights' dimension, so no candidates give [] even for no points."""
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
     facets: list[FacetSimplex | None] = []

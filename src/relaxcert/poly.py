@@ -16,7 +16,10 @@ field division happens before the bounds.  One enumerator serves every
 field: a vectorized branch and bound, which branches first on the
 coordinates that complete rows soonest, prunes the prefixes that no
 completion satisfies, and the field's kernel signs_of_int_vectors
-decides every row at the points that remain.
+decides every row at the points that remain.  _CHUNK is the one
+working-set budget of the exact kernels: these, lift's facet screen and
+certify_mixed's fiber batches all read it from this module, and each
+picks int64 or Python integers by field._fit from a bound on its values.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldContext, FieldElement, _reduced
+from .field import FieldContext, FieldElement, _fit, _reduced
 
 DEFAULT_POINT_CAP = 1 << 26
+_CHUNK = 1 << 18  # about the most integers one block of an exact kernel holds
 _PROPAGATION_ROUNDS = 8
 
 
@@ -236,18 +240,13 @@ class LinearSystem:
             w, e, history = _eliminate(ctx, w, e, history, best, level, signs[:, best])
             level += 1
             target -= best < target
-        lower = upper = None
-        for cw, rw, d in zip(w[:, 0].tolist(), w[:, 1].tolist(), e.tolist()):
-            # c x <= rhs improves a bound b on x iff rhs - c b < 0 (see propagated_bounds)
-            c, rhs = _reduced(ctx, tuple(cw), d), _reduced(ctx, tuple(rw), d)
-            s = c.sign()
-            if s > 0 and (upper is None or (rhs - c * upper).sign() < 0):
-                upper = rhs / c
-            elif s < 0 and (lower is None or (rhs - c * lower).sign() < 0):
-                lower = rhs / c
-        if lower is not None and upper is not None and (upper - lower).sign() < 0:
+        bounds = LinearSystem(ctx, 1, tuple(
+            Row((_reduced(ctx, tuple(cw), d),), _reduced(ctx, tuple(rw), d))
+            for cw, rw, d in zip(w[:, 0].tolist(), w[:, 1].tolist(), e.tolist())
+        )).propagated_bounds()[0]
+        if bounds.bounded and (bounds.upper - bounds.lower).sign() < 0:
             return VarBounds(None, None, infeasible=True)
-        return VarBounds(lower, upper)
+        return bounds
 
     def fiber_bounds(self, points: Sequence[Sequence[int]]) -> list[VarBounds]:
         """restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0) for every point p.
@@ -275,8 +274,8 @@ class LinearSystem:
             slack, dens = rhs[:, None] - values, [d * s for d, s in zip(dens, scales)]
             top = max(1, int(np.abs(slack).max(initial=0)))
             # a comparison subtracts two products, each below top * most * max(dens)
-            dtype = np.int64 if 2 * top * most * max(dens, default=1) < (1 << 62) else object
-            slack = slack.astype(dtype)
+            slack, = _fit(2 * top * most * max(dens, default=1), slack)
+            dtype = slack.dtype
             bad = (ctx.signs_of_int_vectors(slack[np.array(sides) == 0]) < 0).any(axis=0)
             best = {}  # side -> numerators and denominators of the best bound at each point
             for side, factor, den, w in zip(sides, factors, dens, slack):
@@ -311,7 +310,9 @@ class LinearSystem:
         lower: list[FieldElement | None] = [None] * self.num_vars
         upper: list[FieldElement | None] = [None] * self.num_vars
         row_signs = [[c.sign() for c in row.coeffs] for row in self.rows]
-        for _ in range(_PROPAGATION_ROUNDS):
+        # a row over one variable bounds it alike in every pass: one pass decides such rows
+        rounds = _PROPAGATION_ROUNDS if any(sum(map(bool, s)) > 1 for s in row_signs) else 1
+        for _ in range(rounds):
             changed = False
             for row, signs in zip(self.rows, row_signs):
                 support = [v for v, s in enumerate(signs) if s]
@@ -419,15 +420,15 @@ class LinearSystem:
                     fields.setdefault(j, []).append((c, [x * (den // v.den) for x in v.num]))
         most = max([0, *(abs(x) for col in scalars for x in col), *(
             abs(x) * max(p, q) for group in fields.values() for _, num in group for x in num)])
-        dtype = np.int64 if max(top, 1) * (den * q + num_vars * n * most) < (1 << 62) else object
-        a = a.astype(dtype, copy=False)
-        values = np.array(scalars, dtype=dtype).reshape(len(cols), num_vars) @ a
+        a, b = _fit(max(top, 1) * (den * q + num_vars * n * most), a, b)
+        values = np.array(scalars, dtype=a.dtype).reshape(len(cols), num_vars) @ a
         for j, group in fields.items():
             powers = np.flatnonzero((a[:, j] != 0).any(axis=0))
-            blocks = ctx.multiplication_matrix(np.array([x for _, x in group], dtype=dtype), powers)
+            blocks = ctx.multiplication_matrix(np.array([x for _, x in group], dtype=a.dtype),
+                                               powers)
             values[:, [c for c, _ in group]] += (a[:, j, powers] @ blocks.reshape(
                 len(group) * n, len(powers)).T).reshape(len(b), len(group), n)
-        return values, b.astype(dtype, copy=False) * (den * q), [d * den * q for d in row_dens]
+        return values, b * (den * q), [d * den * q for d in row_dens]
 
     def recession_system(self) -> "LinearSystem":
         zero = self.context.zero
@@ -509,11 +510,6 @@ class LinearSystem:
 
 def _top(x: np.ndarray) -> int:
     return int(np.abs(x).max(initial=0))
-
-
-def _fit(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays as int64 when bound < 2**62, as Python integers otherwise."""
-    return [x.astype(np.int64 if bound < (1 << 62) else object, copy=False) for x in arrays]
 
 
 def _seeded(system: LinearSystem, a, b, dens) -> LinearSystem:
@@ -619,7 +615,6 @@ def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side):
 # lattice enumeration
 # -----------------------------------------------------------------------------
 
-_CHUNK = 1 << 18
 _FIRST_STEP = 1 << 8
 
 
@@ -678,10 +673,9 @@ def _enumerate(context: FieldContext, int_rows, box: Box, order: list[int]
     reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in bounds], dtype=object)
     size = np.abs(b) + np.abs(a) @ reach  # the most |w_i| reaches over the box
     headroom = max((*reach, *((scale + 1) * size).sum(axis=1)), default=0)
-    dtype = np.int64 if headroom < (1 << 62) else object
-
-    centres = (a * scale[:, None]).sum(axis=1).astype(dtype)
-    rows_a, rows_b = a.transpose(0, 2, 1).astype(dtype), b[:, None, :].astype(dtype)
+    centres, rows_a, rows_b = _fit(headroom, (a * scale[:, None]).sum(axis=1),
+                                   a.transpose(0, 2, 1), b[:, None, :])
+    dtype = centres.dtype
     low, high = np.array(bounds, dtype=np.int64).reshape(d, 2).T
     # column j: the most coordinates j.. can add to each centre, plus the most err reaches
     most = np.column_stack((np.maximum(-centres * low, -centres * high), size[:, 1:].sum(axis=1)))

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import poly
 from ._linalg import kernel_basis
 from .errors import CertificationError, ResourceLimitError, ValidationError
 from .field import FieldElement
@@ -26,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .construct import RelaxationBundle
 
 Point = tuple[int, ...]
-_FIBER_BATCH = 1 << 14  # box points per fiber_bounds call in certify_mixed
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,11 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
         return Certificate("partial", coverage=coverage,
                            witness=f"box holds {volume} lattice points, above the cap of {cap}",
                            notes=tuple(notes + ["box points above the cap"]))
-    # the projection's lattice points are the box points with a nonempty fiber
+    # the projection's lattice points are the box points with a nonempty fiber, in
+    # batches of about poly._CHUNK coordinates
     found, at_base, base_set = [], {}, set(base_points)
     box_points = itertools.product(*ranges)
-    while chunk := list(itertools.islice(box_points, _FIBER_BATCH)):
+    while chunk := list(itertools.islice(box_points, max(1, poly._CHUNK // k))):
         for p, bounds in zip(chunk, system.fiber_bounds(chunk)):
             if not bounds.infeasible:
                 found.append(p)

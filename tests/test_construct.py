@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaxcert import construct, cover, lift
+from relaxcert import construct, cover, lift, poly
 from relaxcert._linalg import determinant
 from relaxcert.construct import (RelaxationBundle,
                                  composed_simplex_relaxation, cube_simplex_split,
@@ -467,6 +467,35 @@ def test_pipeline_screens_the_perturbed_cover_once_per_orientation(monkeypatch):
         calls.clear()
         run = pipeline_run(k)
         assert sorted(o for h, o in calls if h is run.perturbed) == ["lower", "upper"]
+
+
+def test_one_block_budget_splits_every_kernel_and_changes_no_result(monkeypatch):
+    # poly._CHUNK bounds the facet screen's candidate blocks, certify_mixed's fiber
+    # batches and the Fourier-Motzkin blocks alike: one small patch splits all three
+    def results():
+        dim5 = [certify_mixed(construct.projected_simplex_relaxation(eps),
+                              construct.projected_simplex_heights()).to_json_dict()
+                for eps in ("1/8", "1/2")]
+        run = pipeline_run(3)
+        return dim5, run.bundle.to_json_dict(), run.certificate.to_json_dict()
+
+    counts = dict.fromkeys(("screen", "fibers", "fourier-motzkin"), 0)
+
+    def counted(key, original):
+        def call(*args):
+            counts[key] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(lift, "_batched_rows", counted("screen", lift._batched_rows))
+    monkeypatch.setattr(LinearSystem, "fiber_bounds",
+                        counted("fibers", LinearSystem.fiber_bounds))
+    monkeypatch.setattr(poly, "_normalized", counted("fourier-motzkin", poly._normalized))
+    expected, whole = results(), dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    monkeypatch.setattr(poly, "_CHUNK", 8)
+    assert results() == expected
+    assert all(counts[key] > whole[key] for key in counts), (whole, counts)
 
 
 def test_pipeline_target_is_standard_simplex():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaxcert import cover, lift
+from relaxcert import cover, lift, poly
 from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations,
                              dominating_facet_family, dominating_facet_vertices,
                              dominating_family, enumerate_simplicial_lower_facets,
@@ -404,7 +404,7 @@ def spy_blocks(monkeypatch):
     seen, batched = [], lift._batched_rows
 
     def spy(m, orientation):
-        seen.append((len(m), m.dtype))
+        seen.append((m.shape[-1], m.dtype))
         return batched(m, orientation)
 
     monkeypatch.setattr(lift, "_batched_rows", spy)
@@ -422,7 +422,7 @@ def test_screen_block_size_does_not_change_the_facets(monkeypatch, orientation):
         # at k = 3 the largest array of a block holds 4 x (4 + n) entries per candidate
         for block in (1, 3):
             seen = spy_blocks(monkeypatch)
-            monkeypatch.setattr(lift, "_SCREEN_ENTRIES", block * 4 * (4 + heights.context.degree))
+            monkeypatch.setattr(poly, "_CHUNK", block * 4 * (4 + heights.context.degree))
             facets = enumerate_simplicial_upper_facets(points, heights, orientation)
             assert [f.to_json_dict() for f in facets] == expected
             assert {size for size, _ in seen} == {block, math.comb(8, 4) % block or block}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from relaxcert.errors import ValidationError
 from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, MAX_JSON_DEGREE, FieldContext,
                              FieldElement,
-                             _int_nth_root, _reduced, make_context)
+                             _fit, _int_nth_root, _reduced, make_context)
 
 
 def sqrt2_ctx():
@@ -546,6 +546,16 @@ def test_kernel_switches_to_python_integers_before_int64_overflows():
                [1 << 61, 0, 0, 0, -1], [0] * 5]
     signs = ctx.signs_of_int_vectors(np.array(vectors, dtype=np.int64))
     assert signs.tolist() == [ctx.sign_of_int_vector(v) for v in vectors]
+
+
+def test_fit_keeps_int64_just_below_two_to_the_62():
+    small, big = np.array([1, -2], dtype=object), np.array([3], dtype=np.int64)
+    fitted = _fit((1 << 62) - 1, small, big)
+    assert [x.dtype for x in fitted] == [np.int64, np.int64]
+    assert [x.tolist() for x in fitted] == [[1, -2], [3]]
+    fitted = _fit(1 << 62, small, big)
+    assert [x.dtype for x in fitted] == [object, object]
+    assert [x.tolist() for x in fitted] == [[1, -2], [3]]
 
 
 def test_kernel_sends_only_what_its_bracket_leaves_open_to_the_exact_sign(monkeypatch):

@@ -193,9 +193,7 @@ def _check_batched_rows(points, candidates, heights, orientation):
     stack = np.array([[1, *p, *table[p]] for p in points], dtype=object)
     for dtype in (np.int64, object):
         m = stack.astype(dtype)[np.array(candidates)]
-        before = m.copy()
-        kept, lead, cofactors, swapped = _batched_rows(m, orientation)
-        assert np.array_equal(m, before)
+        kept, lead, cofactors, swapped = _batched_rows(m.transpose(1, 2, 0).copy(), orientation)
         assert [a.dtype for a in (kept, lead, cofactors, swapped)] == \
             [np.dtype(np.intp), np.dtype(dtype), np.dtype(dtype), np.dtype(bool)]
         assert lead.shape == swapped.shape == kept.shape
@@ -477,6 +475,25 @@ def test_heights_from_different_contexts_refused():
     h = HeightFunction.from_pairs([((0,), make_context(2, 2).one),
                                    ((1,), FieldContext(2, 2).root_power(1))])
     assert h((1,)).context == h.context
+
+
+def test_heights_refuse_domain_points_of_different_dimensions():
+    pairs = [((0, 0), CTX1.one), ((1,), CTX1.zero), ((1, 1), CTX1.one)]
+    with pytest.raises(ValidationError, match="different dimensions"):
+        HeightFunction.from_pairs(pairs)
+    data = staircase_height(2).to_json_dict()
+    data["entries"][1][0] = [0, 1, 0]
+    with pytest.raises(ValidationError, match="different dimensions"):
+        HeightFunction.from_json_dict(data)
+
+
+def test_facets_from_no_points_take_k_from_the_heights():
+    heights = staircase_height(3)
+    for orientation in ("upper", "lower"):
+        assert facets_from_simplices([], [], heights, orientation) == []
+        assert lift._screen_facets([], [], heights, orientation).tolist() == []
+        with pytest.raises(ValidationError, match=r"outside range\(0\)"):
+            facets_from_simplices([], [(0, 1, 2, 3)], heights, orientation)
 
 
 def test_check_refuses_facet_from_another_context():
