@@ -454,7 +454,13 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
 
     d = (1 << k) - 1
     target = simplex_points(d)
-    if (final.memberships(target.points) < 0).any():
+    from .poly import _CHUNK  # read here, where a patched poly._CHUNK shows
+    # the slacks at the targets 0 and e_i are b and b - A[:, i], int64 only below 2^62
+    a, b = final._integer_rows[:2]
+    per = max(1, _CHUNK // b.size)  # variables a block of at most _CHUNK integers
+    if (ctx.signs_of_int_vectors(b) < 0).any() or any(
+            (ctx.signs_of_int_vectors(b[:, None] - a[:, i:i + per]) < 0).any()
+            for i in range(0, d, per)):
         raise CertificationError("a target point violates the assembled system",
                                  stage="assembly")
     provenance = {

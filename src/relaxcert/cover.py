@@ -2,10 +2,10 @@
 
 Symmetric chain decompositions realize the binomial covering optimum for
 chains; permutation-prefix facets cover the top layer of the lifted cube
-and dominating-set facets the bottom layer.  Each family, and the lower
-cover reflected from the upper one, is built and checked by one
-lift.facets_from_simplices call.  A small branch-and-bound set cover
-gives exact covering numbers on small instances.
+and dominating-set facets the bottom layer.  Each family, the upper
+cover of both, and the lower cover reflected from it, is built and
+checked by one lift.facets_from_simplices call.  A small branch-and-bound
+set cover gives exact covering numbers on small instances.
 """
 
 from __future__ import annotations
@@ -137,18 +137,9 @@ def is_dominating_family(family: Iterable[frozenset[int]], n: int,
                          require_empty: bool = True) -> bool:
     """Every subset of [n] is in the family or has a one-larger superset in it."""
     masks = {sum(1 << (e - 1) for e in subset) for subset in family}
-    start = 0 if require_empty else 1
-    for mask in range(start, 1 << n):
-        if mask in masks:
-            continue
-        pointed = False
-        for pos in range(n):
-            if not mask >> pos & 1 and mask | (1 << pos) in masks:
-                pointed = True
-                break
-        if not pointed:
-            return False
-    return True
+    return all(mask in masks or any(not mask >> pos & 1 and mask | (1 << pos) in masks
+                                    for pos in range(n))
+               for mask in range(0 if require_empty else 1, 1 << n))
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -289,12 +280,14 @@ def dominating_facet_vertices(k: int, subset: frozenset[int]) -> tuple[Point, ..
     return tuple(verts)
 
 
-def _realize_family(kind: str, k: int, generators, vertex_fn,
-                    heights: HeightFunction) -> CoverFamily:
+def _realize_family(kind: str, k: int, generators, heights: HeightFunction) -> CoverFamily:
+    """The upper facets of the generators, by one call: frozensets dominate, tuples permute."""
     points = list(product((0, 1), repeat=k))
     index = {p: i for i, p in enumerate(points)}
+    vertices = [(dominating_facet_vertices if isinstance(gen, frozenset)
+                 else permutation_facet_vertices)(k, gen) for gen in generators]
     facets = facets_from_simplices(
-        points, [[index[v] for v in vertex_fn(k, gen)] for gen in generators], heights, "upper")
+        points, [[index[v] for v in verts] for verts in vertices], heights, "upper")
     for gen, facet in zip(generators, facets):
         if facet is None:
             raise AssertionError(f"{kind} generator {gen} fails facet validation")
@@ -306,7 +299,7 @@ def permutation_facet_family(k: int, perms: Sequence[Sequence[int]],
     """Validated upper facets for permutations of [k-1] under staircase heights."""
     heights = heights if heights is not None else staircase_height(k)
     perms = tuple(tuple(p) for p in perms)
-    return _realize_family("permutation", k, perms, permutation_facet_vertices, heights)
+    return _realize_family("permutation", k, perms, heights)
 
 
 def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
@@ -316,7 +309,7 @@ def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
     family = tuple(frozenset(b) for b in family)
     if not is_dominating_family(family, k - 1, require_empty=False):
         raise PreconditionError("family is not dominating over the nonempty subsets")
-    return _realize_family("dominating", k, family, dominating_facet_vertices, heights)
+    return _realize_family("dominating", k, family, heights)
 
 
 def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
@@ -324,19 +317,15 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
 
     Upper facets come from the symmetric-chain permutations plus a greedy
     dominating family; lower facets are their images under the reflection
-    that flips the last coordinate and negates the height.  Both families
-    are verified to cover all 2^k lifted points.
+    that flips the last coordinate and negates the height.  Each side is
+    one facets_from_simplices call, and both cover all 2^k lifted points.
     """
     if k < 2:
         raise ValidationError("cover construction needs k >= 2")
     heights = staircase_height(k)
     perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
-    perm_family = permutation_facet_family(k, perms, heights)
-    subsets = dominating_family(k - 1, "greedy", require_empty=False)
-    dom_family = dominating_facet_family(k, subsets, heights)
-    upper = CoverFamily("explicit",
-                        perm_family.generators + dom_family.generators,
-                        perm_family.facets + dom_family.facets)
+    subsets = dominating_family(k - 1, "greedy", require_empty=False)  # checked dominating
+    upper = _realize_family("explicit", k, perms + subsets, heights)
     points = list(product((0, 1), repeat=k))
     index = {p: i for i, p in enumerate(points)}
     lower_facets = tuple(facets_from_simplices(
@@ -400,12 +389,7 @@ def exact_min_cover(sets: Sequence, targets: Sequence) -> int:
     Accepts FacetSimplex values (their vertex sets are used) or plain
     iterables.  Branch and bound on the least-covered target.
     """
-    collections = []
-    for s in sets:
-        if isinstance(s, FacetSimplex):
-            collections.append(frozenset(s.vertices))
-        else:
-            collections.append(frozenset(s))
+    collections = [frozenset(s.vertices if isinstance(s, FacetSimplex) else s) for s in sets]
     if len(collections) > _EXACT_COVER_GUARD:
         raise ResourceLimitError(
             f"{len(collections)} sets exceed the exact-search guard of {_EXACT_COVER_GUARD}",

@@ -7,12 +7,12 @@ matrix and H(v) the numerator vector of h(v) over the heights' common
 denominator, the cofactor vectors sum_c adj(A)[c][r] H(v_c) and det(A)
 give every slack as an integer vector, and the field's kernel
 signs_of_int_vectors signs a whole stack of them at once.  Lists of
-candidates are built in such batches (facets_from_simplices); lists of
-facets are checked as the rows of one LinearSystem, whose memberships
-sign every row at every lifted point (check_facets).  The perturbation
-routine gives a chosen subset irrational height offsets along powers of a
-root of 2 and rebuilds a given facet cover under them, halving the
-offsets until every rebuilt facet is valid.
+candidates, a cover's two orientations at once, are built in such batches
+(facets_from_simplices); lists of facets are checked as the rows of one
+LinearSystem, whose memberships sign every row at every lifted point
+(check_facets).  The perturbation routine gives a chosen subset irrational
+height offsets along powers of a root of 2 and rebuilds a given facet
+cover under them, halving the offsets until every rebuilt facet is valid.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _facet_row(vertices: Sequence[Point], heights: HeightFunction,
     return verts, s * sign * d, [[s * sign * x for x in row[k + 1:]] for row in m]
 
 
-def _batched_rows(w: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
+def _batched_rows(w: np.ndarray, orientation: str | Sequence[str]) -> tuple[np.ndarray, ...]:
     """_facet_row on a stack of matrices [A^T | H] at once, eliminated in place.
 
     w is the stack candidate-last and contiguous, shape (k+1, 1+k+n, C),
@@ -208,9 +208,9 @@ def _batched_rows(w: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
     pivot is zero and updates only the columns right of t.
     A matrix with no pivot left in some column is affinely dependent: it is
     zeroed, gets unit pivots from then on and is dropped at the end.  Returns
-    (kept, lead, C, swapped), oriented as by _facet_row: the survivors'
-    indices, leads, cofactor vectors C[:, r] and whether v_0 and v_1 trade
-    places, each survivor with its own row swaps and sign.
+    (kept, lead, C, swapped), oriented as by _facet_row to the orientation
+    of each candidate (or of all): the survivors' indices, leads, cofactor
+    vectors C[:, r] and whether v_0 and v_1 trade places.
     """
     w[1:] -= w[:1]
     sign, prev, k1 = np.ones(w.shape[-1], dtype=np.int64), np.ones(w.shape[-1], w.dtype), len(w)
@@ -228,14 +228,35 @@ def _batched_rows(w: np.ndarray, orientation: str) -> tuple[np.ndarray, ...]:
         if t > 1:  # the pivot of step 0 is 1
             right //= prev
         w[t, t + 1:], prev = row, pivot
+    upper = np.broadcast_to(np.asarray(orientation) == "upper", sign.shape)
     sign, prev = sign[kept := np.flatnonzero(sign)], prev[kept]
-    swapped = (sign * prev > 0) != (orientation == "upper")
+    swapped = (sign * prev > 0) != upper[kept]
     flip = sign * np.where(swapped, -1, 1)
     return kept, flip * prev, flip[:, None, None] * w[:, k1:, kept].transpose(2, 0, 1), swapped
 
 
+def _determinants(m: np.ndarray) -> np.ndarray:
+    """det of each matrix of a stack of square integer matrices, shape (S, n, n), by one
+    fraction-free forward elimination (Bareiss) of a copy, each matrix with its own row
+    swaps; its entries are minors, at most n! max|m|^n, which picks the dtype by _fit."""
+    n, top = m.shape[-1], max(1, int(np.abs(m).max(initial=0)))
+    w = _fit(2 * (math.factorial(n) * top ** n) ** 2, m)[0].copy()
+    sign, prev = np.ones(len(w), dtype=np.int64), np.ones(len(w), dtype=w.dtype)
+    for t in range(n):
+        if len(zero := np.flatnonzero(w[:, t, t] == 0)):
+            p = t + (w[zero, t:, t] != 0).argmax(axis=1)  # t if no pivot is left: singular
+            w[zero, t], w[zero, p] = w[zero, p], w[zero, t]
+            sign[zero] *= np.where(p > t, -1, 0)
+        pivot, rest = w[:, t, t].copy(), w[:, t + 1:, t + 1:]
+        rest *= pivot[:, None, None]
+        rest -= w[:, t + 1:, t, None] * w[:, None, t, t + 1:]
+        rest //= prev[:, None, None]
+        prev = np.where(pivot == 0, prev, pivot)  # singular: rest is zero, prev stays exact
+    return sign * prev
+
+
 def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
-              heights: HeightFunction, orientation: str):
+              heights: HeightFunction, orientation: str | Sequence[str]):
     """Yield (kept, vertices, lead, C, valid) for each block of candidate simplices.
 
     simplices yields (k+1)-tuples of indices into points, k the heights'
@@ -243,8 +264,9 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     entries, the budget every exact kernel shares; before its
     elimination, a block with a candidate of another length raises
     DegenerateSimplexError, one with an index outside range(len(points))
-    ValidationError.  The kept (non-degenerate) candidates' rows come from
-    _batched_rows, their vertex indices in _facet_row's order, and their
+    ValidationError.  orientation is one for all, and the candidates stream,
+    or one per candidate, as for a whole cover.  The kept candidates' rows
+    come from _batched_rows, their vertex indices in _facet_row's order, and their
     slacks C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
     signs_of_int_vectors signs at once.  A slack at a candidate's own
     vertex must be a zero vector, else AssertionError; valid marks the
@@ -252,8 +274,11 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     is int64 when a bound on every product it forms stays below 2^62, and
     Python integers (dtype object) otherwise.
     """
-    if orientation not in ("upper", "lower"):
-        raise ValidationError(f"unknown orientation {orientation!r}")
+    sides = [orientation] if isinstance(orientation, str) else list(orientation)
+    if bad := set(sides) - {"upper", "lower"}:
+        raise ValidationError(f"unknown orientation {bad.pop()!r}")
+    if not isinstance(orientation, str) and len(simplices := list(simplices)) != len(sides):
+        raise ValidationError(f"{len(sides)} orientations for {len(simplices)} candidates")
     ctx, table, k = heights.context, heights._numerators[1], heights.dimension
     n = ctx.degree
     rows = np.array([[1, *p, *table[p]] for p in points], dtype=object).reshape(-1, k + 1 + n)
@@ -264,16 +289,17 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     rows, = _fit(2 * minor ** 2, rows)
     x, hp = rows[:, :k + 1], rows[:, k + 1:]
     size = max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), len(points) * n))
-    simplices = iter(simplices)
+    simplices, sides = iter(simplices), iter(sides)
     while block := list(islice(simplices, size)):
         if bad := set(map(len, block)) - {k + 1}:
             raise DegenerateSimplexError(f"need exactly {k + 1} vertices, got {min(bad)}")
         index = np.fromiter(chain.from_iterable(block), np.intp).reshape(-1, k + 1)
         if index.min() < 0 or index.max() >= len(points):
             raise ValidationError(f"candidate vertex index outside range({len(points)})")
+        part = orientation if isinstance(orientation, str) else list(islice(sides, len(block)))
         # the gathered stack is freed before the elimination, which runs on its copy
         kept, lead, cofactors, swapped = _batched_rows(
-            rows[index].transpose(1, 2, 0).copy(), orientation)
+            rows[index].transpose(1, 2, 0).copy(), part)
         slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
         own[swapped, :2] = own[swapped, 1::-1]
         at = np.arange(len(own))[:, None]
@@ -286,40 +312,41 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
 
 
 def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
-                   heights: HeightFunction, orientation: str) -> np.ndarray:
-    """Bool mask: is each candidate simplex a valid facet of the given orientation?"""
+                   heights: HeightFunction, orientation: str | Sequence[str]) -> np.ndarray:
+    """Bool mask: is each candidate simplex a valid facet of its orientation (as for _screened)?"""
     return np.concatenate([np.zeros(0, dtype=bool), *(
         valid for *_, valid in _screened(points, simplices, heights, orientation))])
 
 
 def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[Sequence[int]],
-                          heights: HeightFunction, orientation: str = "upper"
+                          heights: HeightFunction, orientation: str | Sequence[str] = "upper"
                           ) -> list[FacetSimplex | None]:
     """facet_inequality_from_simplex for each candidate (k+1)-tuple of indices into
     points that _screened finds a valid facet, and None for the others; k is the
-    heights' dimension, so no candidates give [] even for no points."""
+    heights' dimension, so no candidates give [] even for no points; orientation is
+    as for _screened.  One gcd per block reduces every C_r / D, and _determinants
+    re-derives the survivors' leads from their [1, v] stacks."""
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
+    ctx, den, k = heights.context, heights._numerators[0], heights.dimension
     facets: list[FacetSimplex | None] = []
     for kept, own, lead, cofactors, valid in _screened(pts, simplices, heights, orientation):
         block: list[FacetSimplex | None] = [None] * len(valid)
-        for i in np.flatnonzero(valid[kept]).tolist():
-            block[kept[i]] = _facet_from_row([pts[j] for j in own[i].tolist()], int(lead[i]),
-                                             cofactors[i].tolist(), heights, orientation)
+        lead = lead[live := np.flatnonzero(valid[kept])]
+        verts = [[pts[j] for j in row] for row in own[live].tolist()]
+        if (_determinants(np.array([[[1, *v] for v in vs] for vs in verts], dtype=object
+                                   ).reshape(-1, k + 1, k + 1)) != lead).any():
+            raise AssertionError("vertex determinant disagrees with the facet row")
+        c, = _fit(max(den, int(np.abs(cofactors).max(initial=0))), cofactors[live])
+        c[:, 1:] *= -1  # coeffs = -C_i / D for i >= 1, rhs = C_0 / D
+        c //= (g := np.gcd(np.gcd.reduce(c, axis=2), den))[:, :, None]
+        for i, vs, y, nums, dens in zip(kept[live].tolist(), verts, lead.tolist(), c.tolist(),
+                                        (den // g).tolist()):
+            rhs, *coeffs = (FieldElement(ctx, tuple(v), d) for v, d in zip(nums, dens))
+            block[i] = FacetSimplex(tuple(vs), "upper" if y > 0 else "lower", tuple(coeffs),
+                                    ctx.from_rational(y), rhs)
         facets += block
     return facets
-
-
-def _facet_from_row(verts: list[Point], lead: int, cofactors: list[list[int]],
-                    heights: HeightFunction, orientation: str) -> FacetSimplex:
-    """The FacetSimplex of an oriented integer facet row; a determinant re-derives lead."""
-    ctx = heights.context
-    if determinant([[1, *v] for v in verts], ctx) != lead:  # det(A^T) = det(A)
-        raise AssertionError("vertex determinant disagrees with the facet row")
-    den = heights._numerators[0]
-    coeffs = tuple(_reduced(ctx, tuple(-x for x in c), den) for c in cofactors[1:])
-    return FacetSimplex(tuple(verts), orientation, coeffs, ctx.from_rational(lead),
-                        _reduced(ctx, tuple(cofactors[0]), den))
 
 
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
@@ -338,7 +365,12 @@ def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
     """
     verts, lead, cofactors = _facet_row([tuple(int(x) for x in v) for v in vertices],
                                         heights, orientation)
-    facet = _facet_from_row(verts, lead, cofactors, heights, orientation)
+    ctx, den = heights.context, heights._numerators[0]
+    if determinant([[1, *v] for v in verts], ctx) != lead:  # det(A^T) = det(A)
+        raise AssertionError("vertex determinant disagrees with the facet row")
+    coeffs = tuple(_reduced(ctx, tuple(-x for x in c), den) for c in cofactors[1:])
+    facet = FacetSimplex(tuple(verts), orientation, coeffs, ctx.from_rational(lead),
+                         _reduced(ctx, tuple(cofactors[0]), den))
     for v in verts:
         if not facet.evaluate(v, heights(v)).is_zero():
             raise AssertionError("facet inequality not tight at its own vertex")
@@ -373,8 +405,10 @@ def check_facets(facets: Sequence[FacetSimplex], points: Iterable[Sequence[int]]
     system = LinearSystem(ctx, len(facets[0].coeffs) + 1,
                           tuple(Row((*f.coeffs, f.y_coeff), f.rhs) for f in facets))
     signs = system.memberships([(*p, heights(p)) for p in pts])
-    own = np.array([[p in f.vertices for f in facets] for p in pts])
-    failed = (signs <= 0) & ~own
+    index, own = {p: i for i, p in enumerate(pts)}, np.zeros((len(pts), len(facets)), dtype=bool)
+    for r, f in enumerate(facets):
+        own[[index[v] for v in f.vertices if v in index], r] = True
+    failed = (signs <= 0) & ~own[[index[p] for p in pts]]  # a repeated point: its last row
     return [FacetCheck(True) if not failed[i, r]
             else FacetCheck(False, pts[i]) if signs[i, r] < 0
             else FacetCheck(False, None, pts[i])
@@ -393,13 +427,13 @@ def perturb_heights(base: Iterable[Sequence[int]],
     the new heights on `moved` together with 1 are linearly independent
     over Q.  eps = 2**-t for the smallest t such that every cover facet,
     rebuilt from its vertices under the new heights by one
-    facets_from_simplices call per orientation, is still valid.  Returns
-    (heights, eps, facets), the rebuilt facets in the order of `cover`;
-    with nothing to move, the given heights, 0 and the cover itself.  The
-    first cover facet whose vertices span no valid facet under the given
-    heights (one _screen_facets call per orientation) is refused before
-    any halving: DegenerateSimplexError if they are affinely dependent,
-    else PreconditionError.
+    facets_from_simplices call over the whole cover, is still valid.
+    Returns (heights, eps, facets), the rebuilt facets in the order of
+    `cover`; with nothing to move, the given heights, 0 and the cover
+    itself.  The first cover facet whose vertices span no valid facet under
+    the given heights (one _screen_facets call) is refused before any
+    halving: DegenerateSimplexError if they are affinely dependent, else
+    PreconditionError.
     """
     x_set = {tuple(int(v) for v in p) for p in base}
     y_list = sorted(tuple(int(v) for v in p) for p in moved)
@@ -414,15 +448,10 @@ def perturb_heights(base: Iterable[Sequence[int]],
         raise PreconditionError(f"cover vertex {min(stray)} is neither a base nor a moved point")
     if bad := [f.vertices for f in cover if len(f.vertices) != len(t_points[0]) + 1]:
         raise DegenerateSimplexError(f"cover facet {bad[0]} needs {len(t_points[0]) + 1} vertices")
-    index, sides = {p: i for i, p in enumerate(t_points)}, {}
-    for at, facet in enumerate(cover):
-        sides.setdefault(facet.orientation, {})[at] = [index[v] for v in facet.vertices]
-    refused = []
-    for orientation, side in sides.items():
-        valid = _screen_facets(t_points, side.values(), heights, orientation)
-        refused += [at for at, ok in zip(side, valid) if not ok]
-    if refused:
-        facet = cover[min(refused)]
+    index, sides = {p: i for i, p in enumerate(t_points)}, [f.orientation for f in cover]
+    simplices = [[index[v] for v in facet.vertices] for facet in cover]
+    if not (valid := _screen_facets(t_points, simplices, heights, sides)).all():
+        facet = cover[int(valid.argmin())]
         _facet_row(facet.vertices, heights, facet.orientation)  # an affinely dependent set raises
         raise PreconditionError(f"cover facet {facet.vertices} is invalid under the given heights")
     if not y_list:
@@ -443,13 +472,9 @@ def perturb_heights(base: Iterable[Sequence[int]],
 
     offsets = {p: j + 1 for j, p in enumerate(y_list)}
     for t in range(64):
-        eps = Fraction(1, 1 << t)
-        candidate, rebuilt = build(eps), {}
-        for orientation, side in sides.items():
-            rebuilt.update(zip(side, facets_from_simplices(t_points, side.values(), candidate,
-                                                           orientation)))
-        if None not in rebuilt.values():
-            return candidate, eps, tuple(rebuilt[at] for at in range(len(cover)))
+        candidate = build(eps := Fraction(1, 1 << t))
+        if None not in (rebuilt := facets_from_simplices(t_points, simplices, candidate, sides)):
+            return candidate, eps, tuple(rebuilt)
     raise ArithmeticError("no perturbation size accepted after 64 halvings")
 
 

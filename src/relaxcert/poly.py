@@ -7,8 +7,8 @@ recession systems, and coordinate-subspace restriction.  Nothing here is
 ever evaluated in floating point.  Each system keeps its rows' integer
 numerators as numpy arrays (_integer_rows); one routine, _evaluate, reads
 every row's value at a batch of points from them, which the affine
-pull-back turns into new rows, membership into signed slacks and
-fiber_bounds into the bounds on the last variable at every point.
+pull-back turns into new rows (field elements only once read), membership
+into signed slacks and fiber_bounds into the bounds on the last variable.
 Fourier-Motzkin runs on the same arrays in blocks of about _CHUNK
 integers, combining rows with positive multipliers (scalars for a
 rational pivot column) into primitive integer coefficient vectors; no
@@ -116,6 +116,20 @@ class Row:
     rhs: FieldElement
 
 
+class _Rows:
+    """LinearSystem.rows where the instance has none: a system made by substitute_affine
+    builds them from its integer rows on first read, and keeps them."""
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            raise AttributeError("rows")  # so that the field has no default
+        (a, b, dens, _), ctx = system._integer_rows, system.context
+        system.__dict__["rows"] = rows = tuple(
+            Row(tuple(_reduced(ctx, tuple(v), d) for v in coeffs), _reduced(ctx, tuple(t), d))
+            for coeffs, t, d in zip(a.tolist(), b.tolist(), dens))
+        return rows
+
+
 @dataclass(frozen=True)
 class Membership:
     inside: bool
@@ -146,7 +160,7 @@ class LinearSystem:
 
     context: FieldContext
     num_vars: int
-    rows: tuple[Row, ...]
+    rows: tuple[Row, ...] = _Rows()
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -170,7 +184,7 @@ class LinearSystem:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.__dict__["rows"] if "rows" in self.__dict__ else self._integer_rows[2])
 
     # -- membership ---------------------------------------------------------
 
@@ -351,7 +365,7 @@ class LinearSystem:
         preserved exactly: coeffs . x <= rhs becomes (coeffs . matrix) z <=
         rhs - coeffs . shift.  One _evaluate call over the matrix's columns
         and the shift gives every new numerator from the rows' integer
-        numerators; field elements are built only for the new rows.
+        numerators; the result's rows are built from them on first read.
         Entries may be ints, rationals or field elements of the context.
         """
         if len(matrix) != self.num_vars:
@@ -372,11 +386,9 @@ class LinearSystem:
         gs = [math.gcd(c, d) for c, d in zip(content, dens)]
         values //= np.array([g if c else 1 for g, c in zip(gs, content)], dtype=values.dtype
                             )[:, None, None]
-        a, b, ctx = values[:, :-1], values[:, -1], self.context
-        dens = [d // g for d, g in zip(dens, gs)]
-        return _seeded(LinearSystem(ctx, new_dim, tuple(
-            Row(tuple(_reduced(ctx, tuple(v), den) for v in coeffs), _reduced(ctx, tuple(t), den))
-            for coeffs, t, den in zip(a.tolist(), b.tolist(), dens))), a, b, dens)
+        system = object.__new__(LinearSystem)  # no rows until read (_Rows)
+        system.__dict__.update(context=self.context, num_vars=new_dim, names=None)
+        return _seeded(system, values[:, :-1], values[:, -1], [d // g for d, g in zip(dens, gs)])
 
     @cached_property
     def _integer_rows(self) -> tuple[np.ndarray, np.ndarray, list[int], int]:

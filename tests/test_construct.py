@@ -454,8 +454,10 @@ def test_pipeline_k7_certifies():
     assert run.perturbed.context.degree == 121
 
 
-def test_pipeline_screens_the_perturbed_cover_once_per_orientation(monkeypatch):
-    # perturb_heights builds the cover rows, and pipeline_run takes them as they are
+def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeypatch):
+    # perturb_heights builds the cover rows, and pipeline_run takes them as they are: one
+    # refusal screen on the given heights and one rebuild on the perturbed heights, each
+    # over the whole cover with both orientations, and two cover screens before them
     screened, calls = lift._screened, []
 
     def counting(points, simplices, heights, orientation):
@@ -464,9 +466,14 @@ def test_pipeline_screens_the_perturbed_cover_once_per_orientation(monkeypatch):
 
     monkeypatch.setattr(lift, "_screened", counting)
     for k in (3, 4):
+        upper, lower = cover.build_full_cover(k)
+        sides = [f.orientation for f in upper.facets + lower.facets]
+        assert set(sides) == {"upper", "lower"}
         calls.clear()
         run = pipeline_run(k)
-        assert sorted(o for h, o in calls if h is run.perturbed) == ["lower", "upper"]
+        for heights in (run.heights, run.perturbed):
+            assert [o for h, o in calls if h is heights] == [sides]
+        assert len(calls) == 4
 
 
 def test_one_block_budget_splits_every_kernel_and_changes_no_result(monkeypatch):
@@ -496,6 +503,32 @@ def test_one_block_budget_splits_every_kernel_and_changes_no_result(monkeypatch)
     monkeypatch.setattr(poly, "_CHUNK", 8)
     assert results() == expected
     assert all(counts[key] > whole[key] for key in counts), (whole, counts)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_pipeline_spot_check_refuses_a_violated_target_point(monkeypatch, chunk):
+    # the spot check signs the slacks at 0 and at each e_i from the final system's
+    # integer rows, in one block or one variable per block: one extra row violated at
+    # the origin alone, or at one unit vector alone, is refused
+    if chunk:
+        monkeypatch.setattr(poly, "_CHUNK", chunk)
+    pulled, d = LinearSystem.substitute_affine, 7
+
+    def with_row(coeffs, rhs):
+        def substitute(self, matrix, shift=None):
+            system = pulled(self, matrix, shift)
+            return LinearSystem.from_rows(system.context, [*(
+                (r.coeffs, r.rhs) for r in system.rows), (coeffs, rhs)], system.num_vars)
+        return substitute
+
+    cases = [((-1,) * d, -1)] + [(tuple(int(j == i) for j in range(d)), 0) for i in (0, 3, d - 1)]
+    for coeffs, rhs in cases:
+        monkeypatch.setattr(LinearSystem, "substitute_affine", with_row(coeffs, rhs))
+        with pytest.raises(CertificationError, match="violates the assembled") as info:
+            pipeline_run(3, certify=False)
+        assert info.value.stage == "assembly"
+    monkeypatch.setattr(LinearSystem, "substitute_affine", with_row((-1,) * d, 0))
+    assert pipeline_run(3, certify=False).bundle.system.num_rows == 13
 
 
 def test_pipeline_target_is_standard_simplex():

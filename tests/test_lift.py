@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,10 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaxcert._linalg import determinant
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ValidationError)
 from relaxcert.field import FieldContext, make_context
-from relaxcert import lift
+from relaxcert import lift, poly
 from relaxcert.lift import (FacetCheck, FacetSimplex, HeightFunction, _batched_rows,
                             _facet_row, affine_interpolant, check_facets, check_upper_facet,
                             facet_inequality_from_simplex, facets_from_simplices,
@@ -331,6 +333,127 @@ def test_screen_refuses_a_row_not_tight_at_its_vertices(monkeypatch):
         lift._screen_facets(points, [[0, 1, 5, 7]], staircase_height(3), "upper")
 
 
+@functools.lru_cache(maxsize=None)
+def _cover_case(k, kind):
+    """The k-cube, heights of the given kind and the index tuples and orientations of
+    build_full_cover(k): staircase, perturbed as by the pipeline, or the perturbed
+    heights times 2^70, whose screen runs on Python integers."""
+    from relaxcert.construct import cube_simplex_split
+    from relaxcert.cover import build_full_cover
+    points, heights = cube(k), staircase_height(k)
+    upper, lower = build_full_cover(k)
+    if kind != "staircase":
+        split = cube_simplex_split(k)
+        heights = perturb_heights(split.base.points, split.moved.points, heights,
+                                  upper.facets + lower.facets)[0]
+    if kind == "huge":
+        heights = HeightFunction.from_pairs((p, heights(p) * (1 << 70)) for p in points)
+    index = {p: i for i, p in enumerate(points)}
+    return points, heights, [(tuple(index[v] for v in f.vertices), f.orientation)
+                             for f in upper.facets + lower.facets]
+
+
+@st.composite
+def _oriented_candidates(draw):
+    """A cover case and candidates drawn from its facets, in either orientation, and
+    from any vertex tuples, repeated (affinely dependent) vertices among them."""
+    k, kind = draw(st.integers(2, 4)), draw(st.sampled_from(["staircase", "perturbed", "huge"]))
+    points, heights, facets = _cover_case(k, kind)
+    side = st.sampled_from(["upper", "lower"])
+    drawn = st.tuples(st.lists(st.integers(0, len(points) - 1), min_size=k + 1,
+                               max_size=k + 1).map(tuple), side)
+    flipped = st.sampled_from(facets).flatmap(lambda f: st.tuples(st.just(f[0]), side))
+    pairs = draw(st.lists(st.one_of(st.sampled_from(facets), flipped, drawn), max_size=12))
+    return points, heights, [c for c, _ in pairs], [o for _, o in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_oriented_candidates(), one_per_block=st.booleans())
+def test_one_orientation_per_candidate_merges_the_per_orientation_calls(case, one_per_block):
+    # one call over mixed orientations, in one block or one block per candidate, gives
+    # what one call per orientation gives, merged back in candidate order: the facets
+    # and the screen's mask
+    points, heights, simplices, sides = case
+    expected, mask = [None] * len(sides), np.zeros(len(sides), dtype=bool)
+    for side in ("upper", "lower"):
+        at = [i for i, o in enumerate(sides) if o == side]
+        chosen = [simplices[i] for i in at]
+        for i, facet in zip(at, facets_from_simplices(points, chosen, heights, side)):
+            expected[i] = facet
+        mask[at] = lift._screen_facets(points, chosen, heights, side)
+    with pytest.MonkeyPatch.context() as patch:
+        if one_per_block:
+            patch.setattr(poly, "_CHUNK", 1)
+        built = facets_from_simplices(points, simplices, heights, sides)
+        screened = lift._screen_facets(points, simplices, heights, sides)
+    assert [f and f.to_json_dict() for f in built] == [f and f.to_json_dict() for f in expected]
+    assert screened.tolist() == mask.tolist()
+    assert all(f.orientation == o for f, o in zip(built, sides) if f)
+
+
+def test_screen_takes_the_dtype_of_its_heights(monkeypatch):
+    # the cover cases above run the screen on int64 and on Python integers
+    seen, batched = [], lift._batched_rows
+
+    def spy(m, orientation):
+        seen.append(m.dtype)
+        return batched(m, orientation)
+
+    monkeypatch.setattr(lift, "_batched_rows", spy)
+    for kind, dtype in (("perturbed", np.int64), ("huge", object)):
+        points, heights, facets = _cover_case(3, kind)
+        assert None not in facets_from_simplices(
+            points, [c for c, _ in facets], heights, [o for _, o in facets])
+        assert seen == [np.dtype(dtype)]
+        seen.clear()
+
+
+def test_screen_refuses_orientations_that_do_not_match_the_candidates():
+    heights = staircase_height(3)
+    points = sorted(heights.domain)
+    for sides in (["upper"], ["upper", "lower", "upper"], ["upper", "side"], "side"):
+        with pytest.raises(ValidationError):
+            facets_from_simplices(points, [(0, 1, 2, 4), (0, 1, 2, 7)], heights, sides)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batched_determinants_match_determinant(data):
+    # random integer stacks, singular ones among them (a repeated or a zero row), of
+    # small entries (int64) and of entries of 2^40 (Python integers)
+    n = data.draw(st.integers(1, 5))
+    scale = data.draw(st.sampled_from([1, 1 << 40]))
+    matrix = st.lists(st.lists(st.integers(-2, 2).map(lambda v: v * scale), min_size=n,
+                               max_size=n), min_size=n, max_size=n)
+    stack = data.draw(st.lists(matrix, max_size=6))
+    for m in data.draw(st.lists(matrix, max_size=2)):
+        m[-1] = list(m[0]) if data.draw(st.booleans()) else [0] * n
+        stack.append(m)
+    got = lift._determinants(np.array(stack, dtype=object).reshape(-1, n, n))
+    assert got.tolist() == [determinant(m, CTX1).as_fraction() for m in stack]
+    big = scale > 1 and any(v for m in stack for row in m for v in row)
+    assert got.dtype == np.dtype(object if big else np.int64)
+
+
+def test_facets_refuse_a_lead_that_is_not_the_vertex_determinant(monkeypatch):
+    # a survivor's lead and cofactors scaled by 2 still give tight, positive slacks,
+    # so only the re-derived determinant tells it apart
+    batched = lift._batched_rows
+    points, heights, facets = _cover_case(3, "staircase")
+
+    def corrupted(m, orientation):
+        kept, lead, cofactors, swapped = batched(m, orientation)
+        lead[0] *= 2
+        cofactors[0] *= 2
+        return kept, lead, cofactors, swapped
+
+    monkeypatch.setattr(lift, "_batched_rows", corrupted)
+    simplex, side = facets[0]
+    assert lift._screen_facets(points, [simplex], heights, side).tolist() == [True]
+    with pytest.raises(AssertionError, match="vertex determinant disagrees"):
+        facets_from_simplices(points, [simplex], heights, side)
+
+
 def _evaluated_check(facet, points, heights):
     """check_upper_facet by field arithmetic: the first non-vertex point whose slack is <= 0."""
     for p in points:
@@ -356,6 +479,10 @@ def test_check_facets_match_one_facet_checks(case, data):
     checks = check_facets(facets, order, heights)
     assert checks == [check_upper_facet(f, order, heights) for f in facets]
     assert checks == [_evaluated_check(f, order, heights) for f in facets]
+    # points repeated, and facet vertices left out
+    drawn = data.draw(st.lists(st.sampled_from(points), max_size=len(points) + 3))
+    assert check_facets(facets, drawn, heights) == [
+        _evaluated_check(f, drawn, heights) for f in facets]
 
 
 # ---------------------------------------------------------------------------

@@ -1198,6 +1198,37 @@ def test_substitute_affine_seeds_the_rebuilt_integer_rows():
     assert _same_integer_rows(pipeline_run(3, certify=False).bundle.system)
 
 
+def test_substitute_affine_builds_its_rows_only_when_read(monkeypatch):
+    """The pull-back reduces no field element until its rows are read: num_rows,
+    memberships and the pipeline's assembly read only its integer rows.  The rows,
+    built on first read, are a tuple equal to the field reference's, and equality,
+    hashing and JSON are those of the reference."""
+    from relaxcert import field
+    reduced, calls = field._reduced, []
+
+    def counting(*args):
+        calls.append(args)
+        return reduced(*args)
+
+    matrix, shift = [(1, sqrt2(), 0), (Fraction(1, 2), 0, 3)], (1, -2)
+    system = system_from([((1, sqrt2()), Fraction(5, 7)), ((Fraction(-1, 3), 2), sqrt2())], 2)
+    monkeypatch.setattr(field, "_reduced", counting)
+    monkeypatch.setattr(poly, "_reduced", counting)
+    pulled = system.substitute_affine(matrix, shift)
+    assert pulled.num_rows == 2 and pulled.num_vars == 3 and pulled.names is None
+    assert pulled.memberships([(0, 0, 0), (1, -1, 2)]).shape == (2, 2)
+    assert calls == [] and "rows" not in vars(pulled)
+    rows = pulled.rows
+    assert type(rows) is tuple and len(calls) == 8 and pulled.rows is rows
+    reference = _field_substitute(system, matrix, shift)
+    assert rows == reference.rows and pulled == reference and hash(pulled) == hash(reference)
+    assert pulled.to_json_dict() == reference.to_json_dict()
+    assert pulled.rows + rows[:1] == reference.rows + reference.rows[:1]
+    with pytest.raises(AttributeError):
+        pulled.columns
+    assert "rows" not in vars(pipeline_run(3, certify=False).bundle.system)
+
+
 def test_substitute_shape_mismatch():
     P = projected_simplex_relaxation()
     with pytest.raises(ValidationError):
