@@ -415,9 +415,9 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     """
     if k < 2:
         raise ValidationError("pipeline needs k >= 2")
-    if certify and k > 7:
+    if certify and k > 8:
         raise ValidationError(
-            "full certification is supported for k <= 7; pass certify=False "
+            "full certification is supported for k <= 8; pass certify=False "
             "to build an uncertified system")
     split = cube_simplex_split(k)
     heights = staircase_height(k)

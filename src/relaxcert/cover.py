@@ -2,10 +2,11 @@
 
 Symmetric chain decompositions realize the binomial covering optimum for
 chains; permutation-prefix facets cover the top layer of the lifted cube
-and dominating-set facets the bottom layer.  Each family, the upper
-cover of both, and the lower cover reflected from it, is built and
-checked by one lift.facets_from_simplices call.  A small branch-and-bound
-set cover gives exact covering numbers on small instances.
+and dominating-set facets the bottom layer.  Each family is built and
+checked by one lift.facets_from_simplices call, and so is the full cover:
+the upper facets of both families with their reflections as lower facets.
+A small branch-and-bound set cover gives exact covering numbers on small
+instances.
 """
 
 from __future__ import annotations
@@ -281,17 +282,28 @@ def dominating_facet_vertices(k: int, subset: frozenset[int]) -> tuple[Point, ..
 
 
 def _realize_family(kind: str, k: int, generators, heights: HeightFunction) -> CoverFamily:
-    """The upper facets of the generators, by one call: frozensets dominate, tuples permute."""
+    """The upper facets of the generators, by one call."""
     points = list(product((0, 1), repeat=k))
+    facets = facets_from_simplices(points, _generator_simplices(k, generators, points),
+                                   heights, "upper")
+    _require_facets(kind, generators, facets)
+    return CoverFamily(kind, tuple(generators), tuple(facets))
+
+
+def _generator_simplices(k: int, generators, points: list[Point], reflected: bool = False
+                         ) -> list[list[int]]:
+    """The vertices of each generator's upper facet as indices into points, or with
+    reflected those of its image under x_k -> 1 - x_k: frozensets dominate, tuples permute."""
     index = {p: i for i, p in enumerate(points)}
-    vertices = [(dominating_facet_vertices if isinstance(gen, frozenset)
-                 else permutation_facet_vertices)(k, gen) for gen in generators]
-    facets = facets_from_simplices(
-        points, [[index[v] for v in verts] for verts in vertices], heights, "upper")
+    return [[index[v[:-1] + (1 - v[-1],) if reflected else v] for v in (
+        dominating_facet_vertices if isinstance(gen, frozenset) else permutation_facet_vertices
+    )(k, gen)] for gen in generators]
+
+
+def _require_facets(kind: str, generators, facets) -> None:
     for gen, facet in zip(generators, facets):
         if facet is None:
             raise AssertionError(f"{kind} generator {gen} fails facet validation")
-    return CoverFamily(kind, tuple(generators), tuple(facets))
 
 
 def permutation_facet_family(k: int, perms: Sequence[Sequence[int]],
@@ -317,23 +329,24 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
 
     Upper facets come from the symmetric-chain permutations plus a greedy
     dominating family; lower facets are their images under the reflection
-    that flips the last coordinate and negates the height.  Each side is
-    one facets_from_simplices call, and both cover all 2^k lifted points.
+    that flips the last coordinate and negates the height.  Both sides are
+    one facets_from_simplices call, with one orientation per candidate, and
+    both cover all 2^k lifted points.
     """
     if k < 2:
         raise ValidationError("cover construction needs k >= 2")
     heights = staircase_height(k)
-    perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
-    subsets = dominating_family(k - 1, "greedy", require_empty=False)  # checked dominating
-    upper = _realize_family("explicit", k, perms + subsets, heights)
-    points = list(product((0, 1), repeat=k))
-    index = {p: i for i, p in enumerate(points)}
-    lower_facets = tuple(facets_from_simplices(
-        points, [[index[v[:-1] + (1 - v[-1],)] for v in f.vertices] for f in upper.facets],
-        heights, "lower"))
-    if None in lower_facets:
-        raise AssertionError("a reflected facet is invalid")
-    lower = CoverFamily("explicit", upper.generators, lower_facets)
+    generators = tuple(chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
+                       + dominating_family(k - 1, "greedy", require_empty=False))
+    points, m = list(product((0, 1), repeat=k)), len(generators)
+    facets = facets_from_simplices(
+        points, _generator_simplices(k, generators, points)
+        + _generator_simplices(k, generators, points, reflected=True),
+        heights, ["upper"] * m + ["lower"] * m)
+    _require_facets("explicit", generators, facets[:m])
+    _require_facets("reflected", generators, facets[m:])
+    upper = CoverFamily("explicit", generators, tuple(facets[:m]))
+    lower = CoverFamily("explicit", generators, tuple(facets[m:]))
     if not upper.covered_points() == lower.covered_points() == set(points):
         raise AssertionError("facet families leave lifted vertices uncovered")
     return upper, lower

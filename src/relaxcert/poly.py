@@ -267,16 +267,18 @@ class LinearSystem:
 
         Row r reads c y <= s, with every slack s = rhs - coeffs . (p, 0) from
         _evaluate.  c = 0 makes the fiber infeasible where s < 0; any other c
-        bounds y by s times 1/c, a scalar or, for irrational c, its
-        multiplication matrix.  Each row meets the best bound so far in one
-        kernel call across the points, in chunks of at most about _CHUNK
-        integers, and lower > upper is infeasible.
+        bounds y by s times 1/c, a scalar (one broadcast product for a side
+        whose every c is rational) or, for irrational c, its multiplication
+        matrix.  Each side's bounds, stacked, meet in a pairwise tournament
+        (_best_bounds): about log2(rows) kernel calls per side across the
+        points, in chunks of at most about _CHUNK integers, and lower > upper
+        is infeasible.
         """
         ctx, n, q = self.context, self.context.degree, self.context.radicand.denominator
         if any(len(p) != self.num_vars - 1 for p in points):
             raise ValidationError(f"fiber points need {self.num_vars - 1} coordinates")
         inverses = [c.inverse() if c else c for c in (row.coeffs[-1] for row in self.rows)]
-        sides = [row.coeffs[-1].sign() for row in self.rows]
+        sides = np.array([row.coeffs[-1].sign() for row in self.rows], dtype=np.int64)
         # row r bounds y by its slack times factors[r] (by @ when 2-d) over its den times scales[r]
         factors = [v.num[0] if v.is_rational() else ctx.multiplication_matrix(v.num).T
                    for v in inverses]
@@ -290,18 +292,20 @@ class LinearSystem:
             # a comparison subtracts two products, each below top * most * max(dens)
             slack, = _fit(2 * top * most * max(dens, default=1), slack)
             dtype = slack.dtype
-            bad = (ctx.signs_of_int_vectors(slack[np.array(sides) == 0]) < 0).any(axis=0)
+            bad = (ctx.signs_of_int_vectors(slack[sides == 0]) < 0).any(axis=0)
             best = {}  # side -> numerators and denominators of the best bound at each point
-            for side, factor, den, w in zip(sides, factors, dens, slack):
-                if not side:
+            for side in (-1, 1):
+                rs = np.flatnonzero(sides == side).tolist()
+                if not rs:
                     continue
-                num = w @ factor.astype(dtype) if np.ndim(factor) else w * factor
-                if side not in best:
-                    best[side] = num, np.full(len(num), den, dtype=dtype)
-                    continue
-                old, olds = best[side]
-                better = ctx.signs_of_int_vectors(num * olds[:, None] - old * den) * side < 0
-                old[better], olds[better] = num[better], den
+                if all(np.ndim(factors[r]) == 0 for r in rs):
+                    nums = slack[rs] * np.array([factors[r] for r in rs], dtype=dtype
+                                                )[:, None, None]
+                else:
+                    nums = np.stack([slack[r] @ factors[r].astype(dtype) if np.ndim(factors[r])
+                                     else slack[r] * factors[r] for r in rs])
+                best[side] = _best_bounds(ctx, side, nums, np.array(
+                    [[dens[r]] * slack.shape[1] for r in rs], dtype=dtype))
             if len(best) == 2:
                 (low, lows), (up, ups) = best[-1], best[1]
                 bad |= ctx.signs_of_int_vectors(up * lows[:, None] - low * ups[:, None]) < 0
@@ -585,6 +589,21 @@ def _deduplicated(context: FieldContext, w, e, history):
         step *= 2
     keep = best[first]
     return w[keep], e[keep], history[keep]
+
+
+def _best_bounds(context: FieldContext, side: int, nums, dens):
+    """(numerators, denominators) of the best of the bounds nums[r] / dens[r] at each
+    point (rows x points x n over rows x points): the least for side 1, the greatest
+    for -1.  Neighbours meet, so the earlier row stays on a tie: a tournament, one
+    kernel call a round."""
+    while len(nums) > 1:
+        pairs = len(nums) // 2 * 2
+        left, right = slice(0, pairs, 2), slice(1, pairs, 2)
+        better = context.signs_of_int_vectors(nums[right] * dens[left, :, None]
+                                              - nums[left] * dens[right, :, None]) * side < 0
+        nums = np.concatenate((np.where(better[..., None], nums[right], nums[left]), nums[pairs:]))
+        dens = np.concatenate((np.where(better, dens[right], dens[left]), dens[pairs:]))
+    return nums[0], dens[0]
 
 
 def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side):

@@ -392,16 +392,18 @@ def test_one_orientation_per_candidate_merges_the_per_orientation_calls(case, on
 
 
 def test_screen_takes_the_dtype_of_its_heights(monkeypatch):
-    # the cover cases above run the screen on int64 and on Python integers
+    # the cover cases above run the screen on int64 and on Python integers; both are
+    # built before the spy, whether or not the drawn cases above built them already
     seen, batched = [], lift._batched_rows
+    cases = [(_cover_case(3, kind), dtype) for kind, dtype in (("perturbed", np.int64),
+                                                                ("huge", object))]
 
     def spy(m, orientation):
         seen.append(m.dtype)
         return batched(m, orientation)
 
     monkeypatch.setattr(lift, "_batched_rows", spy)
-    for kind, dtype in (("perturbed", np.int64), ("huge", object)):
-        points, heights, facets = _cover_case(3, kind)
+    for (points, heights, facets), dtype in cases:
         assert None not in facets_from_simplices(
             points, [c for c, _ in facets], heights, [o for _, o in facets])
         assert seen == [np.dtype(dtype)]

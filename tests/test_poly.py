@@ -245,14 +245,67 @@ def _fiber_cases(draw):
     return LinearSystem.from_rows(ctx, rows, k + 1), points
 
 
+# The per-row reference: how fiber_bounds chose each side's best bound before its
+# tournament, one row at a time against the best so far.
+
+def _per_row_best(ctx, side, nums, dens):
+    """The best of nums[r] / dens[r] at each point, least for side 1 and greatest for -1:
+    each row meets the best so far in one kernel call and replaces it only where it
+    is strictly better, so the earlier row stays on a tie."""
+    best, bests = nums[0].copy(), dens[0].copy()
+    for num, den in zip(nums[1:], dens[1:]):
+        better = ctx.signs_of_int_vectors(num * bests[:, None] - best * den[:, None]) * side < 0
+        best[better], bests[better] = num[better], den[better]
+    return best, bests
+
+
+def _per_row_fiber_bounds(system, points):
+    """fiber_bounds with its sides reduced by _per_row_best, all points in one chunk."""
+    ctx, n, q = system.context, system.context.degree, system.context.radicand.denominator
+    inverses = [c.inverse() if c else c for c in (row.coeffs[-1] for row in system.rows)]
+    sides = [row.coeffs[-1].sign() for row in system.rows]
+    factors = [v.num[0] if v.is_rational() else ctx.multiplication_matrix(v.num).T
+               for v in inverses]
+    scales = [v.den * (1 if v.is_rational() else q) for v in inverses]
+    values, rhs, dens = system._evaluate([(*p, 0) for p in points])
+    slack = (rhs[:, None] - values).astype(object)
+    dens = [d * s for d, s in zip(dens, scales)]
+    bad = np.zeros(len(points), dtype=bool)
+    stacks = {}  # side -> (numerators, denominators) of each of its rows' bounds
+    for side, factor, den, w in zip(sides, factors, dens, slack):
+        if not side:
+            bad |= ctx.signs_of_int_vectors(w) < 0
+            continue
+        num = w @ factor.astype(object) if np.ndim(factor) else w * factor
+        nums, ds = stacks.setdefault(side, ([], []))
+        nums.append(num)
+        ds.append(np.full(len(points), den, dtype=object))
+    best = {side: _per_row_best(ctx, side, nums, ds) for side, (nums, ds) in stacks.items()}
+    if len(best) == 2:
+        (low, lows), (up, ups) = best[-1], best[1]
+        bad |= ctx.signs_of_int_vectors(up * lows[:, None] - low * ups[:, None]) < 0
+    found = {side: [poly._reduced(ctx, tuple(v), d) for v, d in zip(num.tolist(), den.tolist())]
+             for side, (num, den) in best.items()}
+    return [VarBounds(None, None, infeasible=True) if b else VarBounds(
+        *(found[side][i] if side in found else None for side in (-1, 1)))
+        for i, b in enumerate(bad.tolist())]
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=_fiber_cases())
+@given(case=_fiber_cases(), one_point_per_chunk=st.booleans())
 # the inverse of a rational y coefficient has a numerator of at least 2^63
 @example(case=(LinearSystem.from_rows(CTX1, [((0, 1), 0), ((0, Fraction(
-    10383904580616851441, 18446744073709551618)), 0)], 2), [(0,)]))
-def test_fiber_bounds_match_restriction_reference(case):
+    10383904580616851441, 18446744073709551618)), 0)], 2), [(0,)]), one_point_per_chunk=False)
+def test_fiber_bounds_match_restriction_reference(case, one_point_per_chunk):
+    # and the tournament matches the per-row loop on rational and irrational y
+    # coefficients, rows repeated times a positive rational (equal bounds), crossing
+    # bounds and failing lateral rows (infeasible fibers), in one chunk or one a point
     system, points = case
-    assert system.fiber_bounds(points) == [
+    with pytest.MonkeyPatch.context() as patch:
+        if one_point_per_chunk:
+            patch.setattr(poly, "_CHUNK", 1)
+        bounds = system.fiber_bounds(points)
+    assert bounds == _per_row_fiber_bounds(system, points) == [
         system.restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0) for p in points]
 
 
@@ -278,6 +331,54 @@ def test_fiber_bounds_cases():
     assert system.fiber_bounds([]) == []
     with pytest.raises(ValidationError):
         system.fiber_bounds([(0, 0, 0)])
+
+
+@st.composite
+def _bound_stacks(draw):
+    """A side and stacked bounds nums[r] / dens[r] at a few points, where some rows
+    repeat an earlier row times a positive integer (equal bounds, other numerators)."""
+    ctx = draw(st.sampled_from(_FIBER_FIELDS))
+    size, points = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    entry = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70)
+    nums, dens = [], []
+    for _ in range(size):
+        if nums and draw(st.booleans()):
+            r, scale = draw(st.integers(0, len(nums) - 1)), draw(st.integers(1, 3))
+            nums.append([[x * scale for x in v] for v in nums[r]])
+            dens.append([d * scale for d in dens[r]])
+            continue
+        nums.append(draw(st.lists(st.lists(entry, min_size=ctx.degree, max_size=ctx.degree),
+                                  min_size=points, max_size=points)))
+        dens.append(draw(st.lists(st.integers(1, 4), min_size=points, max_size=points)))
+    dtype = draw(st.sampled_from((np.int64, object)))
+    if dtype is np.int64 and any(abs(x) > 1 << 20 for m in nums for v in m for x in v):
+        dtype = object
+    return ctx, draw(st.sampled_from((-1, 1))), np.array(nums, dtype=dtype).reshape(
+        size, points, ctx.degree), np.array(dens, dtype=dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bound_stacks())
+def test_best_bounds_tournament_keeps_the_per_row_choice(case):
+    # not just the same bound: the same row's numerators, the earlier row on a tie
+    ctx, side, nums, dens = case
+    best, bests = poly._best_bounds(ctx, side, nums, dens)
+    expected, expecteds = _per_row_best(ctx, side, nums, dens)
+    assert best.tolist() == expected.tolist() and bests.tolist() == expecteds.tolist()
+
+
+def test_fiber_tournament_takes_about_log2_rows_kernel_calls_per_side(monkeypatch):
+    # the k = 4 mixed system (8 box rows, 6 upper and 6 lower facet rows), all 16 cube
+    # points in one chunk: one call for the lateral rows, ceil(log2 6) = 3 rounds per
+    # side and one comparison of the sides
+    run = pipeline_run(4, certify=False)
+    kernel, calls = FieldContext.signs_of_int_vectors, []
+    monkeypatch.setattr(FieldContext, "signs_of_int_vectors",
+                        lambda self, w: calls.append(w.shape) or kernel(self, w))
+    cube = list(itertools.product((0, 1), repeat=4))
+    bounds = run.mixed_system.fiber_bounds(cube)
+    assert len(calls) == 1 + 2 * 3 + 1
+    assert all(b.bounded and b.lower == b.upper == run.perturbed(p) for p, b in zip(cube, bounds))
 
 
 # ---------------------------------------------------------------------------
