@@ -290,14 +290,18 @@ def _realize_family(kind: str, k: int, generators, heights: HeightFunction) -> C
     return CoverFamily(kind, tuple(generators), tuple(facets))
 
 
-def _generator_simplices(k: int, generators, points: list[Point], reflected: bool = False
+def _generator_simplices(k: int, generators, points: list[Point], reflect: bool = False
                          ) -> list[list[int]]:
-    """The vertices of each generator's upper facet as indices into points, or with
-    reflected those of its image under x_k -> 1 - x_k: frozensets dominate, tuples permute."""
+    """The vertices of each generator's upper facet as indices into points, then with
+    reflect those of each one's image under x_k -> 1 - x_k, from the same vertices:
+    frozensets dominate, tuples permute."""
     index = {p: i for i, p in enumerate(points)}
-    return [[index[v[:-1] + (1 - v[-1],) if reflected else v] for v in (
-        dominating_facet_vertices if isinstance(gen, frozenset) else permutation_facet_vertices
-    )(k, gen)] for gen in generators]
+    vertices = [(dominating_facet_vertices if isinstance(gen, frozenset)
+                 else permutation_facet_vertices)(k, gen) for gen in generators]
+    simplices = [[index[v] for v in vs] for vs in vertices]
+    if reflect:
+        simplices += [[index[v[:-1] + (1 - v[-1],)] for v in vs] for vs in vertices]
+    return simplices
 
 
 def _require_facets(kind: str, generators, facets) -> None:
@@ -339,10 +343,8 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     generators = tuple(chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
                        + dominating_family(k - 1, "greedy", require_empty=False))
     points, m = list(product((0, 1), repeat=k)), len(generators)
-    facets = facets_from_simplices(
-        points, _generator_simplices(k, generators, points)
-        + _generator_simplices(k, generators, points, reflected=True),
-        heights, ["upper"] * m + ["lower"] * m)
+    facets = facets_from_simplices(points, _generator_simplices(k, generators, points, True),
+                                   heights, ["upper"] * m + ["lower"] * m)
     _require_facets("explicit", generators, facets[:m])
     _require_facets("reflected", generators, facets[m:])
     upper = CoverFamily("explicit", generators, tuple(facets[:m]))

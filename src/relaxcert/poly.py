@@ -117,8 +117,8 @@ class Row:
 
 
 class _Rows:
-    """LinearSystem.rows where the instance has none: a system made by substitute_affine
-    builds them from its integer rows on first read, and keeps them."""
+    """LinearSystem.rows where the instance has none: a system made from integer rows
+    (_lazy) builds them on first read, and keeps them."""
 
     def __get__(self, system, owner=None):
         if system is None:
@@ -217,7 +217,8 @@ class LinearSystem:
         positive rational scaling, rows dominated by an identical coefficient
         vector with smaller rhs, and vacuous constant rows.  Rows that are
         irrational multiples of each other are both kept.  Infeasibility
-        witnesses (0 <= negative) are kept.
+        witnesses (0 <= negative) are kept.  The result keeps the rows'
+        integer numerators and builds their field elements only when read.
         """
         if not 0 <= j < self.num_vars:
             raise ValidationError(f"variable index {j} out of range")
@@ -227,7 +228,14 @@ class LinearSystem:
         names = None
         if self.names is not None:
             names = self.names[:j] + self.names[j + 1:]
-        return LinearSystem(self.context, self.num_vars - 1, _field_rows(self.context, w, e), names)
+        return _from_normalized(self.context, w, e, names)
+
+    def single_variable_rows(self) -> "LinearSystem":
+        """The system of the rows with exactly one nonzero coefficient, in their order."""
+        a, b, dens, _ = self._integer_rows
+        keep = np.flatnonzero((a != 0).any(axis=2).sum(axis=1) == 1).tolist()
+        return _lazy(self.context, self.num_vars, a[keep], b[keep], [dens[r] for r in keep],
+                     self.names)
 
     def coordinate_bounds(self, j: int) -> VarBounds:
         """Best bounds on variable j obtained by eliminating all others.
@@ -267,12 +275,11 @@ class LinearSystem:
 
         Row r reads c y <= s, with every slack s = rhs - coeffs . (p, 0) from
         _evaluate.  c = 0 makes the fiber infeasible where s < 0; any other c
-        bounds y by s times 1/c, a scalar (one broadcast product for a side
-        whose every c is rational) or, for irrational c, its multiplication
-        matrix.  Each side's bounds, stacked, meet in a pairwise tournament
-        (_best_bounds): about log2(rows) kernel calls per side across the
-        points, in chunks of at most about _CHUNK integers, and lower > upper
-        is infeasible.
+        bounds y by s times 1/c, a scalar or, for irrational c, its
+        multiplication matrix.  Each side's bounds, stacked, meet in a pairwise
+        tournament (_best_bounds): about log2(rows) kernel calls per side
+        across the points, in chunks of at most about _CHUNK integers, and
+        lower > upper is infeasible.
         """
         ctx, n, q = self.context, self.context.degree, self.context.radicand.denominator
         if any(len(p) != self.num_vars - 1 for p in points):
@@ -298,12 +305,8 @@ class LinearSystem:
                 rs = np.flatnonzero(sides == side).tolist()
                 if not rs:
                     continue
-                if all(np.ndim(factors[r]) == 0 for r in rs):
-                    nums = slack[rs] * np.array([factors[r] for r in rs], dtype=dtype
-                                                )[:, None, None]
-                else:
-                    nums = np.stack([slack[r] @ factors[r].astype(dtype) if np.ndim(factors[r])
-                                     else slack[r] * factors[r] for r in rs])
+                nums = np.stack([slack[r] @ factors[r].astype(dtype) if np.ndim(factors[r])
+                                 else slack[r] * factors[r] for r in rs])
                 best[side] = _best_bounds(ctx, side, nums, np.array(
                     [[dens[r]] * slack.shape[1] for r in rs], dtype=dtype))
             if len(best) == 2:
@@ -390,9 +393,8 @@ class LinearSystem:
         gs = [math.gcd(c, d) for c, d in zip(content, dens)]
         values //= np.array([g if c else 1 for g, c in zip(gs, content)], dtype=values.dtype
                             )[:, None, None]
-        system = object.__new__(LinearSystem)  # no rows until read (_Rows)
-        system.__dict__.update(context=self.context, num_vars=new_dim, names=None)
-        return _seeded(system, values[:, :-1], values[:, -1], [d // g for d, g in zip(dens, gs)])
+        return _lazy(self.context, new_dim, values[:, :-1], values[:, -1],
+                     [d // g for d, g in zip(dens, gs)])
 
     @cached_property
     def _integer_rows(self) -> tuple[np.ndarray, np.ndarray, list[int], int]:
@@ -405,9 +407,12 @@ class LinearSystem:
             a.append([e.num if e.den == den else [x * (den // e.den) for x in e.num]
                       for e in row.coeffs])
             b.append([x * (den // row.rhs.den) for x in row.rhs.num])
-        return _seeded(self, np.array(a, dtype=object).reshape(len(dens), self.num_vars, n),
-                       np.array(b, dtype=object).reshape(len(dens), n), dens
-                       ).__dict__["_integer_rows"]
+        try:  # int64 straight from the lists, unless an entry needs 64 bits or more
+            a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        except OverflowError:
+            a, b = np.array(a, dtype=object), np.array(b, dtype=object)
+        return _seeded(self, a.reshape(len(dens), self.num_vars, n), b.reshape(len(dens), n),
+                       dens).__dict__["_integer_rows"]
 
     def _evaluate(self, columns: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """(values, rhs, dens): the numerators of sum_j coeffs_j * columns[c][j] in
@@ -467,7 +472,7 @@ class LinearSystem:
         names = None
         if self.names is not None:
             names = tuple(self.names[i] for i in keep)
-        return LinearSystem(self.context, len(keep), _field_rows(self.context, w, e), names)
+        return _from_normalized(self.context, w, e, names)
 
     # -- lattice point enumeration ----------------------------------------------
 
@@ -525,7 +530,8 @@ class LinearSystem:
 # -----------------------------------------------------------------------------
 
 def _top(x: np.ndarray) -> int:
-    return int(np.abs(x).max(initial=0))
+    """The largest |entry| of x, from its max and min (no array of magnitudes)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _seeded(system: LinearSystem, a, b, dens) -> LinearSystem:
@@ -533,6 +539,14 @@ def _seeded(system: LinearSystem, a, b, dens) -> LinearSystem:
     top = max(_top(a), _top(b))
     system.__dict__["_integer_rows"] = (*_fit(top, a, b), dens, top)
     return system
+
+
+def _lazy(context: FieldContext, num_vars: int, a, b, dens, names=None) -> LinearSystem:
+    """The system of the integer rows (a, b, dens) as _integer_rows holds them, each over
+    its least denominator; no rows until read (_Rows)."""
+    system = object.__new__(LinearSystem)
+    system.__dict__.update(context=context, num_vars=num_vars, names=names)
+    return _seeded(system, a, b, dens)
 
 
 def _tracked(system: LinearSystem):
@@ -543,11 +557,12 @@ def _tracked(system: LinearSystem):
                   np.array(dens, dtype=object)), np.eye(len(dens), dtype=bool))
 
 
-def _field_rows(context: FieldContext, w, e) -> tuple[Row, ...]:
-    """The Rows of normalized integer rows: primitive coefficients, rhs w[:, -1] / e."""
-    return tuple(Row(tuple(FieldElement(context, tuple(c), 1) for c in (coeffs // d).tolist()),
-                     _reduced(context, tuple(rhs), d))
-                 for coeffs, rhs, d in zip(w[:, :-1], w[:, -1].tolist(), e.tolist()))
+def _from_normalized(context: FieldContext, w, e, names=None) -> LinearSystem:
+    """The system of normalized integer rows, primitive coefficients w[:, :-1] / e and rhs
+    w[:, -1] / e, each row over its least denominator e / g, g = gcd(e, rhs content)."""
+    g = np.gcd(e, np.gcd.reduce(w[:, -1], axis=1))
+    w, e = w // g[:, None, None], e // g
+    return _lazy(context, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist(), names)
 
 
 def _normalized(context: FieldContext, w, e, history):

@@ -4,10 +4,7 @@ The mixed-integer check follows a double-bookkeeping discipline: per-point
 facet tightness records and independently computed fiber intervals must
 both come out right.  Fibers are decided in batches at every integer point
 of a box bounding the projection, whose points with a nonempty fiber are
-the projection's exact lattice inventory.  The box comes from the system's
-own rows with no continuous term and one nonzero coefficient (a pipeline's
-2k box rows); the Fourier-Motzkin projection is built only when they leave
-some coordinate open, as for the five-row block.  Box checks are honest
+the projection's exact lattice inventory.  Box checks are honest
 finite-window checks; the unbounded part of any claim rests on the
 recorded irrational-ray reasoning, which the recession report makes explicit.
 """
@@ -24,7 +21,7 @@ from ._linalg import kernel_basis
 from .errors import CertificationError, ResourceLimitError, ValidationError
 from .field import FieldElement
 from .lift import HeightFunction
-from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, Row, VarBounds
+from .poly import Box, DEFAULT_POINT_CAP, LinearSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .construct import RelaxationBundle
@@ -97,14 +94,6 @@ def classify_rows(system: LinearSystem) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(upper), tuple(lower), tuple(lateral)
 
 
-def _single_variable_bounds(system: LinearSystem, k: int) -> list[VarBounds]:
-    """propagated_bounds of the system's rows over exactly one of its first k variables
-    and no other, as rows of a k-variable system."""
-    single = tuple(Row(row.coeffs[:k], row.rhs) for row in system.rows
-                   if sum(map(bool, row.coeffs)) == 1 and any(row.coeffs[:k]))
-    return LinearSystem(system.context, k, single).propagated_bounds()
-
-
 def certify_mixed(system: LinearSystem, heights: HeightFunction,
                   cap: int = DEFAULT_POINT_CAP) -> Certificate:
     """Exactly certify that the system's mixed-integer points are the lifted set.
@@ -116,9 +105,9 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
     projection's lattice points, the points of a box (at most cap of them,
     else partial) with a nonempty fiber, with X; and per point, that the
     fiber interval collapses to the stated height.  The box is bounded by
-    the rows over one integer variable and not the continuous one; for a
-    coordinate they leave open, eliminate_variable(k) is built, once, and
-    bounds it by its single-variable rows, else by coordinate_bounds.
+    the single-variable rows of eliminate_variable(k), the only rows of it
+    built as field elements, and by coordinate_bounds for a coordinate they
+    leave open.
     """
     base_points = heights.domain
     k = system.num_vars - 1
@@ -154,15 +143,12 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
         records.append(CoverageRecord(p, tight_upper, tight_lower))
     coverage = tuple(records)
 
-    # every point of Q satisfies the y-free rows, so those over one variable bound the box
-    projection, projected, ranges = None, None, []
-    for j, bounds in enumerate(_single_variable_bounds(system, k)):
+    projection = system.eliminate_variable(k)
+    # the single-variable rows (a pipeline's box rows) often bound every coordinate alone
+    ranges = []
+    for j, bounds in enumerate(projection.single_variable_rows().propagated_bounds()):
         if not bounds.bounded:
-            if projection is None:
-                projection = system.eliminate_variable(k)
-                projected = _single_variable_bounds(projection, k)
-            bounds = projected[j]
-        if not bounds.bounded:
+            # the single-variable rows leave a side open; decide exactly
             bounds = projection.coordinate_bounds(j)
         if bounds.infeasible:
             return refuted(("projection infeasible", j))

@@ -644,7 +644,7 @@ def test_kernel_keeps_the_reference_rows_and_histories_step_by_step(rows, drops)
         w, e, history = poly._eliminate(CTX2, w, e, history, 0, level,
                                         CTX2.signs_of_int_vectors(w[:, 0]))
         tracked = _eliminate_tracked(tracked, 0, level)
-        assert poly._field_rows(CTX2, w, e) == tuple(Row(c, r) for c, r, _ in tracked)
+        assert poly._from_normalized(CTX2, w, e).rows == tuple(Row(c, r) for c, r, _ in tracked)
         assert [frozenset(np.flatnonzero(h).tolist()) for h in history] == [
             h for _, _, h in tracked]
     weaker = _eliminate_tracked(_eliminate_tracked(_tracked_rows(system), 0, 1), 0, 3)
@@ -672,6 +672,26 @@ def test_pipeline_elimination_matches_field_reference(k):
     projection = mixed.eliminate_variable(k)
     assert projection.rows == _field_eliminate(mixed, k)
     assert _same_integer_rows(projection)
+
+
+def test_projection_builds_only_the_rows_it_reads(monkeypatch):
+    """eliminate_variable reduces no field element until rows are read, and its
+    single-variable rows, the k = 3 pipeline's box, are built alone, equal to the
+    reference's, without building the projection's other rows."""
+    from relaxcert import field
+    mixed = pipeline_run(3, certify=False).mixed_system
+    reference = _field_eliminate(mixed, 3)
+    reduced, calls = field._reduced, []
+    monkeypatch.setattr(poly, "_reduced", lambda *args: calls.append(args) or reduced(*args))
+    projection = mixed.eliminate_variable(3)
+    assert projection.num_rows == len(reference) and calls == []
+    single = projection.single_variable_rows()
+    assert single.num_vars == 3 and calls == []
+    assert single.rows == tuple(r for r in reference if sum(map(bool, r.coeffs)) == 1)
+    assert len(calls) == 4 * single.num_rows < 4 * len(reference)
+    assert "rows" not in vars(projection)
+    ctx = mixed.context
+    assert [(b.lower, b.upper) for b in single.propagated_bounds()] == [(ctx.zero, ctx.one)] * 3
 
 
 def test_eliminate_pair_example():
@@ -1279,6 +1299,19 @@ def test_substitute_affine_matches_field_reference(data):
     pulled = system.substitute_affine(matrix, shift)
     assert pulled == _field_substitute(system, matrix, shift)
     assert _same_integer_rows(pulled)
+
+
+@pytest.mark.parametrize("top, dtype", [((1 << 62) - 1, np.int64), (1 << 62, object),
+                                        ((1 << 63) + 1, object), ((1 << 70) + 1, object)])
+def test_integer_rows_are_int64_below_two_to_the_62(top, dtype):
+    # entries from 2**63 on do not fit int64 at all, those from 2**62 on are widened
+    for big in (top, -top):
+        system = system_from([((CTX2.element((big, -1)), 1), CTX2.element((0, -big))),
+                              ((Fraction(1, 2), 0), 3)], 2)
+        a, b, dens, found = system._integer_rows
+        assert a.dtype == b.dtype == dtype and dens == [1, 2] and found == top
+        assert a.tolist() == [[[big, -1], [1, 0]], [[1, 0], [0, 0]]]
+        assert b.tolist() == [[0, -big], [6, 0]]
 
 
 def test_substitute_affine_seeds_the_rebuilt_integer_rows():

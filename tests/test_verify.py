@@ -250,19 +250,16 @@ def test_certify_partial_on_cap():
     assert cert.witness == "box holds 18 lattice points, above the cap of 3"
 
 
-def test_pipeline_box_comes_from_its_own_rows_and_dim5_from_the_projection(monkeypatch):
-    # a pipeline's 2k rows 0 <= x_i <= 1 bound its box, so its projection is never
-    # built; the five-row block has no y-free row and takes the projection's box
-    runs = [pipeline_run(k, certify=False) for k in (2, 3, 4, 5)]
-    dim5, _, dim5_heights = five_row_inputs()
-    eliminate, calls = LinearSystem.eliminate_variable, []
-    monkeypatch.setattr(LinearSystem, "eliminate_variable",
-                        lambda self, j: calls.append(j) or eliminate(self, j))
-    for run in runs:
-        cert = certify_mixed(run.mixed_system, run.perturbed)
-        assert cert.certified and calls == []
-        assert cert.notes[-1].endswith(" " + ",".join(["0:1"] * run.k))
-    assert certify_mixed(dim5, dim5_heights).certified and calls == [3]
+def test_loose_box_rows_take_the_projections_box():
+    # rows 0 <= x_i <= 100 in place of a k = 2 pipeline's box rows hold 101^2 points,
+    # while the projection's own single-variable rows bound it to 0:1,0:1; the box
+    # comes from the projection, so a cap of 4 still certifies
+    run = pipeline_run(2, certify=False)
+    ctx, rows = run.mixed_system.context, run.mixed_system.rows
+    loose = [Row(r.coeffs, ctx.from_rational(100)) if r.rhs == ctx.one else r for r in rows[:4]]
+    system = LinearSystem(ctx, 3, tuple(loose) + rows[4:])
+    cert = certify_mixed(system, run.perturbed, cap=4)
+    assert cert.certified and cert.notes[-1].endswith(" 0:1,0:1")
 
 
 def test_certify_never_enumerates(monkeypatch):
