@@ -20,8 +20,7 @@ from pathlib import Path
 from .construct import (DEFAULT_EPS, RelaxationBundle, composed_simplex_relaxation,
                         pipeline_run, relaxation_bound_table, simplex5_relaxation,
                         stretched_simplex_relaxation)
-from .cover import (chains_to_permutations, dominating_facet_family, dominating_family,
-                    permutation_facet_family, symmetric_chain_cover)
+from .cover import cover_facets, cover_generators, dominating_family
 from .errors import CertificationError, ResourceLimitError, ValidationError
 from .field import as_fraction
 from .lift import HeightFunction
@@ -148,12 +147,12 @@ def _cmd_certify_mixed(args) -> int:
 def _cmd_cover(args) -> int:
     if args.k < 2:
         raise ValidationError("cover construction needs k >= 2")
-    perms = chains_to_permutations(symmetric_chain_cover(args.k - 1), args.k - 1)
-    method = "randomized" if args.method == "random" else "greedy"
-    family = dominating_family(args.k - 1, method, seed=args.seed, require_empty=False)
-    # each family validates every facet it reports
-    perm_count = permutation_facet_family(args.k, perms).size
-    dom_count = dominating_facet_family(args.k, family).size
+    family = (dominating_family(args.k - 1, "randomized", seed=args.seed, require_empty=False)
+              if args.method == "random" else None)
+    generators = cover_generators(args.k, family)
+    cover_facets(args.k, generators)  # validates every facet
+    perm_count = sum(not root for root, _ in generators)
+    dom_count = len(generators) - perm_count
     bound = 2.0 ** (args.k + 3) * math.log(args.k) / (args.k + 1)
     rows = [{"k": args.k, "f_pi": perm_count, "f_b": dom_count,
              "upper_total": perm_count + dom_count, "bound": f"{bound:.3f}"}]

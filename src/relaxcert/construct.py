@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import build_full_cover, dominating_family
+from .cover import build_full_cover, cover_generators
 from .errors import CertificationError, PreconditionError, ValidationError
 from .field import FieldContext, as_fraction, make_context
 from .lift import HeightFunction, affine_interpolant, perturb_heights, staircase_height
@@ -362,15 +361,12 @@ def cube_simplex_split(k: int) -> CubeSimplexSplit:
 
 def pipeline_cover_sizes(k: int) -> dict:
     """Row-count bookkeeping for the chain at a given k, no field arithmetic."""
-    if k < 2:
-        raise ValidationError("pipeline needs k >= 2")
-    perm_count = math.comb(k - 1, (k - 1) // 2)
-    dom = dominating_family(k - 1, "greedy", require_empty=False)
-    upper = perm_count + len(dom)
+    roots = [root for root, _ in cover_generators(k)]
+    perm_count, upper = roots.count(frozenset()), len(roots)
     return {
         "k": k,
         "permutation_facets": perm_count,
-        "dominating_facets": len(dom),
+        "dominating_facets": upper - perm_count,
         "upper_total": upper,
         "rows": 2 * k + 2 * upper,
     }

@@ -1,12 +1,11 @@
 """Covering machinery on the Boolean lattice and on lifted cube vertices.
 
-Symmetric chain decompositions realize the binomial covering optimum for
-chains; permutation-prefix facets cover the top layer of the lifted cube
-and dominating-set facets the bottom layer.  Each family is built and
-checked by one lift.facets_from_simplices call, and so is the full cover:
-the upper facets of both families with their reflections as lower facets.
-A small branch-and-bound set cover gives exact covering numbers on small
-instances.
+Every cover facet comes from a root S of [k-1] with an order of the rest:
+S and its one-smaller subsets on the bottom layer, a chain up to [k-1] on
+the top.  Empty roots, one per symmetric chain, cover the top layer and a
+dominating family of roots the bottom; the full cover is one
+lift.facets_from_simplices call, reflections included.  A small
+branch-and-bound set cover gives exact covering numbers on small instances.
 """
 
 from __future__ import annotations
@@ -242,114 +241,91 @@ def _randomized_dominating(n: int, seed: int | None, require_empty: bool) -> set
 # facet families on the lifted cube
 # ---------------------------------------------------------------------------
 
-def _unit(k: int, index: int) -> tuple[int, ...]:
-    """Unit vector with a 1 at 1-based position index."""
-    return tuple(1 if i == index - 1 else 0 for i in range(k))
-
-
-def _vec_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def permutation_facet_vertices(k: int, perm: Sequence[int]) -> tuple[Point, ...]:
-    """Vertex set 0, e_k, and the prefix sums e_k + e_perm(1) + ... + e_perm(t)."""
-    if sorted(perm) != list(range(1, k)):
-        raise ValidationError(f"{perm} is not a permutation of [{k - 1}]")
-    verts = [tuple([0] * k), _unit(k, k)]
-    current = _unit(k, k)
-    for element in perm:
-        current = _vec_add(current, _unit(k, element))
-        verts.append(current)
+def facet_vertices(k: int, root: Iterable[int], order: Sequence[int]) -> tuple[Point, ...]:
+    """Upper facet vertices e_S, e_S + e_k, each e_S - e_j for j in sorted(S), then the
+    top-layer chain from S up to [k-1] that adds order's elements one at a time."""
+    root, order = frozenset(root), tuple(order)
+    universe = set(range(1, k))
+    if not root <= universe or sorted(order) != sorted(universe - root):
+        raise ValidationError(f"({sorted(root)}, {order}) is no (root, order) pair over [{k - 1}]")
+    bottom = tuple(int(i in root) for i in range(1, k))
+    verts = [bottom + (0,), bottom + (1,)]
+    verts += [tuple(0 if i == j else x for i, x in enumerate(bottom, 1)) + (0,)
+              for j in sorted(root)]
+    top = list(bottom)
+    for element in order:
+        top[element - 1] = 1
+        verts.append(tuple(top) + (1,))
     return tuple(verts)
 
 
-def dominating_facet_vertices(k: int, subset: frozenset[int]) -> tuple[Point, ...]:
-    """Vertex set built from a nonempty subset of [k-1] and its one-smaller subsets."""
-    if not subset:
-        raise ValidationError("the empty set does not generate a facet")
-    if not subset <= set(range(1, k)):
-        raise ValidationError(f"{sorted(subset)} is not a subset of [{k - 1}]")
-    e_b = tuple(1 if i + 1 in subset else 0 for i in range(k))
-    verts = [e_b, _vec_add(e_b, _unit(k, k))]
-    for j in sorted(subset):
-        verts.append(tuple(0 if i + 1 == j else v for i, v in enumerate(e_b)))
-    rest = sorted(set(range(1, k)) - subset)
-    current = _vec_add(e_b, _unit(k, k))
-    for element in rest:
-        current = _vec_add(current, _unit(k, element))
-        verts.append(current)
-    return tuple(verts)
+def cover_generators(k: int, family: Sequence[frozenset[int]] | None = None
+                     ) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+    """The upper cover's (root, order) generators: each chain of the symmetric chain
+    cover of [k-1], read as a permutation and rooted at the empty set, then each
+    subset of the dominating family (greedy by default) with its sorted completion."""
+    if k < 2:
+        raise ValidationError("cover construction needs k >= 2")
+    if family is None:
+        family = dominating_family(k - 1, "greedy", require_empty=False)
+    perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
+    return (tuple((frozenset(), perm) for perm in perms)
+            + tuple((b, tuple(sorted(set(range(1, k)) - b))) for b in map(frozenset, family)))
 
 
-def _realize_family(kind: str, k: int, generators, heights: HeightFunction) -> CoverFamily:
-    """The upper facets of the generators, by one call."""
+def cover_facets(k: int, generators, heights: HeightFunction | None = None,
+                 reflect: bool = False) -> tuple[FacetSimplex, ...]:
+    """The upper facets of the (root, order) generators, then with reflect the lower
+    facets of their images under x_k -> 1 - x_k, validated by one facets_from_simplices
+    call; the heights default to staircase_height(k)."""
+    heights = heights if heights is not None else staircase_height(k)
     points = list(product((0, 1), repeat=k))
-    facets = facets_from_simplices(points, _generator_simplices(k, generators, points),
-                                   heights, "upper")
-    _require_facets(kind, generators, facets)
-    return CoverFamily(kind, tuple(generators), tuple(facets))
-
-
-def _generator_simplices(k: int, generators, points: list[Point], reflect: bool = False
-                         ) -> list[list[int]]:
-    """The vertices of each generator's upper facet as indices into points, then with
-    reflect those of each one's image under x_k -> 1 - x_k, from the same vertices:
-    frozensets dominate, tuples permute."""
     index = {p: i for i, p in enumerate(points)}
-    vertices = [(dominating_facet_vertices if isinstance(gen, frozenset)
-                 else permutation_facet_vertices)(k, gen) for gen in generators]
+    vertices = [facet_vertices(k, root, order) for root, order in generators]
     simplices = [[index[v] for v in vs] for vs in vertices]
     if reflect:
         simplices += [[index[v[:-1] + (1 - v[-1],)] for v in vs] for vs in vertices]
-    return simplices
-
-
-def _require_facets(kind: str, generators, facets) -> None:
-    for gen, facet in zip(generators, facets):
+    m = len(vertices)
+    facets = facets_from_simplices(points, simplices, heights,
+                                   ["upper"] * m + ["lower"] * m if reflect else "upper")
+    for gen, facet in zip(tuple(generators) * 2, facets):
         if facet is None:
-            raise AssertionError(f"{kind} generator {gen} fails facet validation")
+            raise AssertionError(f"generator {gen} fails facet validation")
+    return tuple(facets)
 
 
 def permutation_facet_family(k: int, perms: Sequence[Sequence[int]],
                              heights: HeightFunction | None = None) -> CoverFamily:
     """Validated upper facets for permutations of [k-1] under staircase heights."""
-    heights = heights if heights is not None else staircase_height(k)
     perms = tuple(tuple(p) for p in perms)
-    return _realize_family("permutation", k, perms, heights)
+    return CoverFamily("permutation", perms,
+                       cover_facets(k, [(frozenset(), p) for p in perms], heights))
 
 
 def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
                             heights: HeightFunction | None = None) -> CoverFamily:
-    """Validated upper facets for a dominating family of subsets of [k-1]."""
-    heights = heights if heights is not None else staircase_height(k)
+    """Validated upper facets for a dominating family of nonempty subsets of [k-1]."""
     family = tuple(frozenset(b) for b in family)
+    if frozenset() in family:
+        raise ValidationError("the empty set does not generate a dominating facet")
     if not is_dominating_family(family, k - 1, require_empty=False):
         raise PreconditionError("family is not dominating over the nonempty subsets")
-    return _realize_family("dominating", k, family, heights)
+    rooted = [gen for gen in cover_generators(k, family) if gen[0]]
+    return CoverFamily("dominating", family, cover_facets(k, rooted, heights))
 
 
 def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     """Upper and lower simplicial facet covers of the lifted cube vertices.
 
-    Upper facets come from the symmetric-chain permutations plus a greedy
-    dominating family; lower facets are their images under the reflection
-    that flips the last coordinate and negates the height.  Both sides are
-    one facets_from_simplices call, with one orientation per candidate, and
-    both cover all 2^k lifted points.
+    Upper facets come from cover_generators(k), lower facets from their
+    images under the reflection that flips the last coordinate and negates
+    the height; both cover all 2^k lifted points.
     """
-    if k < 2:
-        raise ValidationError("cover construction needs k >= 2")
-    heights = staircase_height(k)
-    generators = tuple(chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
-                       + dominating_family(k - 1, "greedy", require_empty=False))
-    points, m = list(product((0, 1), repeat=k)), len(generators)
-    facets = facets_from_simplices(points, _generator_simplices(k, generators, points, True),
-                                   heights, ["upper"] * m + ["lower"] * m)
-    _require_facets("explicit", generators, facets[:m])
-    _require_facets("reflected", generators, facets[m:])
-    upper = CoverFamily("explicit", generators, tuple(facets[:m]))
-    lower = CoverFamily("explicit", generators, tuple(facets[m:]))
-    if not upper.covered_points() == lower.covered_points() == set(points):
+    generators = cover_generators(k)
+    facets = cover_facets(k, generators, reflect=True)
+    upper = CoverFamily("explicit", generators, facets[:len(generators)])
+    lower = CoverFamily("explicit", generators, facets[len(generators):])
+    if not upper.covered_points() == lower.covered_points() == set(product((0, 1), repeat=k)):
         raise AssertionError("facet families leave lifted vertices uncovered")
     return upper, lower
 
@@ -370,16 +346,14 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
     Every candidate is screened at once by lift._screen_facets, in blocks of
     bounded memory; only survivors become FacetSimplex values, in
     combinations order.
-    An empty list, points of mixed dimension and points outside the heights'
-    domain are refused with ValidationError before any candidate is counted.
+    An empty list and points outside the heights' domain (mixed dimensions
+    among them) are refused with ValidationError before any candidate is counted.
     """
     pts = sorted(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValidationError("facet enumeration needs at least one point")
-    k = len(pts[0])
-    if any(len(p) != k for p in pts):
-        raise ValidationError(f"points of mixed dimension; the first has dimension {k}")
     heights._require_domain(pts)
+    k = len(pts[0])
     candidates = math.comb(len(pts), k + 1)
     if candidates > _ENUMERATION_CANDIDATE_GUARD:
         raise ResourceLimitError(

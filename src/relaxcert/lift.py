@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, product
 from typing import Iterable, Sequence
 
@@ -156,8 +156,9 @@ class AffineFunction:
         return sum((c * x for c, x in zip(self.coeffs, point) if x), self.offset)
 
 
+@lru_cache(maxsize=16)
 def staircase_height(k: int) -> HeightFunction:
-    """Height (2*x_k - 1) * (x_1 + ... + x_(k-1))**2 on all of {0,1}^k."""
+    """Height (2*x_k - 1) * (x_1 + ... + x_(k-1))**2 on all of {0,1}^k, built once per k."""
     if k < 2:
         raise ValidationError("staircase heights need dimension k >= 2")
     ctx = make_context(1, 2)

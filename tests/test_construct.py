@@ -458,7 +458,7 @@ def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeyp
     # perturb_heights builds the cover rows, and pipeline_run takes them as they are: one
     # refusal screen on the given heights and one rebuild on the perturbed heights, each
     # over the whole cover with both orientations, and one cover screen before them, also
-    # with both orientations
+    # with both orientations and on the same staircase heights as the refusal screen
     screened, calls = lift._screened, []
 
     def counting(points, simplices, heights, orientation):
@@ -472,9 +472,18 @@ def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeyp
         assert set(sides) == {"upper", "lower"}
         calls.clear()
         run = pipeline_run(k)
-        for heights in (run.heights, run.perturbed):
-            assert [o for h, o in calls if h is heights] == [sides]
+        assert [o for h, o in calls if h is run.heights] == [sides, sides]
+        assert [o for h, o in calls if h is run.perturbed] == [sides]
         assert len(calls) == 3
+
+
+def test_pipeline_builds_its_staircase_heights_once():
+    # the pipeline and its cover read one staircase height function per k
+    lift.staircase_height.cache_clear()
+    run = pipeline_run(3, certify=False)
+    info = lift.staircase_height.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    assert staircase_height(3) is run.heights
 
 
 def test_one_block_budget_splits_every_kernel_and_changes_no_result(monkeypatch):

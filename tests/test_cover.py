@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from relaxcert import cover, lift, poly
 from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations,
-                             dominating_facet_family, dominating_facet_vertices,
-                             dominating_family, enumerate_simplicial_lower_facets,
+                             cover_generators, dominating_facet_family, dominating_family,
+                             enumerate_simplicial_lower_facets,
                              enumerate_simplicial_upper_facets, exact_min_cover,
-                             is_dominating_family, permutation_facet_family,
+                             facet_vertices, is_dominating_family, permutation_facet_family,
                              symmetric_chain_cover)
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ResourceLimitError, ValidationError)
@@ -184,15 +184,71 @@ def test_dominating_facet_family_k3():
 
 
 def test_dominating_facet_rejects_empty_generator():
-    with pytest.raises(ValidationError):
-        dominating_facet_vertices(3, frozenset())
+    # the empty root is a legal generator (a permutation facet), but not a
+    # dominating one, and a root with an order that misses the rest is malformed
+    with pytest.raises(ValidationError, match="empty set"):
+        dominating_facet_family(3, [frozenset(), frozenset({1, 2})])
+    with pytest.raises(ValidationError, match=r"no \(root, order\) pair"):
+        facet_vertices(3, frozenset(), ())
     with pytest.raises(PreconditionError):
         dominating_facet_family(3, [])
 
 
 def test_dominating_facet_k4_single_subset():
-    verts = dominating_facet_vertices(4, frozenset({2}))
+    verts = facet_vertices(4, frozenset({2}), (1, 3))
     assert (0, 1, 0, 0) in verts and (0, 0, 0, 0) in verts
+
+
+def test_facet_vertices_reproduce_the_permutation_and_dominating_facets():
+    # an empty root gives the permutation facet 0, e_4, e_4 + e_2, ... of (2, 1, 3); a root
+    # {1, 3} with its completion the dominating facet of {1, 3}, vertex for vertex
+    assert facet_vertices(4, frozenset(), (2, 1, 3)) == (
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1))
+    assert facet_vertices(4, {1, 3}, (2,)) == (
+        (1, 0, 1, 0), (1, 0, 1, 1), (0, 0, 1, 0), (1, 0, 0, 0), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("root,order", [
+    ({4}, (1, 2, 3)),      # root outside [k-1]
+    ({0, 1}, (2, 3)),      # root outside [k-1]
+    ({1}, (2,)),           # order misses an element of the rest
+    ({1}, (1, 2, 3)),      # order repeats the root
+    (set(), (1, 2, 2, 3)),  # repeated element
+    (set(), (1, 2, 2)),    # repeated element in place of a missing one
+])
+def test_facet_vertices_refuse_malformed_generators(root, order):
+    with pytest.raises(ValidationError, match=r"no \(root, order\) pair"):
+        facet_vertices(4, root, order)
+
+
+@pytest.mark.parametrize("k,count", [(2, 2), (3, 5), (4, 16), (5, 65), (6, 326)])
+def test_every_root_and_order_is_an_upper_facet(k, count):
+    # each subset S of [k-1] with each order of the rest, screened in one call
+    points, rest = cube(k), set(range(1, k))
+    index = {p: i for i, p in enumerate(points)}
+    generators = [(frozenset(root), order) for size in range(k)
+                  for root in combinations(sorted(rest), size)
+                  for order in permutations(sorted(rest - set(root)))]
+    assert len(generators) == count
+    simplices = [[index[v] for v in facet_vertices(k, root, order)]
+                 for root, order in generators]
+    facets = lift.facets_from_simplices(points, simplices, staircase_height(k), "upper")
+    assert all(f is not None and f.orientation == "upper" for f in facets)
+
+
+def test_cover_generators_compose_chains_and_a_dominating_family():
+    for k in (2, 3, 4, 5):
+        perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
+        family = dominating_family(k - 1, "randomized", seed=k, require_empty=False)
+        generators = cover_generators(k, family)
+        assert generators[:len(perms)] == tuple((frozenset(), p) for p in perms)
+        assert [root for root, _ in generators[len(perms):]] == list(family)
+        assert all(order == tuple(sorted(set(range(1, k)) - root))
+                   for root, order in generators[len(perms):])
+        greedy = dominating_family(k - 1, "greedy", require_empty=False)
+        assert cover_generators(k) == cover_generators(k, greedy)
+    with pytest.raises(ValidationError, match="k >= 2"):
+        cover_generators(1)
 
 
 def test_closed_form_rows_match_determinant_rows():
@@ -214,7 +270,7 @@ def test_closed_form_rows_match_determinant_rows():
         for family in (dominating_family(k - 1, require_empty=False),):
             for subset in family:
                 facet = facet_inequality_from_simplex(
-                    dominating_facet_vertices(k, subset), h, "upper")
+                    facet_vertices(k, subset, sorted(set(range(1, k)) - subset)), h, "upper")
                 b = len(subset)
                 scale = facet.y_coeff
                 coeffs = [(c / scale).as_fraction() for c in facet.coeffs]
@@ -283,7 +339,8 @@ def test_enumeration_refuses_empty_point_list():
 
 
 def test_enumeration_refuses_mixed_dimensions():
-    with pytest.raises(ValidationError, match="mixed dimension"):
+    # the heights' domain has one dimension, so its check refuses the mixed list
+    with pytest.raises(ValidationError, match="outside the heights' domain"):
         enumerate_simplicial_upper_facets([(0, 0), (1, 0, 1)], staircase_height(2))
 
 
