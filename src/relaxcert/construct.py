@@ -6,7 +6,8 @@ composition and the join-based bound for arbitrary dimension, the
 cube-projection simplex copy, and the full project/lift/relax chain for
 dimensions of the form 2**k - 1.  The composed bound is one n-ary join; its
 block is certified once per (eps, cap), with refutations not cached, and
-pulled back once per (a, eps, cap).
+pulled back once per (a, eps, cap).  The chain reads its staircase heights
+and its lifted cube cover, each built once per k in a process.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Every cover facet comes from a root S of [k-1] with an order of the rest:
 S and its one-smaller subsets on the bottom layer, a chain up to [k-1] on
 the top.  Empty roots, one per symmetric chain, cover the top layer and a
 dominating family of roots the bottom; the full cover is one
-lift.facets_from_simplices call, reflections included.  A small
-branch-and-bound set cover gives exact covering numbers on small instances.
+lift.facets_from_simplices call, reflections included, made once per k in
+a process.  A small branch-and-bound set cover gives exact covering numbers
+on small instances.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, product
 from typing import Iterable, Sequence
 
@@ -41,10 +43,8 @@ class Chain:
 
 @dataclass(frozen=True)
 class CoverFamily:
-    """Validated facets plus the generators that produced them."""
+    """Validated facets of a lifted cube cover."""
 
-    kind: str  # "permutation", "dominating", or "explicit"
-    generators: tuple
     facets: tuple[FacetSimplex, ...]
 
     @property
@@ -297,9 +297,7 @@ def cover_facets(k: int, generators, heights: HeightFunction | None = None,
 def permutation_facet_family(k: int, perms: Sequence[Sequence[int]],
                              heights: HeightFunction | None = None) -> CoverFamily:
     """Validated upper facets for permutations of [k-1] under staircase heights."""
-    perms = tuple(tuple(p) for p in perms)
-    return CoverFamily("permutation", perms,
-                       cover_facets(k, [(frozenset(), p) for p in perms], heights))
+    return CoverFamily(cover_facets(k, [(frozenset(), p) for p in perms], heights))
 
 
 def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
@@ -311,20 +309,19 @@ def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
     if not is_dominating_family(family, k - 1, require_empty=False):
         raise PreconditionError("family is not dominating over the nonempty subsets")
     rooted = [gen for gen in cover_generators(k, family) if gen[0]]
-    return CoverFamily("dominating", family, cover_facets(k, rooted, heights))
+    return CoverFamily(cover_facets(k, rooted, heights))
 
 
+@lru_cache(maxsize=16)
 def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
-    """Upper and lower simplicial facet covers of the lifted cube vertices.
+    """Upper and lower simplicial facet covers of the lifted cube vertices, built once per k.
 
     Upper facets come from cover_generators(k), lower facets from their
     images under the reflection that flips the last coordinate and negates
-    the height; both cover all 2^k lifted points.
+    the height; both cover all 2^k lifted points under staircase_height(k).
     """
-    generators = cover_generators(k)
-    facets = cover_facets(k, generators, reflect=True)
-    upper = CoverFamily("explicit", generators, facets[:len(generators)])
-    lower = CoverFamily("explicit", generators, facets[len(generators):])
+    facets = cover_facets(k, generators := cover_generators(k), reflect=True)
+    upper, lower = CoverFamily(facets[:len(generators)]), CoverFamily(facets[len(generators):])
     if not upper.covered_points() == lower.covered_points() == set(product((0, 1), repeat=k)):
         raise AssertionError("facet families leave lifted vertices uncovered")
     return upper, lower

@@ -13,6 +13,9 @@ LinearSystem, whose memberships sign every row at every lifted point
 (check_facets).  The perturbation routine gives a chosen subset irrational
 height offsets along powers of a root of 2 and rebuilds a given facet
 cover under them, halving the offsets until every rebuilt facet is valid.
+Its first rebuild also decides whether the cover is refused: the power-0
+parts of that rebuild's slacks are the slacks under the given heights,
+up to a positive factor.
 """
 
 from __future__ import annotations
@@ -256,9 +259,19 @@ def _determinants(m: np.ndarray) -> np.ndarray:
     return sign * prev
 
 
+def _positive_off_own(positive: np.ndarray, kept: np.ndarray, own: np.ndarray,
+                      size: int) -> np.ndarray:
+    """Bool mask over a block of size candidates: kept, and positive at every point off
+    its own vertices; positive (kept candidates x points) is overwritten at own."""
+    positive[np.arange(len(own))[:, None], own] = True
+    valid = np.zeros(size, dtype=bool)
+    valid[kept] = positive.all(axis=1)
+    return valid
+
+
 def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
               heights: HeightFunction, orientation: str | Sequence[str]):
-    """Yield (kept, vertices, lead, C, valid) for each block of candidate simplices.
+    """Yield (kept, vertices, lead, C, valid, slacks) for each block of candidate simplices.
 
     simplices yields (k+1)-tuples of indices into points, k the heights'
     dimension, read in blocks whose largest array holds about poly._CHUNK
@@ -271,7 +284,8 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     slacks C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
     signs_of_int_vectors signs at once.  A slack at a candidate's own
     vertex must be a zero vector, else AssertionError; valid marks the
-    block's facets, whose other slacks are all positive.  The elimination
+    block's facets, whose other slacks are all positive, and slacks (kept
+    candidates x points x basis) are the vectors signed.  The elimination
     is int64 when a bound on every product it forms stays below 2^62, and
     Python integers (dtype object) otherwise.
     """
@@ -303,20 +317,17 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
             rows[index].transpose(1, 2, 0).copy(), part)
         slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
         own[swapped, :2] = own[swapped, 1::-1]
-        at = np.arange(len(own))[:, None]
-        if slacks[at, own].any():
+        if slacks[np.arange(len(own))[:, None], own].any():
             raise AssertionError("facet row not tight at its own vertex")
-        positive, valid = ctx.signs_of_int_vectors(slacks) > 0, np.zeros(len(block), dtype=bool)
-        positive[at, own] = True
-        valid[kept] = positive.all(axis=1)
-        yield kept, own, lead, cofactors, valid
+        valid = _positive_off_own(ctx.signs_of_int_vectors(slacks) > 0, kept, own, len(block))
+        yield kept, own, lead, cofactors, valid, slacks
 
 
 def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
                    heights: HeightFunction, orientation: str | Sequence[str]) -> np.ndarray:
     """Bool mask: is each candidate simplex a valid facet of its orientation (as for _screened)?"""
     return np.concatenate([np.zeros(0, dtype=bool), *(
-        valid for *_, valid in _screened(points, simplices, heights, orientation))])
+        valid for *_, valid, _ in _screened(points, simplices, heights, orientation))])
 
 
 def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[Sequence[int]],
@@ -329,9 +340,17 @@ def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[S
     re-derives the survivors' leads from their [1, v] stacks."""
     pts = [tuple(int(x) for x in p) for p in points]
     heights._require_domain(pts)
+    return [f for block, *_ in _built(pts, simplices, heights, orientation) for f in block]
+
+
+def _built(pts: Sequence[Point], simplices: Iterable[Sequence[int]], heights: HeightFunction,
+           orientation: str | Sequence[str]):
+    """Yield (facets, kept, vertices, slacks) for each block of _screened over points
+    of the heights' domain, the block's facets (or None) as facets_from_simplices
+    returns them and the rest as _screened yields them."""
     ctx, den, k = heights.context, heights._numerators[0], heights.dimension
-    facets: list[FacetSimplex | None] = []
-    for kept, own, lead, cofactors, valid in _screened(pts, simplices, heights, orientation):
+    for kept, own, lead, cofactors, valid, slacks in _screened(pts, simplices, heights,
+                                                               orientation):
         block: list[FacetSimplex | None] = [None] * len(valid)
         lead = lead[live := np.flatnonzero(valid[kept])]
         verts = [[pts[j] for j in row] for row in own[live].tolist()]
@@ -346,8 +365,7 @@ def facets_from_simplices(points: Sequence[Sequence[int]], simplices: Iterable[S
             rhs, *coeffs = (FieldElement(ctx, tuple(v), d) for v, d in zip(nums, dens))
             block[i] = FacetSimplex(tuple(vs), "upper" if y > 0 else "lower", tuple(coeffs),
                                     ctx.from_rational(y), rhs)
-        facets += block
-    return facets
+        yield block, kept, own, slacks
 
 
 def facet_inequality_from_simplex(vertices: Sequence[Sequence[int]],
@@ -432,9 +450,11 @@ def perturb_heights(base: Iterable[Sequence[int]],
     Returns (heights, eps, facets), the rebuilt facets in the order of
     `cover`; with nothing to move, the given heights, 0 and the cover
     itself.  The first cover facet whose vertices span no valid facet under
-    the given heights (one _screen_facets call) is refused before any
-    halving: DegenerateSimplexError if they are affinely dependent, else
-    PreconditionError.
+    the given heights is refused before any halving: DegenerateSimplexError
+    if they are affinely dependent, else PreconditionError.  The eps = 1
+    rebuild's slacks decide it, since every offset is eps * c**j with j >= 1
+    and so their power-0 parts are positive multiples of the slacks under
+    the given heights; with nothing to move, one _screen_facets call does.
     """
     x_set = {tuple(int(v) for v in p) for p in base}
     y_list = sorted(tuple(int(v) for v in p) for p in moved)
@@ -451,32 +471,43 @@ def perturb_heights(base: Iterable[Sequence[int]],
         raise DegenerateSimplexError(f"cover facet {bad[0]} needs {len(t_points[0]) + 1} vertices")
     index, sides = {p: i for i, p in enumerate(t_points)}, [f.orientation for f in cover]
     simplices = [[index[v] for v in facet.vertices] for facet in cover]
-    if not (valid := _screen_facets(t_points, simplices, heights, sides)).all():
-        facet = cover[int(valid.argmin())]
-        _facet_row(facet.vertices, heights, facet.orientation)  # an affinely dependent set raises
-        raise PreconditionError(f"cover facet {facet.vertices} is invalid under the given heights")
+
+    def refuse_invalid(valid: np.ndarray) -> None:
+        if not valid.all():
+            facet = cover[int(valid.argmin())]
+            _facet_row(facet.vertices, heights, facet.orientation)  # an affinely dependent set raises
+            raise PreconditionError(
+                f"cover facet {facet.vertices} is invalid under the given heights")
+
     if not y_list:
+        refuse_invalid(_screen_facets(t_points, simplices, heights, sides))
         return heights, Fraction(0), tuple(cover)
 
-    degree = len(y_list) + 1
-    ctx = make_context(degree, 2)
-    rational = {p: heights(p).as_fraction() for p in t_points}
+    ctx, rational = make_context(len(y_list) + 1, 2), [heights(p).as_fraction() for p in t_points]
+    offsets = {p: j + 1 for j, p in enumerate(y_list)}
 
     def build(eps: Fraction) -> HeightFunction:
-        pairs = []
-        for p in t_points:
-            value = ctx.from_rational(rational[p])
+        # over one denominator D: num[0] = h(p) D and, on the j-th moved point, num[j] = eps D
+        den = math.lcm(eps.denominator, *(r.denominator for r in rational))
+        values = {}
+        for p, r in zip(t_points, rational):
+            num = [r.numerator * (den // r.denominator)] + [0] * (ctx.degree - 1)
             if p in offsets:
-                value = value + ctx.root_power(offsets[p]) * eps
-            pairs.append((p, value))
-        return HeightFunction.from_pairs(pairs)
+                num[offsets[p]] = eps.numerator * (den // eps.denominator)
+            values[p] = _reduced(ctx, tuple(num), den)
+        return HeightFunction(tuple(t_points), values)
 
-    offsets = {p: j + 1 for j, p in enumerate(y_list)}
-    for t in range(64):
-        candidate = build(eps := Fraction(1, 1 << t))
-        if None not in (rebuilt := facets_from_simplices(t_points, simplices, candidate, sides)):
-            return candidate, eps, tuple(rebuilt)
-    raise ArithmeticError("no perturbation size accepted after 64 halvings")
+    candidate, rebuilt, valid = build(eps := Fraction(1)), [], [np.zeros(0, dtype=bool)]
+    for block, kept, own, slacks in _built(t_points, simplices, candidate, sides):
+        rebuilt += block
+        valid.append(_positive_off_own(slacks[..., 0] > 0, kept, own, len(block)))
+    refuse_invalid(np.concatenate(valid))
+    while None in rebuilt:
+        if eps.denominator == 1 << 63:
+            raise ArithmeticError("no perturbation size accepted after 64 halvings")
+        candidate = build(eps := eps / 2)
+        rebuilt = facets_from_simplices(t_points, simplices, candidate, sides)
+    return candidate, eps, tuple(rebuilt)
 
 
 def affine_interpolant(points: Sequence[Sequence[int]],

@@ -456,9 +456,9 @@ def test_pipeline_k7_certifies():
 
 def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeypatch):
     # perturb_heights builds the cover rows, and pipeline_run takes them as they are: one
-    # refusal screen on the given heights and one rebuild on the perturbed heights, each
-    # over the whole cover with both orientations, and one cover screen before them, also
-    # with both orientations and on the same staircase heights as the refusal screen
+    # rebuild on the perturbed heights over the whole cover with both orientations, which
+    # also decides the refusal; a cold cover adds one screen before it, also with both
+    # orientations, on the staircase heights
     screened, calls = lift._screened, []
 
     def counting(points, simplices, heights, orientation):
@@ -472,18 +472,44 @@ def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeyp
         assert set(sides) == {"upper", "lower"}
         calls.clear()
         run = pipeline_run(k)
-        assert [o for h, o in calls if h is run.heights] == [sides, sides]
-        assert [o for h, o in calls if h is run.perturbed] == [sides]
-        assert len(calls) == 3
+        assert calls == [(run.perturbed, sides)] and calls[0][0] is run.perturbed
+        cover.build_full_cover.cache_clear()
+        calls.clear()
+        run = pipeline_run(k)
+        assert calls == [(run.heights, sides), (run.perturbed, sides)]
+        assert calls[0][0] is run.heights and calls[1][0] is run.perturbed
 
 
 def test_pipeline_builds_its_staircase_heights_once():
-    # the pipeline and its cover read one staircase height function per k
+    # the pipeline and its cover, built cold, read one staircase height function per k
     lift.staircase_height.cache_clear()
+    cover.build_full_cover.cache_clear()
     run = pipeline_run(3, certify=False)
     info = lift.staircase_height.cache_info()
     assert info.misses == 1 and info.hits >= 1
     assert staircase_height(3) is run.heights
+
+
+def test_full_cover_is_built_once_per_k():
+    assert cover.build_full_cover(3) is cover.build_full_cover(3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pipeline_artifacts_do_not_depend_on_a_warm_cover(monkeypatch, k):
+    # a cold cover, then the one it left in the cache, then that one under another block
+    # budget: the same bundle, mixed system, heights and certificate
+    def artifacts():
+        run = pipeline_run(k)
+        return [x.to_json_dict() for x in (run.bundle, run.mixed_system, run.heights,
+                                           run.perturbed, run.certificate)]
+
+    cover.build_full_cover.cache_clear()
+    cold = artifacts()
+    assert cover.build_full_cover.cache_info().misses == 1
+    assert artifacts() == cold
+    monkeypatch.setattr(poly, "_CHUNK", 8)
+    assert artifacts() == cold
+    assert cover.build_full_cover.cache_info()[:2] == (2, 1)  # (hits, misses)
 
 
 def test_one_block_budget_splits_every_kernel_and_changes_no_result(monkeypatch):

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxcert._linalg import determinant
@@ -773,13 +773,22 @@ def test_perturb_refuses_dependent_cover_facet_before_halving(monkeypatch):
     flat = FacetSimplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), "upper",
                         (h.context.zero,) * 3, one, one * 100)
     assert check_upper_facet(flat, points, h).valid
+    # every rebuild, the halvings' facets_from_simplices calls too, goes through _built
+    built, seen = lift._built, []
 
-    def no_halving(*args):
-        raise AssertionError("a halving ran before the degenerate facet was refused")
+    def eps_one_only(points, simplices, heights, orientation):
+        offset = heights(moved[0]) - heights.context.from_rational(h(moved[0]).as_fraction())
+        if offset != heights.context.root_power(1):
+            raise AssertionError("a halving ran before the degenerate facet was refused")
+        seen.append(len(simplices))
+        yield from built(points, simplices, heights, orientation)
+        seen.append("screened")
 
-    monkeypatch.setattr(lift, "facets_from_simplices", no_halving)
+    monkeypatch.setattr(lift, "_built", eps_one_only)
+    cover = build_cover_k3() + (flat,)
     with pytest.raises(DegenerateSimplexError):
-        perturb_heights(base, moved, h, build_cover_k3() + (flat,))
+        perturb_heights(base, moved, h, cover)
+    assert seen == [len(cover), "screened"]  # refused after the eps = 1 screen, not before
 
 
 def test_perturb_refuses_cover_facet_with_the_wrong_vertex_count():
@@ -797,6 +806,83 @@ def test_perturb_rejects_bad_partition():
     points = cube(2)
     with pytest.raises(PreconditionError):
         perturb_heights(points[:2], points[1:], staircase_height(2), [])
+
+
+def _cover_of(heights, facets):
+    """(vertices, orientation) pairs as FacetSimplex values with placeholder rows: a
+    cover, as perturb_heights reads only its vertices and orientations."""
+    zero, one = heights.context.zero, heights.context.one
+    return tuple(FacetSimplex(tuple(vs), side, (zero,) * heights.dimension, one, one)
+                 for vs, side in facets)
+
+
+def _reference_refusal(base, moved, heights, cover):
+    """(error type, message) of the refusal as one screen of the cover under the given
+    heights decides it, with _facet_row on the first refused facet telling affine
+    dependence apart; None when the screen refuses nothing."""
+    points = sorted({*base, *moved})
+    index = {p: i for i, p in enumerate(points)}
+    valid = lift._screen_facets(points, [[index[v] for v in f.vertices] for f in cover],
+                                heights, [f.orientation for f in cover])
+    if valid.all():
+        return None
+    facet = cover[int(valid.argmin())]
+    try:
+        _facet_row(facet.vertices, heights, facet.orientation)
+    except DegenerateSimplexError as error:
+        return DegenerateSimplexError, str(error)
+    return PreconditionError, f"cover facet {facet.vertices} is invalid under the given heights"
+
+
+def _square_flat_case():
+    """The unit square at height 0 with (1, 1) moved, and the lower facet on the base:
+    valid once (1, 1) rises, non-simplicial under the given heights."""
+    heights = rational_heights((p, 0) for p in cube(2))
+    base = [(0, 0), (0, 1), (1, 0)]
+    return base, [(1, 1)], heights, _cover_of(heights, [(base, "lower")])
+
+
+@st.composite
+def _refusal_cases(draw):
+    """The 2- or 3-cube split into base and moved points, staircase or small random
+    rational heights, and a cover of 1-4 (vertex set, orientation) facets on cube
+    points, repeated points among them."""
+    k = draw(st.integers(2, 3))
+    points = cube(k)
+    heights = draw(st.one_of(st.just(staircase_height(k)), st.lists(
+        st.fractions(-3, 3, max_denominator=4), min_size=len(points), max_size=len(points)
+    ).map(lambda values: rational_heights(zip(points, values)))))
+    moved = draw(st.lists(st.sampled_from(points), unique=True))
+    facet = st.tuples(st.lists(st.sampled_from(points), min_size=k + 1, max_size=k + 1),
+                      st.sampled_from(["upper", "lower"]))
+    return ([p for p in points if p not in moved], moved, heights,
+            _cover_of(heights, draw(st.lists(facet, min_size=1, max_size=4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_refusal_cases())
+@example(case=_square_flat_case())
+def test_perturb_refuses_what_the_screen_under_the_given_heights_refuses(case):
+    # perturb_heights decides the refusal from the power-0 parts of its eps = 1 rebuild's
+    # slacks; the reference screens the cover under the given heights themselves
+    base, moved, heights, cover = case
+    if (expected := _reference_refusal(base, moved, heights, cover)) is None:
+        _, eps, facets = perturb_heights(base, moved, heights, cover)
+        assert None not in facets and (eps > 0) == bool(moved)
+        return
+    with pytest.raises((PreconditionError, DegenerateSimplexError)) as raised:
+        perturb_heights(base, moved, heights, cover)
+    assert (type(raised.value), str(raised.value)) == expected
+
+
+def test_perturb_refuses_a_cover_facet_that_only_the_perturbation_makes_valid():
+    base, moved, heights, cover = _square_flat_case()
+    ctx = make_context(2, 2)
+    eps_one = HeightFunction.from_pairs([(p, ctx.zero) for p in base]
+                                        + [((1, 1), ctx.root_power(1))])
+    assert facets_from_simplices(cube(2), [[0, 1, 2]], eps_one, "lower")[0] is not None
+    with pytest.raises(PreconditionError, match="invalid under the given heights"):
+        perturb_heights(base, moved, heights, cover)
 
 
 # ---------------------------------------------------------------------------
