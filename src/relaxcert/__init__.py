@@ -2,13 +2,12 @@
 of lattice point sets, over real algebraic coefficient fields."""
 
 from .construct import (RelaxationBundle, composed_simplex_relaxation,
-                        cube_simplex_split, free_join_compose, pipeline_relaxation,
-                        pipeline_run, relaxation_bound_table, simplex5_relaxation,
-                        simplex_points, stretched_simplex_relaxation)
-from .cover import (Chain, CoverFamily, build_full_cover, chains_to_permutations,
-                    dominating_facet_family, dominating_family,
+                        cube_simplex_split, free_join_compose, pipeline_run,
+                        relaxation_bound_table, simplex5_relaxation, simplex_points,
+                        stretched_simplex_relaxation)
+from .cover import (Chain, build_full_cover, chains_to_permutations, dominating_family,
                     enumerate_simplicial_lower_facets, enumerate_simplicial_upper_facets,
-                    exact_min_cover, permutation_facet_family, symmetric_chain_cover)
+                    exact_min_cover, symmetric_chain_cover)
 from .errors import (CertificationError, DegenerateSimplexError, PreconditionError,
                      ResourceLimitError, ValidationError)
 from .field import FieldContext, FieldElement, make_context

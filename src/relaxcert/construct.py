@@ -6,8 +6,8 @@ composition and the join-based bound for arbitrary dimension, the
 cube-projection simplex copy, and the full project/lift/relax chain for
 dimensions of the form 2**k - 1.  The composed bound is one n-ary join; its
 block is certified once per (eps, cap), with refutations not cached, and
-pulled back once per (a, eps, cap).  The chain reads its staircase heights
-and its lifted cube cover, each built once per k in a process.
+pulled back once per (a, eps, cap).  The chain reads its cube split,
+staircase heights and lifted cube cover, each built once per k in a process.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class RelaxationBundle:
 # reference point sets
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def simplex_points(d: int) -> PointSet:
     """The origin and the d unit vectors in Z^d."""
     if d < 0:
@@ -335,6 +336,7 @@ class CubeSimplexSplit:
     basis_matrix: tuple[tuple[int, ...], ...]  # unimodular witness, d x d
 
 
+@functools.lru_cache(maxsize=16)
 def cube_simplex_split(k: int) -> CubeSimplexSplit:
     """Columns 0, (e_i, 0), (B_j, e_j) with B_j the 0/1 vectors of weight >= 2."""
     if k < 2:
@@ -390,12 +392,6 @@ class PipelineRun:
     bundle: RelaxationBundle
 
 
-def pipeline_relaxation(k: int, cap: int = DEFAULT_POINT_CAP,
-                        certify: bool = True) -> RelaxationBundle:
-    """Certified relaxation of the simplex of dimension 2^k - 1; see pipeline_run."""
-    return pipeline_run(k, cap=cap, certify=certify).bundle
-
-
 def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
                  certify: bool = True) -> PipelineRun:
     """Build and certify the relaxation of the simplex of dimension 2^k - 1.
@@ -420,7 +416,7 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
     heights = staircase_height(k)
     upper, lower = build_full_cover(k)
     perturbed, eps, facets = perturb_heights(split.base.points, split.moved.points,
-                                             heights, upper.facets + lower.facets)
+                                             heights, upper + lower)
     ctx = perturbed.context
     zero, one = ctx.zero, ctx.one
 
@@ -466,8 +462,8 @@ def pipeline_run(k: int, cap: int = DEFAULT_POINT_CAP,
         "d": d,
         "eps": str(eps),
         "field_degree": ctx.degree,
-        "upper_facets": upper.size,
-        "lower_facets": lower.size,
+        "upper_facets": len(upper),
+        "lower_facets": len(lower),
         "rows": final.num_rows,
         "mixed_certified": bool(certificate and certificate.certified),
     }

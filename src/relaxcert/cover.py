@@ -41,23 +41,6 @@ class Chain:
         return len(self.subsets)
 
 
-@dataclass(frozen=True)
-class CoverFamily:
-    """Validated facets of a lifted cube cover."""
-
-    facets: tuple[FacetSimplex, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.facets)
-
-    def covered_points(self) -> frozenset[Point]:
-        points: set[Point] = set()
-        for facet in self.facets:
-            points.update(facet.vertices)
-        return frozenset(points)
-
-
 # ---------------------------------------------------------------------------
 # symmetric chain decomposition
 # ---------------------------------------------------------------------------
@@ -263,22 +246,30 @@ def cover_generators(k: int, family: Sequence[frozenset[int]] | None = None
                      ) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
     """The upper cover's (root, order) generators: each chain of the symmetric chain
     cover of [k-1], read as a permutation and rooted at the empty set, then each
-    subset of the dominating family (greedy by default) with its sorted completion."""
+    subset of the dominating family (greedy by default) with its sorted completion.
+
+    A given family must hold nonempty subsets (ValidationError) that dominate the
+    nonempty subsets of [k-1] (PreconditionError).
+    """
     if k < 2:
         raise ValidationError("cover construction needs k >= 2")
     if family is None:
         family = dominating_family(k - 1, "greedy", require_empty=False)
+    else:
+        family = tuple(map(frozenset, family))
+        if frozenset() in family:
+            raise ValidationError("the empty set does not generate a dominating facet")
+        if not is_dominating_family(family, k - 1, require_empty=False):
+            raise PreconditionError("family is not dominating over the nonempty subsets")
     perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
     return (tuple((frozenset(), perm) for perm in perms)
-            + tuple((b, tuple(sorted(set(range(1, k)) - b))) for b in map(frozenset, family)))
+            + tuple((b, tuple(sorted(set(range(1, k)) - b))) for b in family))
 
 
-def cover_facets(k: int, generators, heights: HeightFunction | None = None,
-                 reflect: bool = False) -> tuple[FacetSimplex, ...]:
+def cover_facets(k: int, generators, reflect: bool = False) -> tuple[FacetSimplex, ...]:
     """The upper facets of the (root, order) generators, then with reflect the lower
-    facets of their images under x_k -> 1 - x_k, validated by one facets_from_simplices
-    call; the heights default to staircase_height(k)."""
-    heights = heights if heights is not None else staircase_height(k)
+    facets of their images under x_k -> 1 - x_k, validated under staircase_height(k)
+    by one facets_from_simplices call."""
     points = list(product((0, 1), repeat=k))
     index = {p: i for i, p in enumerate(points)}
     vertices = [facet_vertices(k, root, order) for root, order in generators]
@@ -286,7 +277,7 @@ def cover_facets(k: int, generators, heights: HeightFunction | None = None,
     if reflect:
         simplices += [[index[v[:-1] + (1 - v[-1],)] for v in vs] for vs in vertices]
     m = len(vertices)
-    facets = facets_from_simplices(points, simplices, heights,
+    facets = facets_from_simplices(points, simplices, staircase_height(k),
                                    ["upper"] * m + ["lower"] * m if reflect else "upper")
     for gen, facet in zip(tuple(generators) * 2, facets):
         if facet is None:
@@ -294,26 +285,8 @@ def cover_facets(k: int, generators, heights: HeightFunction | None = None,
     return tuple(facets)
 
 
-def permutation_facet_family(k: int, perms: Sequence[Sequence[int]],
-                             heights: HeightFunction | None = None) -> CoverFamily:
-    """Validated upper facets for permutations of [k-1] under staircase heights."""
-    return CoverFamily(cover_facets(k, [(frozenset(), p) for p in perms], heights))
-
-
-def dominating_facet_family(k: int, family: Sequence[frozenset[int]],
-                            heights: HeightFunction | None = None) -> CoverFamily:
-    """Validated upper facets for a dominating family of nonempty subsets of [k-1]."""
-    family = tuple(frozenset(b) for b in family)
-    if frozenset() in family:
-        raise ValidationError("the empty set does not generate a dominating facet")
-    if not is_dominating_family(family, k - 1, require_empty=False):
-        raise PreconditionError("family is not dominating over the nonempty subsets")
-    rooted = [gen for gen in cover_generators(k, family) if gen[0]]
-    return CoverFamily(cover_facets(k, rooted, heights))
-
-
 @lru_cache(maxsize=16)
-def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
+def build_full_cover(k: int) -> tuple[tuple[FacetSimplex, ...], tuple[FacetSimplex, ...]]:
     """Upper and lower simplicial facet covers of the lifted cube vertices, built once per k.
 
     Upper facets come from cover_generators(k), lower facets from their
@@ -321,8 +294,9 @@ def build_full_cover(k: int) -> tuple[CoverFamily, CoverFamily]:
     the height; both cover all 2^k lifted points under staircase_height(k).
     """
     facets = cover_facets(k, generators := cover_generators(k), reflect=True)
-    upper, lower = CoverFamily(facets[:len(generators)]), CoverFamily(facets[len(generators):])
-    if not upper.covered_points() == lower.covered_points() == set(product((0, 1), repeat=k)):
+    upper, lower = facets[:len(generators)], facets[len(generators):]
+    if not ({v for f in upper for v in f.vertices} == {v for f in lower for v in f.vertices}
+            == set(product((0, 1), repeat=k))):
         raise AssertionError("facet families leave lifted vertices uncovered")
     return upper, lower
 

@@ -454,7 +454,7 @@ def perturb_heights(base: Iterable[Sequence[int]],
     if they are affinely dependent, else PreconditionError.  The eps = 1
     rebuild's slacks decide it, since every offset is eps * c**j with j >= 1
     and so their power-0 parts are positive multiples of the slacks under
-    the given heights; with nothing to move, one _screen_facets call does.
+    the given heights (with nothing to move, the rebuild is at those heights).
     """
     x_set = {tuple(int(v) for v in p) for p in base}
     y_list = sorted(tuple(int(v) for v in p) for p in moved)
@@ -479,10 +479,6 @@ def perturb_heights(base: Iterable[Sequence[int]],
             raise PreconditionError(
                 f"cover facet {facet.vertices} is invalid under the given heights")
 
-    if not y_list:
-        refuse_invalid(_screen_facets(t_points, simplices, heights, sides))
-        return heights, Fraction(0), tuple(cover)
-
     ctx, rational = make_context(len(y_list) + 1, 2), [heights(p).as_fraction() for p in t_points]
     offsets = {p: j + 1 for j, p in enumerate(y_list)}
 
@@ -502,6 +498,8 @@ def perturb_heights(base: Iterable[Sequence[int]],
         rebuilt += block
         valid.append(_positive_off_own(slacks[..., 0] > 0, kept, own, len(block)))
     refuse_invalid(np.concatenate(valid))
+    if not y_list:
+        return heights, Fraction(0), tuple(cover)
     while None in rebuilt:
         if eps.denominator == 1 << 63:
             raise ArithmeticError("no perturbation size accepted after 64 halvings")

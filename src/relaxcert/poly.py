@@ -228,7 +228,7 @@ class LinearSystem:
         names = None
         if self.names is not None:
             names = self.names[:j] + self.names[j + 1:]
-        return _from_normalized(self.context, w, e, names)
+        return _lazy(self.context, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist(), names)
 
     def single_variable_rows(self) -> "LinearSystem":
         """The system of the rows with exactly one nonzero coefficient, in their order."""
@@ -472,7 +472,7 @@ class LinearSystem:
         names = None
         if self.names is not None:
             names = tuple(self.names[i] for i in keep)
-        return _from_normalized(self.context, w, e, names)
+        return _lazy(self.context, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist(), names)
 
     # -- lattice point enumeration ----------------------------------------------
 
@@ -557,17 +557,10 @@ def _tracked(system: LinearSystem):
                   np.array(dens, dtype=object)), np.eye(len(dens), dtype=bool))
 
 
-def _from_normalized(context: FieldContext, w, e, names=None) -> LinearSystem:
-    """The system of normalized integer rows, primitive coefficients w[:, :-1] / e and rhs
-    w[:, -1] / e, each row over its least denominator e / g, g = gcd(e, rhs content)."""
-    g = np.gcd(e, np.gcd.reduce(w[:, -1], axis=1))
-    w, e = w // g[:, None, None], e // g
-    return _lazy(context, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist(), names)
-
-
 def _normalized(context: FieldContext, w, e, history):
     """Rows with coefficient content h > 0 as (w / g, h / g), g = gcd(h, rhs content),
-    so w[:, :-1] / e is primitive; constant rows dropped unless infeasible."""
+    so w[:, :-1] / e is primitive and e the row's least denominator (what _lazy
+    takes); constant rows dropped unless infeasible."""
     den = np.gcd.reduce(w[:, :-1], axis=(1, 2), initial=0)
     constant = den == 0
     if constant.any():

@@ -113,9 +113,8 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
     k = system.num_vars - 1
     if k < 1:
         raise ValidationError("mixed system needs at least one integer variable")
-    for p in base_points:
-        if len(p) != k:
-            raise ValidationError(f"point {p} does not match {k} integer variables")
+    if heights.dimension != k:  # a domain has one dimension
+        raise ValidationError(f"point {base_points[0]} does not match {k} integer variables")
 
     notes = ["rows classified by the sign of the continuous coordinate",
              "tightness and fibers are double bookkeeping for the same criterion"]

@@ -11,7 +11,7 @@ from relaxcert._linalg import determinant
 from relaxcert.construct import (RelaxationBundle,
                                  composed_simplex_relaxation, cube_simplex_split,
                                  free_join_compose, pipeline_cover_sizes,
-                                 pipeline_relaxation, pipeline_row_count, pipeline_run,
+                                 pipeline_row_count, pipeline_run,
                                  projected_simplex_relaxation, relaxation_bound_table,
                                  simplex5_relaxation, simplex_points,
                                  standard_simplex_bundle, stretched_simplex_points,
@@ -416,14 +416,14 @@ def test_pipeline_row_count_formula():
 
 
 def test_pipeline_relaxation_returns_bundle():
-    bundle = pipeline_relaxation(2)
+    bundle = pipeline_run(2).bundle
     assert isinstance(bundle, RelaxationBundle)
     assert bundle.provenance["mixed_certified"] is True
 
 
 def test_pipeline_rejects_large_k_when_certifying():
     with pytest.raises(ValidationError):
-        pipeline_relaxation(9)
+        pipeline_run(9)
 
 
 def test_pipeline_partial_under_the_cap_is_a_resource_error():
@@ -468,7 +468,7 @@ def test_pipeline_screens_the_perturbed_cover_once_for_both_orientations(monkeyp
     monkeypatch.setattr(lift, "_screened", counting)
     for k in (3, 4):
         upper, lower = cover.build_full_cover(k)
-        sides = [f.orientation for f in upper.facets + lower.facets]
+        sides = [f.orientation for f in upper + lower]
         assert set(sides) == {"upper", "lower"}
         calls.clear()
         run = pipeline_run(k)
@@ -494,16 +494,22 @@ def test_full_cover_is_built_once_per_k():
     assert cover.build_full_cover(3) is cover.build_full_cover(3)
 
 
+def test_cube_split_and_target_are_built_once_per_k():
+    assert cube_simplex_split(3) is cube_simplex_split(3)
+    assert simplex_points(7) is simplex_points(7)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_pipeline_artifacts_do_not_depend_on_a_warm_cover(monkeypatch, k):
-    # a cold cover, then the one it left in the cache, then that one under another block
-    # budget: the same bundle, mixed system, heights and certificate
+    # cold memos (cover, cube split, target), then the ones they left in the cache, then
+    # those under another block budget: the same bundle, mixed system, heights and certificate
     def artifacts():
         run = pipeline_run(k)
         return [x.to_json_dict() for x in (run.bundle, run.mixed_system, run.heights,
                                            run.perturbed, run.certificate)]
 
-    cover.build_full_cover.cache_clear()
+    for memo in (cover.build_full_cover, cube_simplex_split, simplex_points):
+        memo.cache_clear()
     cold = artifacts()
     assert cover.build_full_cover.cache_info().misses == 1
     assert artifacts() == cold

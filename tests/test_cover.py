@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxcert import cover, lift, poly
-from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations,
-                             cover_generators, dominating_facet_family, dominating_family,
+from relaxcert.cover import (Chain, build_full_cover, chains_to_permutations, cover_facets,
+                             cover_generators, dominating_family,
                              enumerate_simplicial_lower_facets,
                              enumerate_simplicial_upper_facets, exact_min_cover,
-                             facet_vertices, is_dominating_family, permutation_facet_family,
-                             symmetric_chain_cover)
+                             facet_vertices, is_dominating_family, symmetric_chain_cover)
 from relaxcert.errors import (DegenerateSimplexError, PreconditionError,
                               ResourceLimitError, ValidationError)
 from relaxcert.field import make_context
@@ -151,35 +150,40 @@ def test_dominating_family_deterministic():
 # facet families
 # ---------------------------------------------------------------------------
 
+def covered_points(facets):
+    return {v for facet in facets for v in facet.vertices}
+
+
 def test_permutation_family_k3():
     perms = chains_to_permutations(symmetric_chain_cover(2), 2)
-    family = permutation_facet_family(3, perms)
-    assert family.size == 2
-    covered = family.covered_points()
+    facets = cover_facets(3, [(frozenset(), p) for p in perms])
+    assert len(facets) == 2
+    covered = covered_points(facets)
     top = {p for p in cube(3) if p[-1] == 1}
     assert top <= covered
     assert (0, 0, 0) in covered
 
 
 def test_permutation_facet_k2():
-    family = permutation_facet_family(2, [(1,)])
+    facets = cover_facets(2, [(frozenset(), (1,))])
     # the constructor may swap two vertices to fix the orientation sign
-    assert set(family.facets[0].vertices) == {(0, 0), (0, 1), (1, 1)}
+    assert set(facets[0].vertices) == {(0, 0), (0, 1), (1, 1)}
 
 
 def test_full_support_vertex_in_every_permutation_facet():
     k = 4
     perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
-    family = permutation_facet_family(k, perms)
+    facets = cover_facets(k, [(frozenset(), p) for p in perms])
     all_ones = (1,) * k
-    for facet in family.facets:
+    for facet in facets:
         assert all_ones in facet.vertices
 
 
 def test_dominating_facet_family_k3():
-    family = dominating_facet_family(3, [frozenset({1, 2})])
-    assert family.size == 1
-    verts = set(family.facets[0].vertices)
+    rooted = [gen for gen in cover_generators(3, [frozenset({1, 2})]) if gen[0]]
+    facets = cover_facets(3, rooted)
+    assert len(facets) == 1
+    verts = set(facets[0].vertices)
     assert {(1, 1, 0), (1, 0, 0), (0, 1, 0)} <= verts
 
 
@@ -187,11 +191,11 @@ def test_dominating_facet_rejects_empty_generator():
     # the empty root is a legal generator (a permutation facet), but not a
     # dominating one, and a root with an order that misses the rest is malformed
     with pytest.raises(ValidationError, match="empty set"):
-        dominating_facet_family(3, [frozenset(), frozenset({1, 2})])
+        cover_generators(3, [frozenset(), frozenset({1, 2})])
     with pytest.raises(ValidationError, match=r"no \(root, order\) pair"):
         facet_vertices(3, frozenset(), ())
-    with pytest.raises(PreconditionError):
-        dominating_facet_family(3, [])
+    with pytest.raises(PreconditionError, match="not dominating"):
+        cover_generators(3, [])
 
 
 def test_dominating_facet_k4_single_subset():
@@ -258,7 +262,7 @@ def test_closed_form_rows_match_determinant_rows():
         h = staircase_height(k)
         perms = chains_to_permutations(symmetric_chain_cover(k - 1), k - 1)
         for perm in perms:
-            facet = permutation_facet_family(k, [perm]).facets[0]
+            facet, = cover_facets(k, [(frozenset(), perm)])
             scale = facet.y_coeff
             coeffs = [(c / scale).as_fraction() for c in facet.coeffs]
             expected = [Fraction(0)] * k
@@ -292,19 +296,19 @@ def test_closed_form_rows_match_determinant_rows():
 @pytest.mark.parametrize("k,expected_upper", [(2, 2), (3, 3)])
 def test_full_cover_sizes(k, expected_upper):
     upper, lower = build_full_cover(k)
-    assert upper.size == expected_upper
-    assert lower.size == expected_upper
+    assert len(upper) == expected_upper
+    assert len(lower) == expected_upper
     points = set(cube(k))
-    assert upper.covered_points() == points
-    assert lower.covered_points() == points
+    assert covered_points(upper) == points
+    assert covered_points(lower) == points
 
 
 def test_full_cover_every_vertex_on_upper_and_lower():
     k = 4
     upper, lower = build_full_cover(k)
     for p in cube(k):
-        assert any(p in f.vertices for f in upper.facets)
-        assert any(p in f.vertices for f in lower.facets)
+        assert any(p in f.vertices for f in upper)
+        assert any(p in f.vertices for f in lower)
 
 
 # ---------------------------------------------------------------------------
@@ -557,5 +561,5 @@ def test_facet_validation_inside_family_construction():
         upper, lower = build_full_cover(k)
         h = staircase_height(k)
         pts = cube(k)
-        for facet in upper.facets + lower.facets:
+        for facet in upper + lower:
             assert check_upper_facet(facet, pts, h).valid

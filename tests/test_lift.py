@@ -345,12 +345,12 @@ def _cover_case(k, kind):
     if kind != "staircase":
         split = cube_simplex_split(k)
         heights = perturb_heights(split.base.points, split.moved.points, heights,
-                                  upper.facets + lower.facets)[0]
+                                  upper + lower)[0]
     if kind == "huge":
         heights = HeightFunction.from_pairs((p, heights(p) * (1 << 70)) for p in points)
     index = {p: i for i, p in enumerate(points)}
     return points, heights, [(tuple(index[v] for v in f.vertices), f.orientation)
-                             for f in upper.facets + lower.facets]
+                             for f in upper + lower]
 
 
 @st.composite
@@ -644,7 +644,7 @@ def test_check_refuses_facet_from_another_context():
 def build_cover_k3():
     from relaxcert.cover import build_full_cover
     upper, lower = build_full_cover(3)
-    return upper.facets + lower.facets
+    return upper + lower
 
 
 def test_perturb_keeps_base_and_shifts_moved():

@@ -644,7 +644,8 @@ def test_kernel_keeps_the_reference_rows_and_histories_step_by_step(rows, drops)
         w, e, history = poly._eliminate(CTX2, w, e, history, 0, level,
                                         CTX2.signs_of_int_vectors(w[:, 0]))
         tracked = _eliminate_tracked(tracked, 0, level)
-        assert poly._from_normalized(CTX2, w, e).rows == tuple(Row(c, r) for c, r, _ in tracked)
+        eliminated = poly._lazy(CTX2, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist())
+        assert eliminated.rows == tuple(Row(c, r) for c, r, _ in tracked)
         assert [frozenset(np.flatnonzero(h).tolist()) for h in history] == [
             h for _, _, h in tracked]
     weaker = _eliminate_tracked(_eliminate_tracked(_tracked_rows(system), 0, 1), 0, 3)
