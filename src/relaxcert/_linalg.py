@@ -3,7 +3,10 @@
 Every elimination is fraction-free integer elimination (Bareiss, Math.
 Comp. 22, 1968): every intermediate entry is a minor of the input, so each
 division by the previous pivot is exact and no rational or field
-arithmetic is needed.  Determinants, lifted-facet rows, field inverses,
+arithmetic is needed.  Exactness also lets the numpy stacks of the same
+elimination (lift's batched facet rows and determinants) divide by
+field._divide_exact, which multiplies by a 2-adic inverse in place of a
+hardware division.  Determinants, lifted-facet rows, field inverses,
 affine interpolation and null spaces over Q(c) all run through
 _fraction_free; a matrix over the field enters it as the integer matrix of
 its entries' multiplication maps.

@@ -16,11 +16,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .lift import (FacetSimplex, HeightFunction, _screen_facets,
+from .lift import (FacetSimplex, HeightFunction, _screen_facets, _subsets,
                    facet_inequality_from_simplex, facets_from_simplices, staircase_height)
 
 Point = tuple[int, ...]
@@ -314,9 +316,9 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
                                       ) -> list[FacetSimplex]:
     """All valid simplicial facets of the requested orientation, by brute force.
 
-    Every candidate is screened at once by lift._screen_facets, in blocks of
-    bounded memory; only survivors become FacetSimplex values, in
-    combinations order.
+    Every (k+1)-subset of the sorted points is screened by lift._screen_facets,
+    as lex-ordered index blocks of bounded memory; only survivors become
+    FacetSimplex values, in lex order of their index tuples.
     An empty list and points outside the heights' domain (mixed dimensions
     among them) are refused with ValidationError before any candidate is counted.
     """
@@ -330,9 +332,9 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
         raise ResourceLimitError(
             f"{candidates} candidate simplices exceed the enumeration guard of "
             f"{_ENUMERATION_CANDIDATE_GUARD}", required=candidates)
-    mask = _screen_facets(pts, combinations(range(len(pts)), k + 1), heights, orientation)
-    return [facet_inequality_from_simplex(candidate, heights, orientation)
-            for candidate in compress(combinations(pts, k + 1), mask)]
+    survivors = np.flatnonzero(_screen_facets(pts, None, heights, orientation))
+    return [facet_inequality_from_simplex([pts[j] for j in candidate], heights, orientation)
+            for candidate in _subsets(len(pts), k + 1, survivors).tolist()]
 
 
 def enumerate_simplicial_lower_facets(points: Sequence[Sequence[int]],

@@ -25,14 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, islice, product
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import poly
 from ._linalg import _fraction_free, determinant
 from .errors import DegenerateSimplexError, PreconditionError, ValidationError
-from .field import FieldContext, FieldElement, _fit, _reduced, make_context
+from .field import FieldContext, FieldElement, _divide_exact, _fit, _reduced, make_context
 from .poly import LinearSystem, Row
 
 Point = tuple[int, ...]
@@ -40,12 +41,17 @@ Point = tuple[int, ...]
 
 @dataclass(frozen=True)
 class HeightFunction:
-    """A total map from a finite ordered domain in Z^k to field elements."""
+    """A total map from a finite ordered domain in Z^k to field elements.
+
+    values is kept as a read-only view of a copy of the given mapping, so that
+    one caller cannot change heights another holds (staircase_height is cached).
+    """
 
     domain: tuple[Point, ...]
-    values: dict[Point, FieldElement]
+    values: Mapping[Point, FieldElement]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         if not self.domain:
             raise ValidationError("a height function needs at least one point")
         if len(set(map(len, self.domain))) > 1:
@@ -208,29 +214,38 @@ def _batched_rows(w: np.ndarray, orientation: str | Sequence[str]) -> tuple[np.n
     and the same fraction-free Gauss-Jordan pass overwrites it in a few long
     vector operations per step.  Column 0 of every matrix is all ones, as
     _screened builds the rows (1, p, H(p)), so step 0 (pivot 1 over a
-    previous pivot 1) is w[1:] -= w[:1].  Step t swaps rows only where the
-    pivot is zero and updates only the columns right of t.
+    previous pivot 1) is w[1:] -= w[:1].  Where the pivot of step t is zero,
+    the first row below with a nonzero in column t trades columns t.. (those
+    left of t are not read again) with row t by masked copies, not a gather
+    across candidates; the update touches only the columns right of t and
+    divides by the previous pivots with field._divide_exact.
     A matrix with no pivot left in some column is affinely dependent: it is
-    zeroed, gets unit pivots from then on and is dropped at the end.  Returns
-    (kept, lead, C, swapped), oriented as by _facet_row to the orientation
-    of each candidate (or of all): the survivors' indices, leads, cofactor
-    vectors C[:, r] and whether v_0 and v_1 trade places.
+    reset to the identity, gets unit pivots from then on and is dropped at
+    the end.  Returns (kept, lead, C, swapped), oriented as by _facet_row to
+    the orientation of each candidate (or of all): the survivors' indices,
+    leads, cofactor vectors C[:, r] and whether v_0 and v_1 trade places.
     """
     w[1:] -= w[:1]
     sign, prev, k1 = np.ones(w.shape[-1], dtype=np.int64), np.ones(w.shape[-1], w.dtype), len(w)
     for t in range(1, k1):
-        if len(zero := np.flatnonzero(w[t, t] == 0)):
-            below = w[t:, t, zero] != 0
-            has, p = below.any(axis=0), t + below.argmax(axis=0)
-            swap, p, dead = zero[has], p[has], zero[~has]
-            w[t][:, swap], w[p, :, swap] = w[p, :, swap].T, w[t][:, swap].T
-            w[:, :, dead] = np.eye(*w.shape[:2], dtype=np.int64)[:, :, None]
-            sign[swap], sign[dead], prev[dead] = -sign[swap], 0, 1  # sign 0 marks the dropped
+        if (zero := w[t, t] == 0).any():
+            held = np.empty_like(w[t, t:])
+            for r in range(t + 1, k1):
+                if (swap := zero & (w[r, t] != 0)).any():
+                    np.copyto(held, w[t, t:])
+                    np.copyto(w[t, t:], w[r, t:], where=swap)
+                    np.copyto(w[r, t:], held, where=swap)
+                    np.negative(sign, out=sign, where=swap)
+                    zero &= ~swap
+            if zero.any():  # sign 0 marks the dropped
+                np.copyto(w[:, t:], np.eye(*w.shape[:2], dtype=w.dtype)[:, t:, None], where=zero)
+                sign[zero], prev[zero] = 0, 1
         pivot, row, right = w[t, t].copy(), w[t, t + 1:].copy(), w[:, t + 1:]
         right *= pivot
-        right -= w[:, t, None] * row
+        for r in range(k1):  # a row's product at a time, not a stack-sized temporary
+            right[r] -= w[r, t] * row
         if t > 1:  # the pivot of step 0 is 1
-            right //= prev
+            _divide_exact(right, prev)
         w[t, t + 1:], prev = row, pivot
     upper = np.broadcast_to(np.asarray(orientation) == "upper", sign.shape)
     sign, prev = sign[kept := np.flatnonzero(sign)], prev[kept]
@@ -254,7 +269,7 @@ def _determinants(m: np.ndarray) -> np.ndarray:
         pivot, rest = w[:, t, t].copy(), w[:, t + 1:, t + 1:]
         rest *= pivot[:, None, None]
         rest -= w[:, t + 1:, t, None] * w[:, None, t, t + 1:]
-        rest //= prev[:, None, None]
+        _divide_exact(rest, prev[:, None, None])
         prev = np.where(pivot == 0, prev, pivot)  # singular: rest is zero, prev stays exact
     return sign * prev
 
@@ -269,7 +284,47 @@ def _positive_off_own(positive: np.ndarray, kept: np.ndarray, own: np.ndarray,
     return valid
 
 
-def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
+def _subsets(m: int, r: int, ranks: np.ndarray) -> np.ndarray:
+    """The r-subsets of range(m) of the given lex ranks, as the rows of a
+    (len(ranks), r) intp array whose columns are contiguous.
+
+    One searchsorted per position: element j is the last a with
+    F[a] - F[first] <= the rank left, where first is one past element j - 1
+    and F[a] - F[first] counts the subsets, among those that share elements
+    0..j-1, whose element j lies in [first, a); that count leaves the rank.
+    """
+    out, left, first = np.empty((r, len(ranks)), np.intp), np.asarray(ranks, np.int64), 0
+    for j in range(r):
+        f = np.cumsum([0] + [math.comb(m - 1 - a, r - 1 - j) for a in range(m)], dtype=np.int64)
+        left = left + f[first]
+        out[j] = first = np.searchsorted(f, left, side="right") - 1
+        left -= f[first]
+        first += 1
+    return out.T
+
+
+def _subset_blocks(m: int, r: int, size: int):
+    """Every r-subset of range(m) in lex order, as _subsets arrays of at most size rows."""
+    total = math.comb(m, r)
+    for start in range(0, total, size):
+        yield _subsets(m, r, np.arange(start, min(start + size, total)))
+
+
+def _index_blocks(simplices: Iterable[Sequence[int]], width: int, count: int, size: int):
+    """The candidates, index sequences into range(count), as (rows, width) intp arrays of
+    at most size rows, read and refused a block at a time: DegenerateSimplexError for a
+    candidate of another length, ValidationError for an index outside range(count)."""
+    simplices = iter(simplices)
+    while block := list(islice(simplices, size)):
+        if bad := set(map(len, block)) - {width}:
+            raise DegenerateSimplexError(f"need exactly {width} vertices, got {min(bad)}")
+        index = np.fromiter(chain.from_iterable(block), np.intp).reshape(-1, width)
+        if index.min() < 0 or index.max() >= count:
+            raise ValidationError(f"candidate vertex index outside range({count})")
+        yield index
+
+
+def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None,
               heights: HeightFunction, orientation: str | Sequence[str]):
     """Yield (kept, vertices, lead, C, valid, slacks) for each block of candidate simplices.
 
@@ -278,10 +333,15 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     entries, the budget every exact kernel shares; before its
     elimination, a block with a candidate of another length raises
     DegenerateSimplexError, one with an index outside range(len(points))
-    ValidationError.  orientation is one for all, and the candidates stream,
-    or one per candidate, as for a whole cover.  The kept candidates' rows
-    come from _batched_rows, their vertex indices in _facet_row's order, and their
-    slacks C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
+    ValidationError (_index_blocks).  None stands for every (k+1)-subset of
+    points in lex order, unranked a block at a time (_subset_blocks).
+    orientation is one for all, and the candidates stream, or one per
+    candidate, as for a whole cover.  One np.take per vertex position
+    gathers the rows (1, p, H(p)) of a block straight into the
+    candidate-last stack that _batched_rows eliminates in place, so the
+    stack is held once.  The kept candidates' rows come from _batched_rows,
+    their vertex indices in _facet_row's order, and their slacks
+    C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
     signs_of_int_vectors signs at once.  A slack at a candidate's own
     vertex must be a zero vector, else AssertionError; valid marks the
     block's facets, whose other slacks are all positive, and slacks (kept
@@ -302,28 +362,28 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     # column; the slacks, at most (1 + k reach + top) minor, stay below the bound too
     minor = math.factorial(k + 1) * reach ** k * max(reach, top)
     rows, = _fit(2 * minor ** 2, rows)
-    x, hp = rows[:, :k + 1], rows[:, k + 1:]
+    x, hp, columns = rows[:, :k + 1], rows[:, k + 1:], np.ascontiguousarray(rows.T)
     size = max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), len(points) * n))
-    simplices, sides = iter(simplices), iter(sides)
-    while block := list(islice(simplices, size)):
-        if bad := set(map(len, block)) - {k + 1}:
-            raise DegenerateSimplexError(f"need exactly {k + 1} vertices, got {min(bad)}")
-        index = np.fromiter(chain.from_iterable(block), np.intp).reshape(-1, k + 1)
-        if index.min() < 0 or index.max() >= len(points):
-            raise ValidationError(f"candidate vertex index outside range({len(points)})")
-        part = orientation if isinstance(orientation, str) else list(islice(sides, len(block)))
-        # the gathered stack is freed before the elimination, which runs on its copy
-        kept, lead, cofactors, swapped = _batched_rows(
-            rows[index].transpose(1, 2, 0).copy(), part)
+    blocks = (_subset_blocks(len(points), k + 1, size) if simplices is None
+              else _index_blocks(simplices, k + 1, len(points), size))
+    done = 0
+    for index in blocks:
+        part = orientation if isinstance(orientation, str) else sides[done:done + len(index)]
+        done += len(index)
+        stack = np.empty((k + 1, k + 1 + n, len(index)), rows.dtype)
+        for j in range(k + 1):  # the indices are in range: "clip" takes no buffer for out
+            np.take(columns, index[:, j], axis=1, out=stack[j], mode="clip")
+        kept, lead, cofactors, swapped = _batched_rows(stack, part)
+        del stack  # freed before the slacks are formed
         slacks, own = x @ cofactors - lead[:, None, None] * hp, index[kept]
         own[swapped, :2] = own[swapped, 1::-1]
         if slacks[np.arange(len(own))[:, None], own].any():
             raise AssertionError("facet row not tight at its own vertex")
-        valid = _positive_off_own(ctx.signs_of_int_vectors(slacks) > 0, kept, own, len(block))
+        valid = _positive_off_own(ctx.signs_of_int_vectors(slacks) > 0, kept, own, len(index))
         yield kept, own, lead, cofactors, valid, slacks
 
 
-def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
+def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None,
                    heights: HeightFunction, orientation: str | Sequence[str]) -> np.ndarray:
     """Bool mask: is each candidate simplex a valid facet of its orientation (as for _screened)?"""
     return np.concatenate([np.zeros(0, dtype=bool), *(
@@ -359,7 +419,7 @@ def _built(pts: Sequence[Point], simplices: Iterable[Sequence[int]], heights: He
             raise AssertionError("vertex determinant disagrees with the facet row")
         c, = _fit(max(den, int(np.abs(cofactors).max(initial=0))), cofactors[live])
         c[:, 1:] *= -1  # coeffs = -C_i / D for i >= 1, rhs = C_0 / D
-        c //= (g := np.gcd(np.gcd.reduce(c, axis=2), den))[:, :, None]
+        _divide_exact(c, (g := np.gcd(np.gcd.reduce(c, axis=2), den))[:, :, None])
         for i, vs, y, nums, dens in zip(kept[live].tolist(), verts, lead.tolist(), c.tolist(),
                                         (den // g).tolist()):
             rhs, *coeffs = (FieldElement(ctx, tuple(v), d) for v, d in zip(nums, dens))

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .field import FieldContext, FieldElement, _fit, _reduced
+from .field import FieldContext, FieldElement, _divide_exact, _fit, _reduced
 
 DEFAULT_POINT_CAP = 1 << 26
 _CHUNK = 1 << 18  # about the most integers one block of an exact kernel holds
@@ -391,8 +391,8 @@ class LinearSystem:
         # row is divided by 1, as its den may not fit int64
         content = np.gcd.reduce(values, axis=(1, 2), initial=0).tolist()
         gs = [math.gcd(c, d) for c, d in zip(content, dens)]
-        values //= np.array([g if c else 1 for g, c in zip(gs, content)], dtype=values.dtype
-                            )[:, None, None]
+        _divide_exact(values, np.array([g if c else 1 for g, c in zip(gs, content)],
+                                       dtype=values.dtype)[:, None, None])
         return _lazy(self.context, new_dim, values[:, :-1], values[:, -1],
                      [d // g for d, g in zip(dens, gs)])
 
@@ -490,6 +490,8 @@ class LinearSystem:
                 f"box dimension {box.dimension} does not match {self.num_vars} variables")
         if jobs < 1:
             raise ValidationError(f"jobs must be at least 1, got {jobs}")
+        if cap < 1:
+            raise ValidationError(f"cap must be at least 1, got {cap}")
         volume = box.volume
         if volume > cap:
             raise ResourceLimitError(
@@ -560,7 +562,7 @@ def _tracked(system: LinearSystem):
 def _normalized(context: FieldContext, w, e, history):
     """Rows with coefficient content h > 0 as (w / g, h / g), g = gcd(h, rhs content),
     so w[:, :-1] / e is primitive and e the row's least denominator (what _lazy
-    takes); constant rows dropped unless infeasible."""
+    takes); constant rows dropped unless infeasible.  w is divided in place."""
     den = np.gcd.reduce(w[:, :-1], axis=(1, 2), initial=0)
     constant = den == 0
     if constant.any():
@@ -569,7 +571,7 @@ def _normalized(context: FieldContext, w, e, history):
         w, e, history, den = w[live], e[live], history[live], den[live]
         den = np.where(den == 0, e, den)
     g = np.gcd(den, np.gcd.reduce(w[:, -1], axis=1))
-    return w // g[:, None, None], den // g, history
+    return _divide_exact(w, g[:, None, None]), den // g, history
 
 
 def _deduplicated(context: FieldContext, w, e, history):
@@ -579,7 +581,8 @@ def _deduplicated(context: FieldContext, w, e, history):
     per, groups = max(1, _CHUNK // max(w[:1, :-1].size, 1)), {}
     ids = np.array([groups.setdefault(repr(key.tolist()) if key.dtype == object else bytes(key),
                                       len(groups)) for s in range(0, len(w), per)
-                    for key in w[s:s + per, :-1] // e[s:s + per, None, None]], dtype=np.int64)
+                    for key in _divide_exact(w[s:s + per, :-1].copy(), e[s:s + per, None, None])],
+                   dtype=np.int64)
     if len(groups) == len(ids):
         return w, e, history
     # best[first[g] + i] is the least of the group's rows i.., step apart after each round

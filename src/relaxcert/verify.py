@@ -113,6 +113,8 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
     k = system.num_vars - 1
     if k < 1:
         raise ValidationError("mixed system needs at least one integer variable")
+    if cap < 1:
+        raise ValidationError(f"cap must be at least 1, got {cap}")
     if heights.dimension != k:  # a domain has one dimension
         raise ValidationError(f"point {base_points[0]} does not match {k} integer variables")
 

@@ -151,6 +151,21 @@ def test_partial_and_refuted_dim5_exit_codes(tmp_path, capsys):
     assert "refuted (mixed-system)" in capsys.readouterr().err
 
 
+def test_a_cap_below_one_exits_two(tmp_path, capsys):
+    # refused up front, not read as a box "above the cap of -5"
+    mixed, heights = tmp_path / "mixed.json", tmp_path / "heights.json"
+    out = tmp_path / "dim5.json"
+    assert run(["build", "dim5", "--out", str(out), "--mixed-out", str(mixed),
+                "--heights-out", str(heights)]) == 0
+    capsys.readouterr()
+    for command in (["certify-mixed", "--system", str(mixed), "--heights", str(heights)],
+                    ["verify", "--system", str(out), "--points", str(out), "--box=-1:2"],
+                    ["build", "dim5", "--out", str(tmp_path / "d.json")]):
+        for cap in ("0", "-5"):
+            assert run([*command, "--cap", cap]) == 2
+            assert capsys.readouterr().err == f"error: cap must be at least 1, got {cap}\n"
+
+
 def test_certify_mixed_reports_partial_and_refuted(tmp_path, capsys):
     mixed, heights = tmp_path / "mixed.json", tmp_path / "heights.json"
     assert run(["build", "dim5", "--out", str(tmp_path / "dim5.json"), "--mixed-out",

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxcert.errors import ValidationError
+from relaxcert import field
 from relaxcert.field import (_INITIAL_BITS, _STEP_BITS, MAX_JSON_DEGREE, FieldContext,
-                             FieldElement,
+                             FieldElement, _divide_exact,
                              _fit, _int_nth_root, _reduced, make_context)
 
 
@@ -556,6 +557,51 @@ def test_fit_keeps_int64_just_below_two_to_the_62():
     fitted = _fit(1 << 62, small, big)
     assert [x.dtype for x in fitted] == [object, object]
     assert [x.tolist() for x in fitted] == [[1, -2], [3]]
+
+
+_INT64_MAX = (1 << 63) - 1
+# odd, even and power-of-two divisors up to the int64 bound, of both signs
+_DIVISORS = st.one_of(st.integers(0, 1 << 40).map(lambda o: 2 * o + 1),
+                      st.tuples(st.integers(0, 1 << 20), st.integers(1, 40)).map(
+                          lambda p: (2 * p[0] + 1) << p[1]),
+                      st.integers(0, 62).map(lambda s: 1 << s),
+                      st.integers(1, _INT64_MAX)).flatmap(lambda d: st.sampled_from([d, -d]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), two_adic=st.booleans(), per_row=st.booleans())
+def test_divide_exact_matches_floor_division(data, two_adic, per_row):
+    # exact quotients of any size up to the int64 bound, divided per column or per
+    # row, by the 2-adic inverse (forced on small stacks) or by //, against Python ints
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    divisors = data.draw(st.lists(_DIVISORS, min_size=rows if per_row else cols,
+                                  max_size=rows if per_row else cols))
+    quotient = [[data.draw(st.integers(-(_INT64_MAX // abs(d)), _INT64_MAX // abs(d)))
+                 for d in (divisors[r:r + 1] * cols if per_row else divisors)]
+                for r in range(rows)]
+    d = np.array(divisors, dtype=np.int64)
+    d = d[:, None] if per_row else d
+    w = np.array(quotient, dtype=object) * d.astype(object)
+    expected = (w // d.astype(object)).tolist()
+    assert expected == quotient
+    with pytest.MonkeyPatch.context() as patch:
+        if two_adic:
+            patch.setattr(field, "_EXACT_DIVISION_MIN", 0)
+        for dtype in (np.int64, object):
+            stack = w.astype(dtype)
+            _divide_exact(stack, d)
+            assert stack.dtype == np.dtype(dtype) and stack.tolist() == expected
+
+
+def test_divide_exact_divides_a_strided_view_in_place():
+    # a large stack takes the 2-adic path by default; only the view's entries change
+    w = np.arange(4 * 5 * 1000, dtype=np.int64).reshape(4, 5, 1000) * 12
+    before = w.copy()
+    d = np.where(np.arange(1000) % 2, -6, 4)
+    assert w[:, 2:].size >= field._EXACT_DIVISION_MIN
+    _divide_exact(w[:, 2:], d)
+    assert (w[:, :2] == before[:, :2]).all()
+    assert w[:, 2:].tolist() == (before[:, 2:].astype(object) // d.astype(object)).tolist()
 
 
 def test_kernel_sends_only_what_its_bracket_leaves_open_to_the_exact_sign(monkeypatch):

@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -57,6 +57,18 @@ def test_staircase_antisymmetry():
 def test_staircase_needs_k_at_least_two():
     with pytest.raises(ValidationError):
         staircase_height(1)
+
+
+def test_height_values_are_read_only():
+    # staircase_height(k) is one cached object: a write into its values would reach
+    # every later caller in the process, so none is taken, nor one into a given dict
+    heights, given = staircase_height(3), {(0,): CTX1.one}
+    own = HeightFunction(((0,),), given)
+    for values in (heights.values, own.values):
+        with pytest.raises(TypeError):
+            values[(0, 0, 0)] = CTX1.zero
+    given[(0,)] = CTX1.zero
+    assert own((0,)) == CTX1.one and staircase_height(3)((0, 0, 0)) == CTX1.zero
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +255,27 @@ def test_batched_rows_drop_candidates_degenerate_at_each_step(k):
             assert _check_batched_rows(points, degenerate[-1:], heights, orientation) == []
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_rows_match_facet_row_when_most_steps_swap(k):
+    # every vertex order of some cube candidates: a zero pivot at step t, where a row
+    # below must trade places with row t, shows as a zero leading minor of [1 | v] of
+    # order t + 1 in a candidate of full rank, and the case has one at every step
+    # that can swap (the last pivot of a full-rank matrix is never zero)
+    points = cube(k)
+    combos = list(combinations(range(len(points)), k + 1))
+    chosen = random.Random(k).sample(combos, min(len(combos), 12))
+    candidates = [order for c in chosen for order in permutations(c)]
+    rank = [np.linalg.matrix_rank(np.array([[1, *points[j]] for j in c])) for c in candidates]
+    for t in range(1, k):
+        assert any(r == k + 1 and round(np.linalg.det(
+            np.array([[1, *points[j]] for j in c])[:t + 1, :t + 1])) == 0
+            for c, r in zip(candidates, rank))
+    for heights in (staircase_height(k), random_heights(points, 3, k)):
+        for orientation in ("upper", "lower"):
+            assert _check_batched_rows(points, candidates, heights, orientation) == [
+                i for i, r in enumerate(rank) if r == k + 1]
+
+
 @st.composite
 def _candidate_cases(draw):
     """Distinct points of Z^k with drawn heights and candidate index tuples,
@@ -269,6 +302,22 @@ def test_batched_rows_match_facet_row_on_drawn_candidates(case, orientation):
     points, simplices, heights = case
     if simplices:
         _check_batched_rows(points, simplices, heights, orientation)
+
+
+@pytest.mark.parametrize("m, r, size", [
+    (6, 3, 1), (6, 3, 4), (6, 3, 20), (6, 3, 7), (7, 1, 3), (5, 5, 2), (4, 6, 3), (0, 1, 5),
+    (16, 5, 8738)])
+def test_subset_blocks_match_combinations(m, r, size):
+    # block size 1, exact multiples of C(m, r) (20 = 4 x 5 and 20 itself), a last
+    # short block, r = 1, r = m, r > m, no points, and the 4-cube's one block
+    blocks = list(lift._subset_blocks(m, r, size))
+    expected = list(combinations(range(m), r))
+    assert len(blocks) == -(-len(expected) // size)
+    assert all(b.dtype == np.intp and b.shape[1] == r and 0 < len(b) <= size for b in blocks)
+    assert [tuple(row) for b in blocks for row in b.tolist()] == expected
+    ranks = random.Random(m * r).sample(range(len(expected)), min(len(expected), 9))
+    assert lift._subsets(m, r, np.array(ranks, dtype=np.int64)).tolist() == [
+        list(expected[i]) for i in ranks]
 
 
 def _reference_facet(points, simplex, heights, orientation):
@@ -309,12 +358,15 @@ def test_facets_from_simplices_on_the_cube():
     ([(0, 1, 2, 99)], ValidationError),
     ([(0, 1, 2, -1)], ValidationError)])
 def test_screen_refuses_malformed_candidates(simplices, error):
+    # as tuple lists and, where the candidates are of one length, as index arrays
     heights = staircase_height(3)
     points = sorted(heights.domain)
-    with pytest.raises(error):
-        facets_from_simplices(points, simplices, heights)
-    with pytest.raises(error):
-        lift._screen_facets(points, simplices, heights, "lower")
+    forms = [simplices, np.array(simplices)] if len(set(map(len, simplices))) == 1 else [simplices]
+    for candidates in forms:
+        with pytest.raises(error):
+            facets_from_simplices(points, candidates, heights)
+        with pytest.raises(error):
+            lift._screen_facets(points, candidates, heights, "lower")
 
 
 def test_screen_refuses_a_row_not_tight_at_its_vertices(monkeypatch):

@@ -940,6 +940,14 @@ def test_enumerate_cap():
     assert info.value.required == 10 ** 6
 
 
+def test_enumerate_refuses_a_cap_below_one():
+    empty = system_from([], 1)
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="cap must be at least 1"):
+            empty.enumerate_lattice_points(Box.uniform(0, 0, 1), cap=cap)
+    assert empty.enumerate_lattice_points(Box.uniform(0, 0, 1), cap=1) == [(0,)]
+
+
 def test_enumerate_matches_naive_filter():
     # independent oracle: evaluate a + b*sqrt2 <= r via integer comparisons,
     # entirely outside the library's sign machinery

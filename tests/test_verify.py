@@ -250,6 +250,13 @@ def test_certify_partial_on_cap():
     assert cert.witness == "box holds 18 lattice points, above the cap of 3"
 
 
+def test_certify_refuses_a_cap_below_one():
+    system, _, heights = five_row_inputs()
+    for cap in (0, -5):
+        with pytest.raises(ValidationError, match="cap must be at least 1"):
+            certify_mixed(system, heights, cap=cap)
+
+
 def test_loose_box_rows_take_the_projections_box():
     # rows 0 <= x_i <= 100 in place of a k = 2 pipeline's box rows hold 101^2 points,
     # while the projection's own single-variable rows bound it to 0:1,0:1; the box
