@@ -16,13 +16,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .lift import (FacetSimplex, HeightFunction, _screen_facets, _subsets,
+from .lift import (FacetSimplex, HeightFunction, _circuit_candidates, _screen_facets,
                    facet_inequality_from_simplex, facets_from_simplices, staircase_height)
 
 Point = tuple[int, ...]
@@ -316,25 +314,26 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
                                       ) -> list[FacetSimplex]:
     """All valid simplicial facets of the requested orientation, by brute force.
 
-    Every (k+1)-subset of the sorted points is screened by lift._screen_facets,
-    as lex-ordered index blocks of bounded memory; only survivors become
-    FacetSimplex values, in lex order of their index tuples.
-    An empty list and points outside the heights' domain (mixed dimensions
-    among them) are refused with ValidationError before any candidate is counted.
+    The (k+1)-subsets of the sorted points that lift._circuit_candidates leaves
+    are screened by lift._screen_facets; only survivors become FacetSimplex
+    values, in lex order of their index tuples.  An empty list and points outside
+    the heights' domain (mixed dimensions among them) are refused with
+    ValidationError, and over 2^20 subsets with ResourceLimitError, up front.
     """
     pts = sorted(tuple(int(x) for x in p) for p in points)
     if not pts:
         raise ValidationError("facet enumeration needs at least one point")
     heights._require_domain(pts)
     k = len(pts[0])
-    candidates = math.comb(len(pts), k + 1)
-    if candidates > _ENUMERATION_CANDIDATE_GUARD:
+    count = math.comb(len(pts), k + 1)
+    if count > _ENUMERATION_CANDIDATE_GUARD:
         raise ResourceLimitError(
-            f"{candidates} candidate simplices exceed the enumeration guard of "
-            f"{_ENUMERATION_CANDIDATE_GUARD}", required=candidates)
-    survivors = np.flatnonzero(_screen_facets(pts, None, heights, orientation))
+            f"{count} candidate simplices exceed the enumeration guard of "
+            f"{_ENUMERATION_CANDIDATE_GUARD}", required=count)
+    candidates = list(_circuit_candidates(pts, heights, orientation))
+    valid = _screen_facets(pts, candidates, heights, orientation)
     return [facet_inequality_from_simplex([pts[j] for j in candidate], heights, orientation)
-            for candidate in _subsets(len(pts), k + 1, survivors).tolist()]
+            for candidate in compress(candidates, valid)]
 
 
 def enumerate_simplicial_lower_facets(points: Sequence[Sequence[int]],

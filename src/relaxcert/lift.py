@@ -284,30 +284,41 @@ def _positive_off_own(positive: np.ndarray, kept: np.ndarray, own: np.ndarray,
     return valid
 
 
-def _subsets(m: int, r: int, ranks: np.ndarray) -> np.ndarray:
-    """The r-subsets of range(m) of the given lex ranks, as the rows of a
-    (len(ranks), r) intp array whose columns are contiguous.
+def _circuit_candidates(points: Sequence[Point], heights: HeightFunction, orientation: str):
+    """Yield in lex order the index tuples of the (k+1)-subsets of points, k the heights'
+    dimension, that the parallelogram rule leaves as facets of the orientation.
 
-    One searchsorted per position: element j is the last a with
-    F[a] - F[first] <= the rank left, where first is one past element j - 1
-    and F[a] - F[first] counts the subsets, among those that share elements
-    0..j-1, whose element j lies in [first, a); that count leaves the rank.
+    Let u, w be vertices of a valid upper facet with affine function f, and {p, q}
+    another index pair (p = q allowed) with p + q = u + w.  Then f(p) + f(q) = H(u) +
+    H(w), f > H off the facet, and p, q are not both vertices, which are affinely
+    independent: H(u) + H(w) > H(p) + H(q), reversed for lower.  So each edge of a valid
+    facet is the unique strict best pair of its coordinate sum, found exactly by one
+    tournament per sum (poly._group_best), and the candidates are the (k+1)-cliques of
+    those edges, grown a vertex per level as prefix arrays of about poly._CHUNK entries.
     """
-    out, left, first = np.empty((r, len(ranks)), np.intp), np.asarray(ranks, np.int64), 0
-    for j in range(r):
-        f = np.cumsum([0] + [math.comb(m - 1 - a, r - 1 - j) for a in range(m)], dtype=np.int64)
-        left = left + f[first]
-        out[j] = first = np.searchsorted(f, left, side="right") - 1
-        left -= f[first]
-        first += 1
-    return out.T
-
-
-def _subset_blocks(m: int, r: int, size: int):
-    """Every r-subset of range(m) in lex order, as _subsets arrays of at most size rows."""
-    total = math.comb(m, r)
-    for start in range(0, total, size):
-        yield _subsets(m, r, np.arange(start, min(start + size, total)))
+    m, k, ctx = len(points), heights.dimension, heights.context
+    table, (a, b) = heights._numerators[1], np.triu_indices(m)
+    x = np.array(points, dtype=object).reshape(m, k)
+    num = np.array([table[p] for p in points], dtype=object).reshape(m, ctx.degree)
+    x, num = _fit(4 * max(poly._top(x), poly._top(num)), x, num)
+    key, h, side = x[a] + x[b], num[a] + num[b], 1 if orientation == "upper" else -1
+    order, group = np.lexsort((a, *key.T)), np.empty_like(a)  # equal sums next to each other
+    group[order] = np.cumsum(np.r_[True, (key[order[1:]] != key[order[:-1]]).any(axis=1)]) - 1
+    best = h[poly._group_best(group, lambda old, new: (
+        ctx.signs_of_int_vectors(h[new] - h[old]) * side > 0))]
+    tied = ctx.signs_of_int_vectors(best[group] - h) == 0
+    edge = tied & (np.bincount(group[tied], minlength=len(best)) == 1)[group] & (a < b)
+    adjacent, per = np.zeros((m, m), dtype=bool), max(1, poly._CHUNK // max(m * (k + 1), 1))
+    adjacent[a[edge], b[edge]] = True
+    stack = [np.arange(m)[:, None]]
+    while stack:
+        if (prefix := stack.pop()).shape[1] > k:
+            yield from map(tuple, prefix.tolist())
+        elif len(prefix) > per:  # pushed last first, so the slices pop in lex order
+            stack += [prefix[s:s + per] for s in range((len(prefix) - 1) // per * per, -1, -per)]
+        else:
+            row, j = np.nonzero(adjacent[prefix].all(axis=1))
+            stack.append(np.column_stack((prefix[row], j)))
 
 
 def _index_blocks(simplices: Iterable[Sequence[int]], width: int, count: int, size: int):
@@ -324,7 +335,7 @@ def _index_blocks(simplices: Iterable[Sequence[int]], width: int, count: int, si
         yield index
 
 
-def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None,
+def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
               heights: HeightFunction, orientation: str | Sequence[str]):
     """Yield (kept, vertices, lead, C, valid, slacks) for each block of candidate simplices.
 
@@ -333,16 +344,15 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None
     entries, the budget every exact kernel shares; before its
     elimination, a block with a candidate of another length raises
     DegenerateSimplexError, one with an index outside range(len(points))
-    ValidationError (_index_blocks).  None stands for every (k+1)-subset of
-    points in lex order, unranked a block at a time (_subset_blocks).
-    orientation is one for all, and the candidates stream, or one per
-    candidate, as for a whole cover.  One np.take per vertex position
-    gathers the rows (1, p, H(p)) of a block straight into the
-    candidate-last stack that _batched_rows eliminates in place, so the
-    stack is held once.  The kept candidates' rows come from _batched_rows,
-    their vertex indices in _facet_row's order, and their slacks
-    C_0 + sum_i p_i C_i - lead * H(p) from one matmul, which
-    signs_of_int_vectors signs at once.  A slack at a candidate's own
+    ValidationError (_index_blocks).  orientation is one for all, and the
+    candidates stream (brute-force enumeration passes those that
+    _circuit_candidates leaves), or one per candidate, as for a whole
+    cover.  One np.take per vertex position gathers the rows (1, p, H(p))
+    of a block straight into the candidate-last stack that _batched_rows
+    eliminates in place, so the stack is held once.  The kept candidates'
+    rows come from _batched_rows, their vertex indices in _facet_row's
+    order, and their slacks C_0 + sum_i p_i C_i - lead * H(p) from one
+    matmul, which signs_of_int_vectors signs at once.  A slack at a candidate's own
     vertex must be a zero vector, else AssertionError; valid marks the
     block's facets, whose other slacks are all positive, and slacks (kept
     candidates x points x basis) are the vectors signed.  The elimination
@@ -364,10 +374,8 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None
     rows, = _fit(2 * minor ** 2, rows)
     x, hp, columns = rows[:, :k + 1], rows[:, k + 1:], np.ascontiguousarray(rows.T)
     size = max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), len(points) * n))
-    blocks = (_subset_blocks(len(points), k + 1, size) if simplices is None
-              else _index_blocks(simplices, k + 1, len(points), size))
     done = 0
-    for index in blocks:
+    for index in _index_blocks(simplices, k + 1, len(points), size):
         part = orientation if isinstance(orientation, str) else sides[done:done + len(index)]
         done += len(index)
         stack = np.empty((k + 1, k + 1 + n, len(index)), rows.dtype)
@@ -383,7 +391,7 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None
         yield kept, own, lead, cofactors, valid, slacks
 
 
-def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]] | None,
+def _screen_facets(points: Sequence[Point], simplices: Iterable[Sequence[int]],
                    heights: HeightFunction, orientation: str | Sequence[str]) -> np.ndarray:
     """Bool mask: is each candidate simplex a valid facet of its orientation (as for _screened)?"""
     return np.concatenate([np.zeros(0, dtype=bool), *(

@@ -439,8 +439,8 @@ class LinearSystem:
             for j, v in enumerate(col):
                 if type(v) is not int and not v.is_rational():
                     fields.setdefault(j, []).append((c, [x * (den // v.den) for x in v.num]))
-        most = max([0, *(abs(x) for col in scalars for x in col), *(
-            abs(x) * max(p, q) for group in fields.values() for _, num in group for x in num)])
+        most = max([0, *(abs(x) for col in scalars for x in col), max(p, q) * max([0, *(
+            abs(x) for group in fields.values() for _, num in group for x in num)])])
         a, b = _fit(max(top, 1) * (den * q + num_vars * n * most), a, b)
         values = np.array(scalars, dtype=a.dtype).reshape(len(cols), num_vars) @ a
         for j, group in fields.items():
@@ -585,21 +585,28 @@ def _deduplicated(context: FieldContext, w, e, history):
                    dtype=np.int64)
     if len(groups) == len(ids):
         return w, e, history
-    # best[first[g] + i] is the least of the group's rows i.., step apart after each round
+    (rhs, den), length = _fit(2 * _top(w[:, -1]) * _top(e), w[:, -1], e), history.sum(axis=1)
+
+    def beats(old, new):
+        s = context.signs_of_int_vectors(rhs[new] * den[old, None] - rhs[old] * den[new, None])
+        return (s < 0) | ((s == 0) & (length[new] < length[old]))
+    keep = _group_best(ids, beats)
+    return w[keep], e[keep], history[keep]
+
+
+def _group_best(ids: np.ndarray, beats) -> np.ndarray:
+    """The index of the best row of each group, ids the rows' group numbers 0, 1, ...: a
+    tournament where beats(old, new) marks the row pairs the new row wins, a kernel call a
+    round, so the earlier row stays on a tie; best[first[g] + i] is the best of rows i.."""
     best, size = np.argsort(ids, kind="stable"), np.bincount(ids)
     first = np.cumsum(size) - size
-    offset, span = np.arange(len(ids)) - np.repeat(first, size), np.repeat(size, size)
-    rhs, den = _fit(2 * _top(w[:, -1]) * _top(e), w[:, -1], e)
-    length, step = history.sum(axis=1), 1
-    while step < size.max():
+    offset, span, step = np.arange(len(ids)) - np.repeat(first, size), np.repeat(size, size), 1
+    while step < size.max(initial=0):
         at = np.flatnonzero((offset % (2 * step) == 0) & (offset + step < span))
-        old, new = best[at], best[at + step]
-        s = context.signs_of_int_vectors(rhs[new] * den[old, None] - rhs[old] * den[new, None])
-        better = (s < 0) | ((s == 0) & (length[new] < length[old]))
-        best[at[better]] = new[better]
+        better = beats(best[at], best[at + step])
+        best[at[better]] = best[at + step][better]
         step *= 2
-    keep = best[first]
-    return w[keep], e[keep], history[keep]
+    return best[first]
 
 
 def _best_bounds(context: FieldContext, side: int, nums, dens):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -475,18 +476,26 @@ def spy_blocks(monkeypatch):
 @pytest.mark.parametrize("orientation", ["upper", "lower"])
 def test_screen_block_size_does_not_change_the_facets(monkeypatch, orientation):
     points = cube(3)
+    ctx = make_context(2, 2)
     cases = [staircase_height(3), HeightFunction.from_pairs(
-        (p, make_context(2, 2).element([i - 3, Fraction(i % 3, 2)])) for i, p in enumerate(points))]
+        (p, ctx.element([i - 3, Fraction(i % 3, 2)])) for i, p in enumerate(points)),
+        HeightFunction.from_pairs(  # the staircase moved off Q, so degree 2 splits blocks too
+            (p, ctx.element([(2 * p[-1] - 1) * sum(p[:-1]) ** 2, Fraction(i % 3, 4)]))
+            for i, p in enumerate(points))]
     for heights in cases:
         expected = [f.to_json_dict()
                     for f in enumerate_simplicial_upper_facets(points, heights, orientation)]
+        # the screen sees only the candidates that the parallelogram rule leaves
+        count = len(list(lift._circuit_candidates(points, heights, orientation)))
+        assert len(expected) <= count < math.comb(8, 4)
         # at k = 3 the largest array of a block holds 4 x (4 + n) entries per candidate
         for block in (1, 3):
             seen = spy_blocks(monkeypatch)
             monkeypatch.setattr(poly, "_CHUNK", block * 4 * (4 + heights.context.degree))
             facets = enumerate_simplicial_upper_facets(points, heights, orientation)
             assert [f.to_json_dict() for f in facets] == expected
-            assert {size for size, _ in seen} == {block, math.comb(8, 4) % block or block}
+            assert sorted(size for size, _ in seen) == sorted(
+                [block] * (count // block) + [count % block] * (count % block > 0))
             monkeypatch.undo()
 
 
@@ -511,14 +520,85 @@ def test_screen_refuses_unknown_orientation():
         enumerate_simplicial_upper_facets(cube(2), staircase_height(2), "sideways")
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
 def test_involution_bijection_between_facet_lists(k):
     h = staircase_height(k)
     uppers = enumerate_simplicial_upper_facets(cube(k), h)
     lowers = enumerate_simplicial_lower_facets(cube(k), h)
-    assert len(uppers) == len(lowers)
+    assert len(uppers) == len(lowers) == {2: 2, 3: 6, 5: 82}[k]
     reflect = lambda vs: frozenset(v[:-1] + (1 - v[-1],) for v in vs)
     assert {reflect(f.vertices) for f in uppers} == {frozenset(f.vertices) for f in lowers}
+
+
+# ---------------------------------------------------------------------------
+# the parallelogram pre-screen
+# ---------------------------------------------------------------------------
+
+def index_tuples(facets, points):
+    index = {p: i for i, p in enumerate(points)}
+    return sorted(tuple(sorted(index[v] for v in f.vertices)) for f in facets)
+
+
+@pytest.mark.parametrize("k, count", [(3, 6), (4, 20), (5, 82)])
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+def test_circuit_candidates_are_the_lifted_cube_facets(monkeypatch, k, count, orientation):
+    # of C(2^k, k + 1) subsets (70, 4,368 and 906,192) the rule alone leaves the facets
+    points, heights = cube(k), staircase_height(k)
+    expected = index_tuples(enumerate_simplicial_upper_facets(points, heights, orientation),
+                            points)
+    assert len(expected) == count
+    assert list(lift._circuit_candidates(points, heights, orientation)) == expected
+    # one prefix a block: the same tuples, in the same order
+    monkeypatch.setattr(poly, "_CHUNK", 1)
+    assert list(lift._circuit_candidates(points, heights, orientation)) == expected
+
+
+@st.composite
+def midpoint_sets(draw):
+    """lifted_point_sets with p - d and p + d added for a drawn point p, so that p is a
+    midpoint and the pair {p - d, p + d} shares its sum with the pair {p, p}."""
+    points, heights = draw(lifted_point_sets())
+    values, extra = list(heights.values.values()), {}
+    p = draw(st.sampled_from(points))
+    d = draw(st.tuples(*[st.integers(-1, 1)] * len(p)).filter(any))
+    for q in (tuple(x - y for x, y in zip(p, d)), tuple(x + y for x, y in zip(p, d))):
+        if q not in heights.values:
+            extra[q] = draw(st.sampled_from(values))
+    return points + list(extra), HeightFunction.from_pairs([*heights.values.items(),
+                                                            *extra.items()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(lifted_point_sets(), midpoint_sets()),
+       orientation=st.sampled_from(["upper", "lower"]))
+@example(case=(SQUARE, HeightFunction.from_pairs(
+    (p, make_context(1, 2).from_rational(p[0] ** 2)) for p in SQUARE)), orientation="lower")
+def test_circuit_candidates_keep_every_facet(case, orientation):
+    points, heights = case
+    points = sorted(points)
+    candidates = list(lift._circuit_candidates(points, heights, orientation))
+    assert candidates == sorted(set(candidates))  # lex order, each once
+    assert set(index_tuples(reference_enumeration(points, heights, orientation), points)
+               ) <= set(candidates)
+
+
+def test_circuit_candidates_working_set_stays_linear_in_the_pairs():
+    # 600 collinear points on a parabola: C(600, 2) = 179,700 candidates, under the
+    # guard, in sum groups of up to 300 pairs; comparing every pair with every other
+    # of its group would hold about 36M entries
+    ctx = make_context(1, 2)
+    points = [(x,) for x in range(600)]
+    heights = HeightFunction.from_pairs((p, ctx.from_rational(p[0] ** 2)) for p in points)
+    tracemalloc.start()
+    try:
+        uppers = enumerate_simplicial_upper_facets(points, heights)
+        lowers = enumerate_simplicial_lower_facets(points, heights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index_tuples(uppers, points) == [(0, 599)]
+    assert index_tuples(lowers, points) == [(x, x + 1) for x in range(599)]
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -304,20 +304,17 @@ def test_batched_rows_match_facet_row_on_drawn_candidates(case, orientation):
         _check_batched_rows(points, simplices, heights, orientation)
 
 
-@pytest.mark.parametrize("m, r, size", [
-    (6, 3, 1), (6, 3, 4), (6, 3, 20), (6, 3, 7), (7, 1, 3), (5, 5, 2), (4, 6, 3), (0, 1, 5),
-    (16, 5, 8738)])
-def test_subset_blocks_match_combinations(m, r, size):
-    # block size 1, exact multiples of C(m, r) (20 = 4 x 5 and 20 itself), a last
-    # short block, r = 1, r = m, r > m, no points, and the 4-cube's one block
-    blocks = list(lift._subset_blocks(m, r, size))
-    expected = list(combinations(range(m), r))
-    assert len(blocks) == -(-len(expected) // size)
-    assert all(b.dtype == np.intp and b.shape[1] == r and 0 < len(b) <= size for b in blocks)
-    assert [tuple(row) for b in blocks for row in b.tolist()] == expected
-    ranks = random.Random(m * r).sample(range(len(expected)), min(len(expected), 9))
-    assert lift._subsets(m, r, np.array(ranks, dtype=np.int64)).tolist() == [
-        list(expected[i]) for i in ranks]
+@pytest.mark.parametrize("points, expected", [
+    ([(), ()], [(0,), (1,)]),  # k = 0, so r = 1: every point alone, with no pair to test
+    ([(0, 0), (0, 1), (1, 1)], [(0, 1, 2)]),  # r = m: no other pair shares a sum
+    ([(0, 0), (1, 1)], []),  # r > m
+    ([], []),  # no points
+], ids=["r_one", "r_is_m", "r_above_m", "no_points"])
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+def test_circuit_candidates_edge_cases(points, expected, orientation):
+    heights = (HeightFunction.from_pairs([((), make_context(1, 2).zero)]) if points == [(), ()]
+               else staircase_height(2))
+    assert list(lift._circuit_candidates(points, heights, orientation)) == expected
 
 
 def _reference_facet(points, simplex, heights, orientation):
