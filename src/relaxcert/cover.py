@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, islice, product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError
-from .lift import (FacetSimplex, HeightFunction, _circuit_candidates, _screen_facets,
+from .lift import (FacetSimplex, HeightFunction, _circuit_candidates, _screen_facets, _screen_size,
                    facet_inequality_from_simplex, facets_from_simplices, staircase_height)
 
 Point = tuple[int, ...]
@@ -314,11 +314,11 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
                                       ) -> list[FacetSimplex]:
     """All valid simplicial facets of the requested orientation, by brute force.
 
-    The (k+1)-subsets of the sorted points that lift._circuit_candidates leaves
-    are screened by lift._screen_facets; only survivors become FacetSimplex
-    values, in lex order of their index tuples.  An empty list and points outside
-    the heights' domain (mixed dimensions among them) are refused with
-    ValidationError, and over 2^20 subsets with ResourceLimitError, up front.
+    The (k+1)-subsets of the sorted points that lift._circuit_candidates leaves are
+    screened by lift._screen_facets a block at a time as they stream; only survivors
+    become FacetSimplex values, in lex order of their index tuples.  An empty list, an
+    unknown orientation and points outside the heights' domain (mixed dimensions among
+    them) are refused up front with ValidationError, over 2^20 subsets with ResourceLimitError.
     """
     pts = sorted(tuple(int(x) for x in p) for p in points)
     if not pts:
@@ -330,10 +330,14 @@ def enumerate_simplicial_upper_facets(points: Sequence[Sequence[int]],
         raise ResourceLimitError(
             f"{count} candidate simplices exceed the enumeration guard of "
             f"{_ENUMERATION_CANDIDATE_GUARD}", required=count)
-    candidates = list(_circuit_candidates(pts, heights, orientation))
-    valid = _screen_facets(pts, candidates, heights, orientation)
+    if orientation not in ("upper", "lower"):
+        raise ValidationError(f"unknown orientation {orientation!r}")
+    candidates, survivors = _circuit_candidates(pts, heights, orientation), []
+    size = _screen_size(len(pts), k, heights.context.degree)
+    while block := list(islice(candidates, size)):
+        survivors += compress(block, _screen_facets(pts, block, heights, orientation))
     return [facet_inequality_from_simplex([pts[j] for j in candidate], heights, orientation)
-            for candidate in compress(candidates, valid)]
+            for candidate in survivors]
 
 
 def enumerate_simplicial_lower_facets(points: Sequence[Sequence[int]],

@@ -335,6 +335,11 @@ def _index_blocks(simplices: Iterable[Sequence[int]], width: int, count: int, si
         yield index
 
 
+def _screen_size(m: int, k: int, n: int) -> int:
+    """Candidates per block of _screened over m points, whose largest array holds about _CHUNK."""
+    return max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), m * n))
+
+
 def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
               heights: HeightFunction, orientation: str | Sequence[str]):
     """Yield (kept, vertices, lead, C, valid, slacks) for each block of candidate simplices.
@@ -373,7 +378,7 @@ def _screened(points: Sequence[Point], simplices: Iterable[Sequence[int]],
     minor = math.factorial(k + 1) * reach ** k * max(reach, top)
     rows, = _fit(2 * minor ** 2, rows)
     x, hp, columns = rows[:, :k + 1], rows[:, k + 1:], np.ascontiguousarray(rows.T)
-    size = max(1, poly._CHUNK // max((k + 1) * (k + 1 + n), len(points) * n))
+    size = _screen_size(len(points), k, n)
     done = 0
     for index in _index_blocks(simplices, k + 1, len(points), size):
         part = orientation if isinstance(orientation, str) else sides[done:done + len(index)]

@@ -262,10 +262,7 @@ class LinearSystem:
             w, e, history = _eliminate(ctx, w, e, history, best, level, signs[:, best])
             level += 1
             target -= best < target
-        bounds = LinearSystem(ctx, 1, tuple(
-            Row((_reduced(ctx, tuple(cw), d),), _reduced(ctx, tuple(rw), d))
-            for cw, rw, d in zip(w[:, 0].tolist(), w[:, 1].tolist(), e.tolist())
-        )).propagated_bounds()[0]
+        bounds = _lazy(ctx, 1, w[:, :1], w[:, 1], e.tolist()).propagated_bounds()[0]
         if bounds.bounded and (bounds.upper - bounds.lower).sign() < 0:
             return VarBounds(None, None, infeasible=True)
         return bounds
@@ -497,7 +494,7 @@ class LinearSystem:
             raise ResourceLimitError(
                 f"box holds {volume} lattice points, above the cap of {cap}",
                 required=volume)
-        int_rows = self._integer_rows[:2]
+        int_rows = self._integer_rows
         order = _search_order(int_rows[0], box)
         jobs = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
         if jobs > 1 and box.dimension and box.bounds[order[0]][1] > box.bounds[order[0]][0]:
@@ -708,36 +705,40 @@ def _enumerate(context: FieldContext, int_rows, box: Box, order: list[int]
     fixes the next coordinate of every kept prefix (the first, as many as
     make at most _FIRST_STEP prefixes) and drops a prefix whose centre,
     plus the most the free coordinates can add to it and the most err
-    reaches over the box, is negative for some row.  A
-    step holds at most _CHUNK centres, one prefix's children in slices if
-    need be.  The search is int64 when a magnitude bound over the box stays
-    below 2^62, and Python integers (dtype object) otherwise.
+    reaches over the box, is negative for some row.  A step compares the
+    parents' centres with a floor per child in at most _CHUNK entries, one
+    prefix's children in slices if need be; the (child, parent) index pairs
+    that pass gather the next prefixes' coordinates and centres.  The search
+    is int64 when a magnitude bound over the box stays below 2^62, and
+    Python integers (dtype object) otherwise.
     """
-    a, b = int_rows  # the system's _integer_rows: A is rows x d x n, b is rows x n
+    a, b, _, top = int_rows  # the system's _integer_rows: A is rows x d x n, b is rows x n
     n, d, count = context.degree, box.dimension, len(b)
     bounds, back = [box.bounds[j] for j in order], sorted(range(d), key=order.__getitem__)
-    a, b = a[:, order].transpose(0, 2, 1).astype(object), b.astype(object)
-    scale = np.array(context._kernel_brackets(), dtype=object)
-    # at least 1, so that the bound also covers every coefficient array
-    reach = np.array([max(abs(lo), abs(hi), 1) for lo, hi in bounds], dtype=object)
-    size = np.abs(b) + np.abs(a) @ reach  # the most |w_i| reaches over the box
-    headroom = max((*reach, *((scale + 1) * size).sum(axis=1)), default=0)
-    centres, rows_a, rows_b = _fit(headroom, (a * scale[:, None]).sum(axis=1),
-                                   a.transpose(0, 2, 1), b[:, None, :])
-    dtype = centres.dtype
-    low, high = np.array(bounds, dtype=np.int64).reshape(d, 2).T
+    scale, reach = context._kernel_brackets(), [max(abs(lo), abs(hi), 1) for lo, hi in bounds]
+    # every |w_i| stays below top (1 + sum(reach)) over the box, reach being at least 1: a
+    # scalar never below the exact bound, which is computed only where the scalar passes 2^62
+    headroom = max([*reach, top * (1 + sum(reach)) * (sum(scale) + n)])
+    a, b = _fit(headroom, a[:, order], b)
+    size = np.abs(b) + np.array(reach, a.dtype) @ np.abs(a)  # the most |w_i| reaches over the box
+    if a.dtype == object:
+        headroom = max((*reach, *(size @ np.array(scale, dtype=object) + size.sum(axis=1))))
+        a, b, size = _fit(headroom, a, b, size)
+    scale = np.array(scale, a.dtype)
+    centres, low, high = a @ scale, *np.array(bounds, dtype=np.int64).reshape(d, 2).T
     # column j: the most coordinates j.. can add to each centre, plus the most err reaches
-    most = np.column_stack((np.maximum(-centres * low, -centres * high), size[:, 1:].sum(axis=1)))
-    most = np.cumsum(most[:, ::-1], axis=1)[:, ::-1].astype(dtype)
+    most = np.column_stack((np.maximum(centres * -low, centres * -high), size[:, 1:].sum(axis=1)))
+    most = np.cumsum(most[:, ::-1], axis=1)[:, ::-1]
 
     sizes = [hi - lo + 1 for lo, hi in bounds]
     first = min(d, 1 + sum(math.prod(sizes[:j]) <= _FIRST_STEP for j in range(2, d + 1)))
-    cuts = [0, first] + list(range(first + 1, d + 1))
+    grids = [np.indices(sizes[:first], dtype=np.int64).reshape(first, math.prod(sizes[:first]))
+             + low[:first, None], *(np.arange(lo, hi + 1)[None] for lo, hi in bounds[first:])]
     steps = []
-    for j0, j1 in zip(cuts, cuts[1:]):
-        grid = np.indices(sizes[j0:j1], dtype=np.int64).reshape(
-            j1 - j0, math.prod(sizes[j0:j1])) + low[j0:j1, None]
-        steps.append((grid, -(centres[:, j0:j1] @ grid.astype(dtype)), most[:, j1:j1 + 1]))
+    for grid, j1 in zip(grids, range(first, d + 1)):
+        # a child lowers each centre by drop, and stays where centre - drop + most[:, j1] >= 0
+        drop = centres[:, j1 - len(grid):j1] @ grid
+        steps.append((grid, drop, drop - most[:, j1, None]))
 
     limit = max(1, _CHUNK // max(count, 1))
     points_per, rows_per = max(1, _CHUNK // max(count * n, 1)), max(1, _CHUNK // n)
@@ -747,33 +748,33 @@ def _enumerate(context: FieldContext, int_rows, box: Box, order: list[int]
         """Keep the columns of xs where every row's w = b - A x has a nonnegative sign."""
         ok = np.ones(xs.shape[1], dtype=bool)
         for s in range(0, xs.shape[1], points_per):
-            x = xs[:, s:s + points_per].T.astype(dtype)
+            x = xs[:, s:s + points_per].T.astype(a.dtype, copy=False)
             for r in range(0, count, rows_per):
-                w = rows_b[r:r + rows_per] - x @ rows_a[r:r + rows_per]
+                w = b[r:r + rows_per, None] - x @ a[r:r + rows_per]
                 ok[s:s + points_per] &= (context.signs_of_int_vectors(w) >= 0).all(axis=0)
         result.extend(map(tuple, xs[:, ok][back].T.tolist()))
 
     def descend(depth, points, values):
-        """Extend the prefixes (columns of points, their centres) by step `depth`."""
-        grid, delta, bound = steps[depth]
+        """Extend the prefixes (columns of points, their centres) by step `depth`: the
+        (child, parent) index pairs where every row's centre reaches the step's floor,
+        whose coordinates and centres are gathered by those indices."""
+        grid, drop, floor = steps[depth]
         per = max(1, limit // grid.shape[1])
         for s in range(0, points.shape[1], per):
+            parents = values[:, s:s + per]
             for c in range(0, grid.shape[1], limit):
-                children = grid[:, c:c + limit]
-                parents = values[:, s:s + per]
-                vals = (parents[:, :, None] + delta[:, None, c:c + limit]).reshape(
-                    count, parents.shape[1] * children.shape[1])
-                keep = (vals + bound >= 0).all(axis=0)
-                if not keep.any():
+                child, parent = np.nonzero(
+                    (parents[:, None] >= floor[:, c:c + limit, None]).all(axis=0))
+                if not len(parent):
                     continue
-                xs = np.concatenate((np.repeat(points[:, s:s + per], children.shape[1], axis=1),
-                                     np.tile(children, parents.shape[1])))[:, keep]
+                child, parent = child + c, parent + s
+                xs = np.concatenate((points.take(parent, axis=1), grid.take(child, axis=1)))
                 if depth + 1 < len(steps):
-                    descend(depth + 1, xs, vals[:, keep])
+                    descend(depth + 1, xs, values.take(parent, axis=1) - drop.take(child, axis=1))
                 else:
                     finish(xs)
 
-    descend(0, np.zeros((0, 1), dtype=np.int64), (b @ scale).astype(dtype)[:, None])
+    descend(0, np.zeros((0, 1), dtype=np.int64), (b @ scale)[:, None])
     return sorted(result)
 
 

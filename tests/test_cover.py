@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -580,6 +581,37 @@ def test_circuit_candidates_keep_every_facet(case, orientation):
     assert candidates == sorted(set(candidates))  # lex order, each once
     assert set(index_tuples(reference_enumeration(points, heights, orientation), points)
                ) <= set(candidates)
+
+
+def test_brute_force_screens_candidates_as_they_stream(monkeypatch):
+    # 14 random points of [0, 10^6]^2 share no pair sums, so the parallelogram rule keeps
+    # all C(14, 3) = 364 triples; a screen block over 14 points holds 12 of them here
+    rng = random.Random(5)
+    ctx = make_context(1, 2)
+    points = sorted({(rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)) for _ in range(14)})
+    heights = HeightFunction.from_pairs(
+        (p, ctx.from_rational(rng.randint(0, 10 ** 6))) for p in points)
+    expected = [f.to_json_dict() for f in enumerate_simplicial_upper_facets(points, heights)]
+    yielded, screened = [0], []
+
+    def counting(*args):
+        for candidate in lift._circuit_candidates(*args):
+            yielded[0] += 1
+            yield candidate
+
+    def screening(points, block, *args):
+        screened.append((yielded[0], len(block)))
+        return lift._screen_facets(points, block, *args)
+
+    monkeypatch.setattr(cover, "_circuit_candidates", counting)
+    monkeypatch.setattr(cover, "_screen_facets", screening)
+    monkeypatch.setattr(poly, "_CHUNK", 12 * 14)
+    facets = enumerate_simplicial_upper_facets(points, heights)
+    assert [f.to_json_dict() for f in facets] == expected and expected
+    assert yielded[0] == math.comb(14, 3)
+    # the first block is screened before the 13th candidate is drawn
+    assert screened[0] == (12, 12)
+    assert [size for _, size in screened] == [12] * 30 + [4]
 
 
 def test_circuit_candidates_working_set_stays_linear_in_the_pairs():

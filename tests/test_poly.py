@@ -809,6 +809,25 @@ def test_coordinate_bounds_keep_the_tightest_rows():
     assert bounds.lower == 2 and bounds.upper == CTX2.element((0, 2))
 
 
+@pytest.mark.parametrize("rows, num_vars, lower, upper", [
+    # an irrational last pivot: sqrt2 x0 <= 3 after x1 goes, so x0 <= 3 / sqrt2
+    ([((sqrt2(), 1), 3), ((0, -1), 0), ((-1, 0), 1)], 2, -1, CTX2.element((0, Fraction(3, 2)))),
+    # tied bounds on each side, from rows of different scale, one of them irrational
+    ([((1,), 2), ((2,), 4), ((sqrt2(),), CTX2.element((0, 2))), ((-1,), -1), ((-3,), -3)],
+     1, 1, 2),
+    # lower = upper = sqrt2 is one point, not empty
+    ([((1,), sqrt2()), ((-1,), -sqrt2())], 1, sqrt2(), sqrt2()),
+    # lower > upper: x0 <= 1 after x1 goes, and x0 >= sqrt2
+    ([((1, 1), 1), ((0, -1), 0), ((-1, 0), -sqrt2())], 2, None, None)])
+def test_coordinate_bounds_read_the_last_variable_exactly(rows, num_vars, lower, upper):
+    system = system_from(rows, num_vars)
+    bounds = system.coordinate_bounds(0)
+    assert bounds == _field_coordinate_bounds(system, 0)
+    assert bounds.infeasible == (lower is None)
+    if lower is not None:
+        assert (bounds.lower, bounds.upper) == (lower, upper)
+
+
 def test_propagated_bounds_sound():
     S = system_from([((1, 0), 1), ((-1, 0), 0), ((0, 1), 2), ((0, -1), 1)], 2)
     bounds = S.propagated_bounds()
@@ -1062,6 +1081,31 @@ def test_enumerate_last_step_signs_at_most_chunk_entries(chunk):
         points = projection.enumerate_lattice_points(Box.uniform(0, 1, 5))
     assert points == list(itertools.product((0, 1), repeat=5))
     assert 0 < max(largest) <= chunk
+
+
+def test_enumerate_searches_in_int64_unless_the_headroom_passes_it():
+    """The dtype of every stack the enumerator signs: int64 on the windows, Python
+    integers past the int64 headroom."""
+    big = LinearSystem.from_rows(CTX2, [((CTX2.element((1 << 61, 3)), 1, -1), 5),
+                                        ((-1, CTX2.element((0, -(1 << 59))), 1), 2)], 3)
+    # rational rows with a rhs of 2^26: the scalar bound passes 2^62, the exact one does not
+    wide = LinearSystem.from_rows(CTX2, [((1, 0, 0), 1 << 26), ((0, -1, 1), 1 << 26)], 3)
+    cases = [(simplex5_relaxation().system, Box.uniform(-2, 3, 5), "int64"),
+             (composed_simplex_relaxation(11).system, Box.uniform(-1, 2, 11), "int64"),
+             (composed_simplex_relaxation(13).system, Box.uniform(-1, 2, 13), "int64"),
+             (pipeline_run(3).bundle.system, Box.uniform(-1, 2, 7), "int64"),
+             (big, Box.uniform(-2, 2, 3), "object"), (wide, Box.uniform(-3, 3, 3), "int64")]
+    kernel = FieldContext.signs_of_int_vectors
+    for system, box, dtype in cases:
+        seen = []
+
+        def recording(context, w):
+            seen.append(w.dtype)
+            return kernel(context, w)
+
+        with mock.patch.object(FieldContext, "signs_of_int_vectors", recording):
+            points = system.enumerate_lattice_points(box)
+        assert points and seen and {str(t) for t in seen} == {dtype}
 
 
 def test_enumerate_parallel_matches_serial(monkeypatch):
