@@ -4,10 +4,13 @@ Covers the five-row mixed system and its pullback to a 5-dimensional
 simplex vertex set, the stretched one-parameter family, free-join
 composition and the join-based bound for arbitrary dimension, the
 cube-projection simplex copy, and the full project/lift/relax chain for
-dimensions of the form 2**k - 1.  The composed bound is one n-ary join; its
-block is certified once per (eps, cap), with refutations not cached, and
-pulled back once per (a, eps, cap).  The chain reads its cube split,
-staircase heights and lifted cube cover, each built once per k in a process.
+dimensions of the form 2**k - 1.  The composed bound is one n-ary join,
+placed as one integer row block from its bundles' integer rows, whose
+field elements are built only when read; its block, itself built from
+integer numerators, is certified once per (eps, cap), with refutations
+not cached, and pulled back once per (a, eps, cap).  The chain reads its
+cube split, staircase heights and lifted cube cover, each built once per k
+in a process.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .cover import build_full_cover, cover_generators
 from .errors import CertificationError, PreconditionError, ValidationError
 from .field import FieldContext, as_fraction, make_context
 from .lift import HeightFunction, affine_interpolant, perturb_heights, staircase_height
-from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet, Row
+from .poly import Box, DEFAULT_POINT_CAP, LinearSystem, PointSet, Row, _lazy
 from .verify import Certificate, certify_mixed
 
 DEFAULT_EPS = Fraction(1, 8)
@@ -125,25 +128,23 @@ def projected_simplex_relaxation(eps: Fraction | int | str = DEFAULT_EPS) -> Lin
         eps*x1 + x2 + (1-eps)(sqrt2-1)*x3 + (1-eps)(2-sqrt2)*x4 <= 1
         -x3 - sqrt2*x4 <= 0
         x1 - (1+eps)*x2 + x3 - x4 <= 1
-    The sqrt2+1 denominators of the third row are cleared exactly.
+    The sqrt2+1 denominators of the third row are cleared exactly.  With
+    eps = u/v in lowest terms, each row is given by its integer numerators
+    (of 1 and sqrt2) over its least denominator, 1 or v; the rows' field
+    elements are built only when read.
     """
     eps = as_fraction(eps)
     if not 0 < eps < 1:
         raise ValidationError(f"eps must lie strictly between 0 and 1, got {eps}")
-    ctx = make_context(2, 2)
-
-    def e(a, b=0):
-        return ctx.element((as_fraction(a), as_fraction(b)))
-
-    one_minus = 1 - eps
-    rows = [
-        ((e(-1), e(0), e(0), e(1)), e(0)),
-        ((e(0), e(0), e(-1), e(1)), e(0)),
-        ((e(eps), e(1), e(-one_minus, one_minus), e(2 * one_minus, -one_minus)), e(1)),
-        ((e(0), e(0), e(-1), e(0, -1)), e(0)),
-        ((e(1), e(-(1 + eps)), e(1), e(-1)), e(1)),
-    ]
-    return LinearSystem.from_rows(ctx, rows, 4, names=("x1", "x2", "x3", "x4"))
+    u, v = eps.numerator, eps.denominator
+    import numpy as np  # imported here, as the module's import order is kept
+    a = np.array([[(-1, 0), (0, 0), (0, 0), (1, 0)],
+                  [(0, 0), (0, 0), (-1, 0), (1, 0)],
+                  [(u, 0), (v, 0), (u - v, v - u), (2 * (v - u), u - v)],
+                  [(0, 0), (0, 0), (-1, 0), (0, -1)],
+                  [(v, 0), (-(u + v), 0), (v, 0), (-v, 0)]], dtype=object)
+    b = np.array([(0, 0), (0, 0), (v, 0), (0, 0), (v, 0)], dtype=object)
+    return _lazy(make_context(2, 2), 4, a, b, [1, 1, v, 1, v], ("x1", "x2", "x3", "x4"))
 
 
 def _pullback_matrix(ctx: FieldContext, a: int):
@@ -220,12 +221,11 @@ def standard_simplex_bundle(d: int, context: FieldContext | None = None) -> Rela
     if d < 0:
         raise ValidationError("dimension must be nonnegative")
     ctx = context if context is not None else make_context(2, 2)
-    zero, one = ctx.zero, ctx.one
-    rows = []
-    for i in range(d):
-        rows.append(Row(tuple(-one if j == i else zero for j in range(d)), zero))
-    rows.append(Row((one,) * d, one))
-    system = LinearSystem(ctx, d, tuple(rows))
+    import numpy as np  # imported here, as the module's import order is kept
+    a = np.zeros((d + 1, d, ctx.degree), dtype=np.int64)
+    b = np.zeros((d + 1, ctx.degree), dtype=np.int64)
+    a[:d, :, 0], a[d, :, 0], b[d, 0] = -np.eye(d, dtype=np.int64), 1, 1  # -x_i <= 0, sum x_i <= 1
+    system = _lazy(ctx, d, a, b, [1] * (d + 1), top=1)
     return RelaxationBundle(system, simplex_points(d),
                             {"construction": "standard_simplex", "d": d},
                             Box.uniform(-1, 2, d))
@@ -235,15 +235,21 @@ def free_join_compose(*bundles: RelaxationBundle) -> RelaxationBundle:
     """The free join of two or more bundles: the left fold of binary joins.
 
     A binary join puts left at z = 0 and right at z = 1: A x + b z <= b and
-    C y - d z <= 0.  Built in one pass over the variables of bundle 0, then
-    of each bundle i >= 1 followed by its level z_i.  Every bundle needs the
-    shared context, the origin and rhs >= 0 with some rhs > 0, checked in
-    fold order and each distinct bundle once.
+    C y - d z <= 0.  The variables are those of bundle 0, then of each
+    bundle i >= 1 followed by its level z_i.  Every bundle needs the shared
+    context, the origin and rhs >= 0 with some rhs > 0 (signed from its
+    integer rhs: by the integer parts where every rhs is rational, else by
+    one kernel call), checked in fold order and each distinct bundle once.
+    The joined rows are one integer block placed from the bundles'
+    _integer_rows, each row over its own least denominator: bundle 0's rhs
+    is also its coefficient on every z_i, and each row of bundle i takes
+    -rhs on z_i and rhs 0.  Their field elements are built only when read.
     """
     if len(bundles) < 2:
         raise ValidationError("free join needs at least two bundles")
     first = bundles[0]
     ctx = first.system.context
+    import numpy as np  # imported here, as the module's import order is kept
     checked: set[int] = set()
     for i in range(1, len(bundles)):
         if bundles[i].system.context != ctx:
@@ -256,41 +262,45 @@ def free_join_compose(*bundles: RelaxationBundle) -> RelaxationBundle:
             if id(bundle) in checked:  # the composed bound repeats one block
                 continue
             checked.add(id(bundle))
-            signs = [row.rhs.sign() for row in bundle.system.rows]
-            if any(s < 0 for s in signs):
+            rhs = bundle.system._integer_rows[1]
+            # a rational rhs has the sign of its integer numerator; others need the kernel
+            signs = (ctx.signs_of_int_vectors(rhs) if rhs[:, 1:].any() else np.sign(rhs[:, 0])
+                     ).tolist()
+            if min(signs, default=0) < 0:
                 raise PreconditionError(f"{name} system has a negative right-hand side")
-            if not any(s > 0 for s in signs):
+            if max(signs, default=0) <= 0:
                 raise PreconditionError(
                     f"{name} system has no strictly positive right-hand side")
-    zero = ctx.zero
     sizes = [b.system.num_vars for b in bundles]
     total = sum(sizes) + len(bundles) - 1
-    rows = []
-    for row in first.system.rows:
-        coeffs = list(row.coeffs)
-        for k in sizes[1:]:
-            coeffs += (zero,) * k
-            coeffs.append(row.rhs)
-        rows.append(Row(tuple(coeffs), row.rhs))
+    blocks = [b.system._integer_rows for b in bundles]
+    dens = [d for block in blocks for d in block[2]]
+    dtype = object if any(block[0].dtype == object for block in blocks) else np.int64
+    a, b = np.zeros((len(dens), total, ctx.degree), dtype), np.zeros((len(dens), ctx.degree), dtype)
+    head, rhs0 = len(blocks[0][2]), blocks[0][1]
+    a[:head, :sizes[0]], b[:head] = blocks[0][0], rhs0
     points = [p + (0,) * (total - sizes[0]) for p in first.target.points]
-    cores: dict[int, list] = {}
-    offset = sizes[0]
-    for bundle, k in zip(bundles[1:], sizes[1:]):
+    cores: dict[int, np.ndarray] = {}  # each distinct bundle's rows with -rhs on its level
+    start, offset, levels = head, sizes[0], []
+    for bundle, k, (block, rhs, _, _) in zip(bundles[1:], sizes[1:], blocks[1:]):
         if id(bundle) not in cores:
-            cores[id(bundle)] = [row.coeffs + (-row.rhs,) for row in bundle.system.rows]
-        before, after = (zero,) * offset, (zero,) * (total - offset - k - 1)
-        rows += [Row(before + core + after, zero) for core in cores[id(bundle)]]
-        before, after = (0,) * offset, (0,) * (total - offset - k - 1)
+            cores[id(bundle)] = np.concatenate((block, -rhs[:, None]), axis=1)
+        end, level = start + len(rhs), offset + k  # bundle i's rows, and the column of z_i
+        a[start:end, offset:level + 1] = cores[id(bundle)]
+        before, after = (0,) * offset, (0,) * (total - level - 1)
         points += [before + q + (1,) + after for q in bundle.target.points]
-        offset += k + 1
+        start, offset = end, level + 1
+        levels.append(level)
+    a[:head, levels] = rhs0[:, None]
     target = PointSet(total, tuple(points), label="free_join")
     provenance = {
         "construction": "free_join",
         "left": first.provenance.get("construction") if len(bundles) == 2 else "free_join",
         "right": bundles[-1].provenance.get("construction"),
-        "rows": len(rows),
+        "rows": len(dens),
     }
-    return RelaxationBundle(LinearSystem(ctx, total, tuple(rows)), target, provenance,
+    top = max(block[3] for block in blocks)  # its entries are the bundles' or their negations
+    return RelaxationBundle(_lazy(ctx, total, a, b, dens, top=top), target, provenance,
                             Box.uniform(-1, 2, total))
 
 

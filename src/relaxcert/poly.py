@@ -12,7 +12,11 @@ into signed slacks and fiber_bounds into the bounds on the last variable.
 Fourier-Motzkin runs on the same arrays in blocks of about _CHUNK
 integers, combining rows with positive multipliers (scalars for a
 rational pivot column) into primitive integer coefficient vectors; no
-field division happens before the bounds.  One enumerator serves every
+field division happens before the bounds.  box_bounds runs one grouped
+elimination for several coordinates: each is a chain of its own copy of
+the rows, every step signs all chains' coefficients in one kernel call
+and pairs rows only within a chain, and a tournament per chain and side
+reads the bounds, dividing only the winners.  One enumerator serves every
 field: a vectorized branch and bound, which branches first on the
 coordinates that complete rows soonest, prunes the prefixes that no
 completion satisfies, and the field's kernel signs_of_int_vectors
@@ -124,9 +128,13 @@ class _Rows:
         if system is None:
             raise AttributeError("rows")  # so that the field has no default
         (a, b, dens, _), ctx = system._integer_rows, system.context
-        system.__dict__["rows"] = rows = tuple(
-            Row(tuple(_reduced(ctx, tuple(v), d) for v in coeffs), _reduced(ctx, tuple(t), d))
-            for coeffs, t, d in zip(a.tolist(), b.tolist(), dens))
+        zero = ctx.zero
+
+        def element(v, d):  # every zero entry is the context's one zero
+            return _reduced(ctx, tuple(v), d) if any(v) else zero
+        system.__dict__["rows"] = rows = tuple(  # a row's Python integers at a time
+            Row(tuple(element(v, d) for v in coeffs.tolist()), element(t, d))
+            for coeffs, t, d in zip(a, b.tolist(), dens))
         return rows
 
 
@@ -223,8 +231,9 @@ class LinearSystem:
         if not 0 <= j < self.num_vars:
             raise ValidationError(f"variable index {j} out of range")
         w, e, history = _tracked(self)
-        w, e, _ = _eliminate(self.context, w, e, history, j, 1,
-                             self.context.signs_of_int_vectors(w[:, j]))
+        w, e, _, _ = _eliminate(self.context, w, e, history, j, 1,
+                                self.context.signs_of_int_vectors(w[:, j]),
+                                np.zeros(len(w), dtype=np.int64))
         names = None
         if self.names is not None:
             names = self.names[:j] + self.names[j + 1:]
@@ -238,41 +247,87 @@ class LinearSystem:
                      self.names)
 
     def coordinate_bounds(self, j: int) -> VarBounds:
-        """Best bounds on variable j obtained by eliminating all others.
+        """Best bounds on variable j obtained by eliminating all others: box_bounds([j])."""
+        return self.box_bounds([j])[0]
 
-        Elimination order is chosen greedily (fewest pairings first).  The
-        chained elimination drops rows whose combination history exceeds
-        one plus the number of variables eliminated so far; such rows are
+    def box_bounds(self, coordinates: Sequence[int]) -> list[VarBounds]:
+        """coordinate_bounds(j) for every j of coordinates, in one grouped elimination.
+
+        Each coordinate is a chain, its own copy of the rows of _tracked; the
+        chains share the history columns and the level.  At each level one
+        kernel call signs every free coefficient, each chain picks the
+        variable with the fewest pairings (on a tie the lower index), the
+        rows are gathered so that every chain's pivot sits in column 0, and
+        one _eliminate step pairs rows within each chain.  The chained
+        elimination drops rows whose combination history exceeds one plus
+        the number of variables eliminated so far (Chernikov); such rows are
         always redundant, so the projection, and with it the bounds, stay
-        exact.
+        exact.  A constant row 0 <= r < 0 makes its chain infeasible.  The
+        last rows c x_j <= r meet in one _group_best tournament per (chain,
+        side), comparing r_a c_b - r_b c_a, and only the winners are divided
+        as field elements; lower > upper is infeasible.
         """
-        if not 0 <= j < self.num_vars:
-            raise ValidationError(f"variable index {j} out of range")
-        ctx, (w, e, history), target, level = self.context, _tracked(self), j, 1
+        for j in coordinates:
+            if not 0 <= j < self.num_vars:
+                raise ValidationError(f"variable index {j} out of range")
+        if not coordinates:
+            return []
+        ctx, (w, e, history), chains = self.context, _tracked(self), len(coordinates)
+        group = np.repeat(np.arange(chains), len(w))
+        w, e, history = np.concatenate([w] * chains), np.tile(e, chains), np.tile(
+            history, (chains, 1))
+        target, level, infeasible = np.array(coordinates), 1, np.zeros(chains, dtype=bool)
         while True:
             constant = ~w[:, :-1].any(axis=(1, 2))
-            if constant.any() and (ctx.signs_of_int_vectors(w[constant, -1]) < 0).any():
-                return VarBounds(None, None, infeasible=True)
-            if w.shape[1] == 2:
+            if constant.any():
+                infeasible[group[constant][ctx.signs_of_int_vectors(w[constant, -1]) < 0]] = True
+                live = ~infeasible[group]
+                w, e, history, group = w[live], e[live], history[live], group[live]
+            if w.shape[1] == 2 or not len(w):
                 break
             signs = ctx.signs_of_int_vectors(w[:, :-1])
-            pos, neg = (signs > 0).sum(axis=0), (signs < 0).sum(axis=0)
-            cost = (pos * neg - pos - neg).tolist()
-            best = min((v for v in range(len(cost)) if v != target), key=cost.__getitem__)
-            w, e, history = _eliminate(ctx, w, e, history, best, level, signs[:, best])
+            member = (group == np.arange(chains)[:, None]).astype(np.int64)  # chains x rows
+            pos, neg = member @ (signs > 0), member @ (signs < 0)
+            cost = pos * neg - pos - neg
+            cost[np.arange(chains), target] = np.iinfo(np.int64).max
+            best = cost.argmin(axis=1)  # the first least cost: the lower index on a tie
+            side = signs[np.arange(len(w)), best[group]]
+            # each chain's pivot to column 0, its other columns in order
+            w = w[np.arange(len(w))[:, None], np.argsort(
+                np.arange(w.shape[1]) != best[:, None], axis=1, kind="stable")[group]]
+            w, e, history, group = _eliminate(ctx, w, e, history, 0, level, side, group)
             level += 1
             target -= best < target
-        bounds = _lazy(ctx, 1, w[:, :1], w[:, 1], e.tolist()).propagated_bounds()[0]
-        if bounds.bounded and (bounds.upper - bounds.lower).sign() < 0:
-            return VarBounds(None, None, infeasible=True)
-        return bounds
+        n, p, q = ctx.degree, ctx.radicand.numerator, ctx.radicand.denominator
+        sides = ctx.signs_of_int_vectors(w[:, 0])
+        rows = np.flatnonzero(sides)
+        keys, ids = np.unique(2 * group[rows] + (sides[rows] > 0), return_inverse=True)
+        c, r = _fit(2 * n * max(p, q) * _top(w) ** 2, w[rows, 0], w[rows, 1])
+        mul = ctx.multiplication_matrix
+
+        def beats(old, new):  # r/c: the least for an upper row (c > 0), the greatest for a lower
+            diff = mul(c[old]) @ r[new, :, None] - mul(c[new]) @ r[old, :, None]
+            return ctx.signs_of_int_vectors(diff[..., 0]) * sides[rows[old]] < 0
+        found = {}  # (chain, side) -> its winner's bound, divided in the field
+        for key, i in zip(keys.tolist(), _group_best(ids, beats).tolist()):
+            bound, coeff = (FieldElement(ctx, tuple(x[i].tolist()), 1) for x in (r, c))
+            found[key] = bound / coeff
+        result = []
+        for g in range(chains):
+            lower, upper = found.get(2 * g), found.get(2 * g + 1)
+            result.append(VarBounds(None, None, infeasible=True) if infeasible[g] or (
+                lower is not None and upper is not None and (upper - lower).sign() < 0)
+                else VarBounds(lower, upper))
+        return result
 
     def fiber_bounds(self, points: Sequence[Sequence[int]]) -> list[VarBounds]:
         """restrict_to_subspace(dict(enumerate(p))).coordinate_bounds(0) for every point p.
 
         Row r reads c y <= s, with every slack s = rhs - coeffs . (p, 0) from
-        _evaluate.  c = 0 makes the fiber infeasible where s < 0; any other c
-        bounds y by s times 1/c, a scalar or, for irrational c, its
+        _evaluate over den_r E, and c = v / den_r for the integer numerators v of
+        row r's last column, so the row's den_r cancels from s / c.  v = 0
+        makes the fiber infeasible where s < 0; a rational v bounds y by s
+        times sign(v) over E |v|, and an irrational v by s times its inverse's
         multiplication matrix.  Each side's bounds, stacked, meet in a pairwise
         tournament (_best_bounds): about log2(rows) kernel calls per side
         across the points, in chunks of at most about _CHUNK integers, and
@@ -281,17 +336,24 @@ class LinearSystem:
         ctx, n, q = self.context, self.context.degree, self.context.radicand.denominator
         if any(len(p) != self.num_vars - 1 for p in points):
             raise ValidationError(f"fiber points need {self.num_vars - 1} coordinates")
-        inverses = [c.inverse() if c else c for c in (row.coeffs[-1] for row in self.rows)]
-        sides = np.array([row.coeffs[-1].sign() for row in self.rows], dtype=np.int64)
-        # row r bounds y by its slack times factors[r] (by @ when 2-d) over its den times scales[r]
-        factors = [v.num[0] if v.is_rational() else ctx.multiplication_matrix(v.num).T
-                   for v in inverses]
-        scales = [v.den * (1 if v.is_rational() else q) for v in inverses]
+        a, _, row_dens, _ = self._integer_rows
+        sides = ctx.signs_of_int_vectors(a[:, -1])
+        # row r bounds y by its slack times factors[r] (by @ when 2-d) over E times scales[r]
+        factors, scales = [], []
+        for s, v in zip(sides.tolist(), a[:, -1].tolist()):
+            if any(v[1:]):
+                inverse = _reduced(ctx, tuple(v), 1).inverse()
+                factors.append(ctx.multiplication_matrix(inverse.num).T)
+                scales.append(inverse.den * q)
+            else:
+                factors.append(s)
+                scales.append(abs(v[0]) or 1)
         most = max([1, *(int(np.abs(f).max()) * n if np.ndim(f) else abs(f) for f in factors)])
         result, per = [], max(1, _CHUNK // max(self.num_rows * n, 1))
         for start in range(0, len(points), per):
             values, rhs, dens = self._evaluate([(*p, 0) for p in points[start:start + per]])
-            slack, dens = rhs[:, None] - values, [d * s for d, s in zip(dens, scales)]
+            slack = rhs[:, None] - values
+            dens = [d // e * s for d, e, s in zip(dens, row_dens, scales)]
             top = max(1, int(np.abs(slack).max(initial=0)))
             # a comparison subtracts two products, each below top * most * max(dens)
             slack, = _fit(2 * top * most * max(dens, default=1), slack)
@@ -464,8 +526,9 @@ class LinearSystem:
         w, e, history = _tracked(self)
         w, e = _fit(max(_top(w), _top(e)) * (1 + sum(map(abs, fixed.values()))), w, e)
         rhs = w[:, -1] - np.array(list(fixed.values()), dtype=w.dtype) @ w[:, list(fixed)]
-        w, e, _ = _deduplicated(self.context, *_normalized(
-            self.context, np.concatenate((w[:, keep], rhs[:, None]), axis=1), e, history))
+        w, e, _, _ = _deduplicated(self.context, *_normalized(
+            self.context, np.concatenate((w[:, keep], rhs[:, None]), axis=1), e, history,
+            np.zeros(len(w), dtype=np.int64)))
         names = None
         if self.names is not None:
             names = tuple(self.names[i] for i in keep)
@@ -533,19 +596,21 @@ def _top(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _seeded(system: LinearSystem, a, b, dens) -> LinearSystem:
-    """system with _integer_rows set to (a, b, dens, top) as a rebuild gives them."""
-    top = max(_top(a), _top(b))
+def _seeded(system: LinearSystem, a, b, dens, top=None) -> LinearSystem:
+    """system with _integer_rows set to (a, b, dens, top) as a rebuild gives them; top,
+    the largest |entry| of a and b, is read from them unless the caller knows it."""
+    top = max(_top(a), _top(b)) if top is None else top
     system.__dict__["_integer_rows"] = (*_fit(top, a, b), dens, top)
     return system
 
 
-def _lazy(context: FieldContext, num_vars: int, a, b, dens, names=None) -> LinearSystem:
+def _lazy(context: FieldContext, num_vars: int, a, b, dens, names=None, top=None
+          ) -> LinearSystem:
     """The system of the integer rows (a, b, dens) as _integer_rows holds them, each over
-    its least denominator; no rows until read (_Rows)."""
+    its least denominator; no rows until read (_Rows).  A known top spares a scan."""
     system = object.__new__(LinearSystem)
     system.__dict__.update(context=context, num_vars=num_vars, names=names)
-    return _seeded(system, a, b, dens)
+    return _seeded(system, a, b, dens, top)
 
 
 def _tracked(system: LinearSystem):
@@ -556,39 +621,42 @@ def _tracked(system: LinearSystem):
                   np.array(dens, dtype=object)), np.eye(len(dens), dtype=bool))
 
 
-def _normalized(context: FieldContext, w, e, history):
+def _normalized(context: FieldContext, w, e, history, group):
     """Rows with coefficient content h > 0 as (w / g, h / g), g = gcd(h, rhs content),
     so w[:, :-1] / e is primitive and e the row's least denominator (what _lazy
-    takes); constant rows dropped unless infeasible.  w is divided in place."""
+    takes); constant rows dropped unless infeasible.  w is divided in place; each
+    row keeps its history and its chain (group)."""
     den = np.gcd.reduce(w[:, :-1], axis=(1, 2), initial=0)
     constant = den == 0
     if constant.any():
         live = ~constant
         live[constant] = context.signs_of_int_vectors(w[constant, -1]) < 0
-        w, e, history, den = w[live], e[live], history[live], den[live]
+        w, e, history, group, den = w[live], e[live], history[live], group[live], den[live]
         den = np.where(den == 0, e, den)
     g = np.gcd(den, np.gcd.reduce(w[:, -1], axis=1))
-    return _divide_exact(w, g[:, None, None]), den // g, history
+    return _divide_exact(w, g[:, None, None]), den // g, history, group
 
 
-def _deduplicated(context: FieldContext, w, e, history):
-    """Of normalized rows with equal primitive coefficient vectors (the keys, formed
-    about _CHUNK integers at a time) the one with the least rhs, on a tie the shorter
-    history, at the place of the first: a tournament, one kernel call a round."""
-    per, groups = max(1, _CHUNK // max(w[:1, :-1].size, 1)), {}
-    ids = np.array([groups.setdefault(repr(key.tolist()) if key.dtype == object else bytes(key),
-                                      len(groups)) for s in range(0, len(w), per)
-                    for key in _divide_exact(w[s:s + per, :-1].copy(), e[s:s + per, None, None])],
+def _deduplicated(context: FieldContext, w, e, history, group):
+    """Of normalized rows of one chain (group) with equal primitive coefficient vectors
+    (the keys, formed about _CHUNK integers at a time) the one with the least rhs, on
+    a tie the shorter history, at the place of the first: a tournament, one kernel
+    call a round."""
+    per, index = max(1, _CHUNK // max(w[:1, :-1].size, 1)), {}
+    keys = (repr(key.tolist()) if key.dtype == object else bytes(key)
+            for s in range(0, len(w), per)
+            for key in _divide_exact(w[s:s + per, :-1].copy(), e[s:s + per, None, None]))
+    ids = np.array([index.setdefault(key, len(index)) for key in zip(group.tolist(), keys)],
                    dtype=np.int64)
-    if len(groups) == len(ids):
-        return w, e, history
+    if len(index) == len(ids):
+        return w, e, history, group
     (rhs, den), length = _fit(2 * _top(w[:, -1]) * _top(e), w[:, -1], e), history.sum(axis=1)
 
     def beats(old, new):
         s = context.signs_of_int_vectors(rhs[new] * den[old, None] - rhs[old] * den[new, None])
         return (s < 0) | ((s == 0) & (length[new] < length[old]))
     keep = _group_best(ids, beats)
-    return w[keep], e[keep], history[keep]
+    return w[keep], e[keep], history[keep], group[keep]
 
 
 def _group_best(ids: np.ndarray, beats) -> np.ndarray:
@@ -621,19 +689,23 @@ def _best_bounds(context: FieldContext, side: int, nums, dens):
     return nums[0], dens[0]
 
 
-def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side):
-    """One Fourier-Motzkin step on integer rows (_tracked), whose column j has the
-    signs `side`, normalized and deduplicated.
+def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side, group):
+    """One Fourier-Motzkin step on integer rows (_tracked) of one or more chains,
+    group[r] the chain of row r, whose column j has the signs `side`, normalized and
+    deduplicated within each chain.
 
-    Each upper row u and lower row l of variable j combine as (-l_j) u + u_j l over
-    e_u e_l: scalars when column j is rational, else multiplication matrices, which
-    put a factor q on the row and its e.  A pair whose history holds more than
-    level + 1 original rows is redundant after `level` eliminations (Chernikov).
-    Blocks of about _CHUNK integers, carried rows first, are cleaned up alone, then merged.
+    Each upper row u and lower row l of variable j in one chain combine as (-l_j) u
+    + u_j l over e_u e_l: scalars when column j is rational, else multiplication
+    matrices, which put a factor q on the row and its e.  A pair whose history holds
+    more than level + 1 original rows is redundant after `level` eliminations
+    (Chernikov).  Blocks of about _CHUNK integers, carried rows first, are cleaned up
+    alone, then merged.
     """
     n, p, q = context.degree, context.radicand.numerator, context.radicand.denominator
     up, low, flat = (side > 0).nonzero()[0], (side < 0).nonzero()[0], side == 0
-    iu, il = np.repeat(up, len(low)), np.tile(low, len(up))
+    # each upper row with each lower row of its chain, upper rows outermost
+    iu, il = np.nonzero(group[up, None] == group[low])
+    iu, il = up[iu], low[il]
     rational = not w[:, j, 1:].any()
     w, e = _fit(2 * max(_top(w), _top(e)) ** 2 * (1 if rational else n * max(p, q)), w, e)
     pivot, rest = w[:, j], np.concatenate((w[:, :j], w[:, j + 1:]), axis=1)
@@ -647,9 +719,10 @@ def _eliminate(context: FieldContext, w, e, history, j: int, level: int, side):
         else:
             rows = (rest[u] @ context.multiplication_matrix(-pivot[l]).transpose(0, 2, 1)
                     + rest[l] @ context.multiplication_matrix(pivot[u]).transpose(0, 2, 1))
-        block = rows, e[u] * e[l] * (1 if rational else q), history[u] | history[l]
+        block = rows, e[u] * e[l] * (1 if rational else q), history[u] | history[l], group[u]
         if s == 0:
-            block = [np.concatenate(x) for x in zip((rest[flat], e[flat], history[flat]), block)]
+            block = [np.concatenate(x) for x in zip(
+                (rest[flat], e[flat], history[flat], group[flat]), block)]
         parts.append(_deduplicated(context, *_normalized(context, *block)))
     if len(parts) == 1:
         return parts[0]

@@ -106,8 +106,8 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
     else partial) with a nonempty fiber, with X; and per point, that the
     fiber interval collapses to the stated height.  The box is bounded by
     the single-variable rows of eliminate_variable(k), the only rows of it
-    built as field elements, and by coordinate_bounds for a coordinate they
-    leave open.
+    built as field elements, and by one box_bounds call for every
+    coordinate they leave open.
     """
     base_points = heights.domain
     k = system.num_vars - 1
@@ -145,12 +145,14 @@ def certify_mixed(system: LinearSystem, heights: HeightFunction,
     coverage = tuple(records)
 
     projection = system.eliminate_variable(k)
-    # the single-variable rows (a pipeline's box rows) often bound every coordinate alone
+    # the single-variable rows (a pipeline's box rows) often bound every coordinate alone;
+    # where they leave a side open, one grouped elimination decides every such coordinate
+    single = projection.single_variable_rows().propagated_bounds()
+    loose = [j for j, bounds in enumerate(single) if not bounds.bounded]
+    exact = dict(zip(loose, projection.box_bounds(loose)))
     ranges = []
-    for j, bounds in enumerate(projection.single_variable_rows().propagated_bounds()):
-        if not bounds.bounded:
-            # the single-variable rows leave a side open; decide exactly
-            bounds = projection.coordinate_bounds(j)
+    for j, bounds in enumerate(single):
+        bounds = exact.get(j, bounds)
         if bounds.infeasible:
             return refuted(("projection infeasible", j))
         if not bounds.bounded:

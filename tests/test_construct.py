@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -241,6 +242,146 @@ def test_nary_join_refuses_a_bad_bundle_anywhere(bad, position):
     expected = _join_outcome(_folded_join, bundles)
     assert expected in (ValidationError, PreconditionError)
     assert _join_outcome(lambda bs: free_join_compose(*bs), bundles) is expected
+
+
+def _row_tuple_join(*bundles):
+    """Reference n-ary join on Row tuples, as free_join_compose built it before its
+    integer block (the checks are the fold's, tested above)."""
+    first, ctx = bundles[0], bundles[0].system.context
+    zero = ctx.zero
+    sizes = [b.system.num_vars for b in bundles]
+    total = sum(sizes) + len(bundles) - 1
+    rows = []
+    for row in first.system.rows:
+        coeffs = list(row.coeffs)
+        for k in sizes[1:]:
+            coeffs += (zero,) * k
+            coeffs.append(row.rhs)
+        rows.append(Row(tuple(coeffs), row.rhs))
+    points = [p + (0,) * (total - sizes[0]) for p in first.target.points]
+    offset = sizes[0]
+    for bundle, k in zip(bundles[1:], sizes[1:]):
+        before, after = (zero,) * offset, (zero,) * (total - offset - k - 1)
+        rows += [Row(before + row.coeffs + (-row.rhs,) + after, zero)
+                 for row in bundle.system.rows]
+        before, after = (0,) * offset, (0,) * (total - offset - k - 1)
+        points += [before + q + (1,) + after for q in bundle.target.points]
+        offset += k + 1
+    provenance = {
+        "construction": "free_join",
+        "left": first.provenance.get("construction") if len(bundles) == 2 else "free_join",
+        "right": bundles[-1].provenance.get("construction"),
+        "rows": len(rows),
+    }
+    return RelaxationBundle(LinearSystem(ctx, total, tuple(rows)),
+                            PointSet(total, tuple(points), label="free_join"), provenance,
+                            Box.uniform(-1, 2, total))
+
+
+def _rebuilt_integer_rows(system):
+    """The system's _integer_rows equal those built afresh from its rows: arrays,
+    dtype, denominators and top."""
+    rebuilt = LinearSystem(system.context, system.num_vars, system.rows, system.names)
+    (a, b, dens, top), (a2, b2, dens2, top2) = system._integer_rows, rebuilt._integer_rows
+    return (a.dtype == a2.dtype and b.dtype == b2.dtype and a.shape == a2.shape
+            and b.shape == b2.shape and (a == a2).all() and (b == b2).all()
+            and dens == dens2 and top == top2)
+
+
+def _composed_parts(d):
+    copies, remainder = divmod(d + 1, 6)
+    parts = [simplex5_relaxation()] * copies
+    if remainder:
+        parts.append(standard_simplex_bundle(remainder - 1))
+    return parts
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 101, 200])
+def test_join_block_matches_the_row_tuple_join(d):
+    """The composed bound's JSON is byte for byte the Row-tuple join's, its integer
+    block equals a rebuild from its rows, and every zero entry it reads is the
+    context's one zero."""
+    bundle, parts = composed_simplex_relaxation(d), _composed_parts(d)
+    if len(parts) > 1:
+        joined, reference = free_join_compose(*parts), _row_tuple_join(*parts)
+        assert "rows" not in vars(joined.system)  # built when read
+        assert json.dumps(joined.to_json_dict()) == json.dumps(reference.to_json_dict())
+        assert json.dumps(bundle.system.to_json_dict()) == json.dumps(
+            reference.system.to_json_dict())
+    assert _rebuilt_integer_rows(bundle.system)
+    zero = bundle.system.context.zero
+    assert all(c is zero for row in bundle.system.rows for c in (*row.coeffs, row.rhs) if not c)
+
+
+def test_join_of_object_integer_rows():
+    """A bundle whose integer rows are Python integers (dtype object) joins like the
+    Row-tuple join, on either side, and the block is int64 again once it fits."""
+    huge = 1 << 70
+    segment = RelaxationBundle(
+        LinearSystem(CTX2, 1, (Row((CTX2.from_rational(huge),), CTX2.from_rational(huge)),
+                               Row((-CTX2.one,), CTX2.zero))),
+        PointSet(1, ((0,), (1,))), {"construction": "huge_segment"}, Box.uniform(-2, 2, 1))
+    assert segment.system._integer_rows[0].dtype == object
+    small = standard_simplex_bundle(2)
+    for parts in ((segment, small), (small, segment, segment), (small, small)):
+        joined = free_join_compose(*parts)
+        assert joined.to_json_dict() == _row_tuple_join(*parts).to_json_dict()
+        assert _rebuilt_integer_rows(joined.system)
+        assert (joined.system._integer_rows[0].dtype == object) == (segment in parts)
+
+
+def test_join_signs_irrational_right_hand_sides():
+    """Right-hand sides with a sqrt2 part are signed exactly by the kernel, as the fold
+    signs them: sqrt2 - 1 > 0 joins and 1 - sqrt2 < 0 is refused; rows whose rhs are
+    all sqrt2 - sqrt2 = 0 have no positive one."""
+    s = CTX2.element((0, 1))
+
+    def segment(upper, lower, name):
+        system = LinearSystem(CTX2, 1, (Row((CTX2.one,), upper), Row((-CTX2.one,), lower)))
+        return RelaxationBundle(system, PointSet(1, ((0,),)), {"construction": name},
+                                Box.uniform(-2, 2, 1))
+    good = segment(s - 1, CTX2.zero, "irrational")
+    for bundles in ((good, segment(1 - s, CTX2.zero, "negative")),
+                    (segment(s - s, CTX2.zero, "zero"), good), (good, good, segment_bundle())):
+        assert _join_outcome(lambda bs: free_join_compose(*bs), bundles) == \
+            _join_outcome(_folded_join, bundles)
+    assert _join_outcome(lambda bs: free_join_compose(*bs), (good, good)) == \
+        _row_tuple_join(good, good).to_json_dict()
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_standard_simplex_block_matches_its_rows(d):
+    ctx = CTX2
+    rows = tuple(Row(tuple(-ctx.one if j == i else ctx.zero for j in range(d)), ctx.zero)
+                 for i in range(d)) + (Row((ctx.one,) * d, ctx.one),)
+    system = standard_simplex_bundle(d).system
+    assert system.rows == rows and system.num_rows == d + 1
+    assert _rebuilt_integer_rows(system)
+
+
+_BENCH_EPS = ("1/8", "1/9", "1/10", "1/12", "1/16", "1/32", "1/64", "1/100",
+              "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "3/16", "5/32", "2/9")
+
+
+@pytest.mark.parametrize("eps", [*_BENCH_EPS, "7/11", "12345678901234567891/12345678901234567893"])
+def test_five_row_block_from_numerators_matches_its_field_rows(eps):
+    """The block built from integer numerators has the rows, names and integer rows
+    of the field-element build it replaced."""
+    e = Fraction(eps)
+    one_minus = 1 - e
+
+    def el(a, b=0):
+        return CTX2.element((Fraction(a), Fraction(b)))
+    rows = [((el(-1), el(0), el(0), el(1)), el(0)),
+            ((el(0), el(0), el(-1), el(1)), el(0)),
+            ((el(e), el(1), el(-one_minus, one_minus), el(2 * one_minus, -one_minus)), el(1)),
+            ((el(0), el(0), el(-1), el(0, -1)), el(0)),
+            ((el(1), el(-(1 + e)), el(1), el(-1)), el(1))]
+    reference = LinearSystem.from_rows(CTX2, rows, 4, names=("x1", "x2", "x3", "x4"))
+    system = projected_simplex_relaxation(eps)
+    assert "rows" not in vars(system)
+    assert system.to_json_dict() == reference.to_json_dict() and system == reference
+    assert _rebuilt_integer_rows(system)
 
 
 def test_join_needs_two_bundles():

@@ -369,15 +369,15 @@ def test_best_bounds_tournament_keeps_the_per_row_choice(case):
 
 def test_fiber_tournament_takes_about_log2_rows_kernel_calls_per_side(monkeypatch):
     # the k = 4 mixed system (8 box rows, 6 upper and 6 lower facet rows), all 16 cube
-    # points in one chunk: one call for the lateral rows, ceil(log2 6) = 3 rounds per
-    # side and one comparison of the sides
+    # points in one chunk: one call for the rows' sides, one for the lateral rows,
+    # ceil(log2 6) = 3 rounds per side and one comparison of the sides
     run = pipeline_run(4, certify=False)
     kernel, calls = FieldContext.signs_of_int_vectors, []
     monkeypatch.setattr(FieldContext, "signs_of_int_vectors",
                         lambda self, w: calls.append(w.shape) or kernel(self, w))
     cube = list(itertools.product((0, 1), repeat=4))
     bounds = run.mixed_system.fiber_bounds(cube)
-    assert len(calls) == 1 + 2 * 3 + 1
+    assert len(calls) == 1 + 1 + 2 * 3 + 1 and calls[0] == (20, 12)  # 20 rows at degree 12
     assert all(b.bounded and b.lower == b.upper == run.perturbed(p) for p, b in zip(cube, bounds))
 
 
@@ -616,6 +616,41 @@ def test_coordinate_bounds_matches_field_reference(case):
     assert system.coordinate_bounds(j) == _field_coordinate_bounds(system, j)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_fm_cases())
+@example(case=(_CHERNIKOV, 2, {}))
+@example(case=(_HUGE, 1, {}))
+def test_box_bounds_match_the_field_reference_on_every_coordinate(case):
+    """One grouped call over every coordinate, and j once more, equals the reference
+    chain of each: irrational pivots, history drops and Python-integer rows included."""
+    system, j, _ = case
+    coordinates = [*range(system.num_vars), j]
+    assert system.box_bounds(coordinates) == [
+        _field_coordinate_bounds(system, i) for i in coordinates]
+
+
+def test_box_bounds_keep_each_chains_verdict():
+    """Unbounded, bounded, half-bounded and repeated coordinates in one call.  As
+    infeasibility is the whole system's, an infeasible system's chains all find it,
+    here at different points: the chain of x1 at the constant row 0 <= -1 after one
+    step, the chain of x0 only when its lower bound 1 passes its upper bound 0."""
+    s = sqrt2()
+    feasible = system_from([((1, 0, 0), 1), ((-1, 0, 0), 0), ((-1, s, 0), 2)], 3)
+    coordinates = [2, 0, 1, 0]
+    bounds = feasible.box_bounds(coordinates)
+    assert bounds == [_field_coordinate_bounds(feasible, j) for j in coordinates]
+    assert [(b.lower, b.upper) for b in bounds] == [
+        (None, None), (CTX2.zero, CTX2.one), (None, CTX2.from_rational(3) / s),
+        (CTX2.zero, CTX2.one)]
+    infeasible = system_from([((1, 0), 0), ((-1, 0), -1), ((0, 1), 3)], 2)
+    assert infeasible.box_bounds([0, 1]) == [
+        _field_coordinate_bounds(infeasible, j) for j in (0, 1)] == [
+        VarBounds(None, None, infeasible=True)] * 2
+    assert feasible.box_bounds([]) == []
+    with pytest.raises(ValidationError):
+        feasible.box_bounds([0, 3])
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_fm_cases())
 @example(case=(_HUGE, 0, {0: 3, 1: -1}))
@@ -641,8 +676,9 @@ def test_kernel_keeps_the_reference_rows_and_histories_step_by_step(rows, drops)
     w, e, history = poly._tracked(system)
     tracked = _tracked_rows(system)
     for level in (1, 2):
-        w, e, history = poly._eliminate(CTX2, w, e, history, 0, level,
-                                        CTX2.signs_of_int_vectors(w[:, 0]))
+        w, e, history, _ = poly._eliminate(CTX2, w, e, history, 0, level,
+                                           CTX2.signs_of_int_vectors(w[:, 0]),
+                                           np.zeros(len(w), dtype=np.int64))
         tracked = _eliminate_tracked(tracked, 0, level)
         eliminated = poly._lazy(CTX2, w.shape[1] - 1, w[:, :-1], w[:, -1], e.tolist())
         assert eliminated.rows == tuple(Row(c, r) for c, r, _ in tracked)
@@ -665,6 +701,10 @@ def test_dim5_fourier_motzkin_matches_field_reference(eps):
         assert projection.coordinate_bounds(j) == _field_coordinate_bounds(projection, j)
     for j in range(4):
         assert system.coordinate_bounds(j) == _field_coordinate_bounds(system, j)
+    # and one grouped call for all coordinates, as certify_mixed makes it
+    for s in (projection, system):
+        assert s.box_bounds(list(range(s.num_vars))) == [
+            _field_coordinate_bounds(s, j) for j in range(s.num_vars)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -675,10 +715,19 @@ def test_pipeline_elimination_matches_field_reference(k):
     assert _same_integer_rows(projection)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pipeline_box_bounds_match_field_reference(k):
+    mixed = pipeline_run(k, certify=False).mixed_system
+    for system in (mixed.eliminate_variable(k), mixed):
+        coordinates = list(range(system.num_vars))
+        assert system.box_bounds(coordinates) == [
+            _field_coordinate_bounds(system, j) for j in coordinates]
+
+
 def test_projection_builds_only_the_rows_it_reads(monkeypatch):
     """eliminate_variable reduces no field element until rows are read, and its
     single-variable rows, the k = 3 pipeline's box, are built alone, equal to the
-    reference's, without building the projection's other rows."""
+    reference's, without building the projection's other rows or reducing a zero."""
     from relaxcert import field
     mixed = pipeline_run(3, certify=False).mixed_system
     reference = _field_eliminate(mixed, 3)
@@ -689,7 +738,10 @@ def test_projection_builds_only_the_rows_it_reads(monkeypatch):
     single = projection.single_variable_rows()
     assert single.num_vars == 3 and calls == []
     assert single.rows == tuple(r for r in reference if sum(map(bool, r.coeffs)) == 1)
-    assert len(calls) == 4 * single.num_rows < 4 * len(reference)
+    # one reduction per nonzero entry; every zero entry is the context's one zero
+    entries = [v for row in single.rows for v in (*row.coeffs, row.rhs)]
+    assert len(calls) == sum(map(bool, entries)) < 4 * len(reference)
+    assert all(v is mixed.context.zero for v in entries if not v)
     assert "rows" not in vars(projection)
     ctx = mixed.context
     assert [(b.lower, b.upper) for b in single.propagated_bounds()] == [(ctx.zero, ctx.one)] * 3

@@ -179,10 +179,10 @@ def _lowered(system, i):
 
 
 def _box_bounds(monkeypatch, bounds):
-    """Leave every coordinate to coordinate_bounds, which answers bounds."""
+    """Leave every coordinate to box_bounds, which answers bounds for each."""
     monkeypatch.setattr(LinearSystem, "propagated_bounds",
                         lambda self: [VarBounds(None, None)] * self.num_vars)
-    monkeypatch.setattr(LinearSystem, "coordinate_bounds", lambda self, j: bounds)
+    monkeypatch.setattr(LinearSystem, "box_bounds", lambda self, js: [bounds] * len(js))
 
 
 def _fiber_at(monkeypatch, point, bounds):
@@ -371,6 +371,19 @@ def test_box_fibers_match_the_enumerated_projection(case):
     cert = certify_mixed(system, heights)
     assert (cert.verdict, cert.witness, cert.projection_points) == \
         _enumerated_route(system, points, heights)
+
+
+_BENCH_EPS = ("1/8", "1/9", "1/10", "1/12", "1/16", "1/32", "1/64", "1/100",
+              "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "3/16", "5/32", "2/9")
+
+
+@pytest.mark.parametrize("eps", _BENCH_EPS)
+def test_dim5_certificates_match_the_enumerated_projection(eps):
+    # every eps the benchmark certifies or refutes, through the grouped box
+    system, points, heights = five_row_inputs(Fraction(eps))
+    cert = certify_mixed(system, heights)
+    assert (cert.verdict, cert.witness, cert.projection_points) == \
+        _enumerated_route(system, points.points, heights)
 
 
 # ---------------------------------------------------------------------------
